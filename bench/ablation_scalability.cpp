@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "alloc/drf.hpp"
-#include "alloc/factory.hpp"
 #include "alloc/irt.hpp"
+#include "alloc/policy.hpp"
 #include "alloc/wmmf.hpp"
 #include "common/rng.hpp"
 
@@ -67,20 +67,21 @@ void BM_IrtLinearSearch(benchmark::State& state) {
 BENCHMARK(BM_IrtLinearSearch)->RangeMultiplier(4)->Range(8, 2048)
     ->Complexity(benchmark::oNLogN);
 
-void BM_PolicyAtScale(benchmark::State& state, const char* policy_name) {
+void BM_PolicyAtScale(benchmark::State& state, alloc::PolicyKind kind) {
   const auto m = static_cast<std::size_t>(state.range(0));
   ResourceVector capacity(2);
   const auto entities = make_entities(m, 2, &capacity);
-  const alloc::AllocatorPtr policy = alloc::make_allocator(policy_name);
+  const alloc::Allocator& policy = *alloc::policy(kind).allocator;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(policy->allocate(capacity, entities));
+    benchmark::DoNotOptimize(policy.allocate(capacity, entities));
   }
 }
-BENCHMARK_CAPTURE(BM_PolicyAtScale, wmmf, "wmmf")->Arg(64)->Arg(1024);
-BENCHMARK_CAPTURE(BM_PolicyAtScale, drf, "drf")->Arg(64)->Arg(1024);
-BENCHMARK_CAPTURE(BM_PolicyAtScale, drf_seq, "drf-seq")->Arg(64)->Arg(1024);
-BENCHMARK_CAPTURE(BM_PolicyAtScale, irt, "irt")->Arg(64)->Arg(1024);
-BENCHMARK_CAPTURE(BM_PolicyAtScale, rrf_sp, "rrf-sp")->Arg(64)->Arg(1024);
+using enum alloc::PolicyKind;
+BENCHMARK_CAPTURE(BM_PolicyAtScale, wmmf, kWmmf)->Arg(64)->Arg(1024);
+BENCHMARK_CAPTURE(BM_PolicyAtScale, drf, kDrf)->Arg(64)->Arg(1024);
+BENCHMARK_CAPTURE(BM_PolicyAtScale, drf_seq, kDrfSeq)->Arg(64)->Arg(1024);
+BENCHMARK_CAPTURE(BM_PolicyAtScale, irt, kIrt)->Arg(64)->Arg(1024);
+BENCHMARK_CAPTURE(BM_PolicyAtScale, rrf_sp, kRrfSp)->Arg(64)->Arg(1024);
 
 void BM_IrtResourceTypes(benchmark::State& state) {
   // The algorithms are generic over p; the paper uses p = 2.

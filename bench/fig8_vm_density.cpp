@@ -19,10 +19,7 @@ int main() {
   engine.duration = 1200.0;  // enough windows for stable means
   engine.window = 5.0;
 
-  const std::vector<sim::PolicyKind> policies = {
-      sim::PolicyKind::kTshirt, sim::PolicyKind::kWmmf,
-      sim::PolicyKind::kDrf, sim::PolicyKind::kIwaOnly,
-      sim::PolicyKind::kRrf};
+  const std::vector<sim::PolicyKind> policies = sim::paper_policies();
 
   // The sweep over alpha; alpha* is computed from the workloads' profiles.
   sim::ScenarioConfig probe;

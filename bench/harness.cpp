@@ -196,9 +196,7 @@ double require_nonneg(const json::Value& obj, const std::string& key) {
 
 HarnessConfig quick_config() {
   HarnessConfig config;
-  config.policies = {sim::PolicyKind::kTshirt, sim::PolicyKind::kWmmf,
-                     sim::PolicyKind::kDrf, sim::PolicyKind::kIwaOnly,
-                     sim::PolicyKind::kRrf};
+  config.policies = sim::paper_policies();
   // Small and medium cells, then the pinned regression cell the
   // acceptance speedup is measured on: 32 nodes x 16 VMs x 16 tenants.
   config.sweep = {{4, 8, 4}, {16, 8, 8}, {32, 16, 16}};

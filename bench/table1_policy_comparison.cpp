@@ -9,7 +9,7 @@
 #include <iostream>
 #include <vector>
 
-#include "alloc/factory.hpp"
+#include "alloc/policy.hpp"
 #include "common/pricing.hpp"
 #include "common/table.hpp"
 
@@ -54,17 +54,17 @@ int main() {
 
   struct Row {
     const char* label;
-    const char* policy;
+    alloc::PolicyKind policy;
   };
+  using enum alloc::PolicyKind;
   const Row rows[] = {
-      {"T-shirt", "tshirt"},       {"WMMF", "wmmf"},
-      {"WDRF (paper)", "drf-seq"}, {"DRF (canonical)", "drf"},
-      {"RRF", "rrf"},
+      {"T-shirt", kTshirt},       {"WMMF", kWmmf},
+      {"WDRF (paper)", kDrfSeq},  {"DRF (canonical)", kDrf},
+      {"RRF", kRrf},
   };
   for (const Row& row : rows) {
-    const alloc::AllocatorPtr policy = alloc::make_allocator(row.policy);
     const alloc::AllocationResult r =
-        policy->allocate(capacity_shares, vms);
+        alloc::policy(row.policy).allocator->allocate(capacity_shares, vms);
     table.row({row.label, cell(pricing.capacity_for(r.allocations[0])),
                cell(pricing.capacity_for(r.allocations[1])),
                cell(pricing.capacity_for(r.allocations[2])),

@@ -8,7 +8,7 @@
 // over-reporting — the budget-capped rrf-sp variant closes the gap.
 #include <iostream>
 
-#include "alloc/factory.hpp"
+#include "alloc/policy.hpp"
 #include "alloc/properties.hpp"
 #include "common/table.hpp"
 
@@ -34,78 +34,79 @@ int main() {
       std::to_string(kTrials) + " random contended scenarios each");
   table.header({"Property", "WMMF", "DRF", "RRF", "RRF-SP (ext.)"});
 
-  const char* policies[] = {"wmmf", "drf", "rrf", "rrf-sp"};
+  using enum alloc::PolicyKind;
+  const alloc::PolicyKind policies[] = {kWmmf, kDrf, kRrf, kRrfSp};
 
   {
     std::vector<std::string> row{"Sharing incentive"};
-    for (const char* name : policies) {
-      const alloc::AllocatorPtr policy = alloc::make_allocator(name);
+    for (const alloc::PolicyKind kind : policies) {
+      const alloc::Allocator& policy = *alloc::policy(kind).allocator;
       row.push_back(verdict(
-          alloc::check_sharing_incentive(*policy, Rng(1001), kTrials)));
+          alloc::check_sharing_incentive(policy, Rng(1001), kTrials)));
     }
     table.row(std::move(row));
   }
   {
     std::vector<std::string> row{"Gain-as-you-contribute"};
-    for (const char* name : policies) {
-      const alloc::AllocatorPtr policy = alloc::make_allocator(name);
+    for (const alloc::PolicyKind kind : policies) {
+      const alloc::Allocator& policy = *alloc::policy(kind).allocator;
       row.push_back(verdict(
-          alloc::check_gain_as_you_contribute(*policy, Rng(1002), kTrials)));
+          alloc::check_gain_as_you_contribute(policy, Rng(1002), kTrials)));
     }
     table.row(std::move(row));
   }
   {
     std::vector<std::string> row{"Strategy-proof (over-report)"};
-    for (const char* name : policies) {
-      const alloc::AllocatorPtr policy = alloc::make_allocator(name);
+    for (const alloc::PolicyKind kind : policies) {
+      const alloc::Allocator& policy = *alloc::policy(kind).allocator;
       row.push_back(verdict(alloc::check_strategy_proofness(
-          *policy, Rng(1003), kTrials, {},
+          policy, Rng(1003), kTrials, {},
           alloc::Manipulation::kOverReport)));
     }
     table.row(std::move(row));
   }
   {
     std::vector<std::string> row{"Strategy-proof (any lie)"};
-    for (const char* name : policies) {
-      const alloc::AllocatorPtr policy = alloc::make_allocator(name);
+    for (const alloc::PolicyKind kind : policies) {
+      const alloc::Allocator& policy = *alloc::policy(kind).allocator;
       row.push_back(verdict(alloc::check_strategy_proofness(
-          *policy, Rng(1004), kTrials, {}, alloc::Manipulation::kAll)));
+          policy, Rng(1004), kTrials, {}, alloc::Manipulation::kAll)));
     }
     table.row(std::move(row));
   }
   {
     std::vector<std::string> row{"Pareto efficiency"};
-    for (const char* name : policies) {
-      const alloc::AllocatorPtr policy = alloc::make_allocator(name);
+    for (const alloc::PolicyKind kind : policies) {
+      const alloc::Allocator& policy = *alloc::policy(kind).allocator;
       row.push_back(verdict(
-          alloc::check_pareto_efficiency(*policy, Rng(1005), kTrials)));
+          alloc::check_pareto_efficiency(policy, Rng(1005), kTrials)));
     }
     table.row(std::move(row));
   }
   {
     std::vector<std::string> row{"Population monotonicity"};
-    for (const char* name : policies) {
-      const alloc::AllocatorPtr policy = alloc::make_allocator(name);
+    for (const alloc::PolicyKind kind : policies) {
+      const alloc::Allocator& policy = *alloc::policy(kind).allocator;
       row.push_back(verdict(alloc::check_population_monotonicity(
-          *policy, Rng(1007), kTrials)));
+          policy, Rng(1007), kTrials)));
     }
     table.row(std::move(row));
   }
   {
     std::vector<std::string> row{"Resource monotonicity"};
-    for (const char* name : policies) {
-      const alloc::AllocatorPtr policy = alloc::make_allocator(name);
+    for (const alloc::PolicyKind kind : policies) {
+      const alloc::Allocator& policy = *alloc::policy(kind).allocator;
       row.push_back(verdict(alloc::check_resource_monotonicity(
-          *policy, Rng(1008), kTrials)));
+          policy, Rng(1008), kTrials)));
     }
     table.row(std::move(row));
   }
   {
     std::vector<std::string> row{"Envy-freeness (weighted)"};
-    for (const char* name : policies) {
-      const alloc::AllocatorPtr policy = alloc::make_allocator(name);
+    for (const alloc::PolicyKind kind : policies) {
+      const alloc::Allocator& policy = *alloc::policy(kind).allocator;
       row.push_back(verdict(
-          alloc::check_envy_freeness(*policy, Rng(1006), kTrials)));
+          alloc::check_envy_freeness(policy, Rng(1006), kTrials)));
     }
     table.row(std::move(row));
   }

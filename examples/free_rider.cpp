@@ -6,7 +6,7 @@
 // happens when a tenant lies about its demand.
 #include <iostream>
 
-#include "alloc/factory.hpp"
+#include "alloc/policy.hpp"
 #include "alloc/properties.hpp"
 #include "common/pricing.hpp"
 #include "common/table.hpp"
@@ -14,6 +14,7 @@
 int main() {
   using namespace rrf;
   using alloc::AllocationEntity;
+  using enum alloc::PolicyKind;
 
   const PricingModel pricing = PricingModel::example_default();
 
@@ -37,12 +38,13 @@ int main() {
   TextTable table("Who feeds the free rider?  (shares granted)");
   table.header({"Policy", "Giver", "Honest", "Rider",
                 "Rider gain over its shares"});
-  for (const char* name : {"tshirt", "wmmf", "drf", "rrf", "rrf-sp"}) {
-    const alloc::AllocatorPtr policy = alloc::make_allocator(name);
-    const alloc::AllocationResult r = policy->allocate(pool, tenants);
+  for (const alloc::PolicyKind kind : {kTshirt, kWmmf, kDrf, kRrf, kRrfSp}) {
+    const alloc::Policy& policy = alloc::policy(kind);
+    const alloc::AllocationResult r =
+        policy.allocator->allocate(pool, tenants);
     const double gain =
         (r.allocations[2] - tenants[2].initial_share).sum();
-    table.row({name, r.allocations[0].to_string(0),
+    table.row({std::string(policy.name), r.allocations[0].to_string(0),
                r.allocations[1].to_string(0), r.allocations[2].to_string(0),
                TextTable::num(gain, 0)});
   }
@@ -56,7 +58,12 @@ int main() {
   std::cout << "Does lying pay?  The Honest tenant tries misreporting its "
                "demand\n(its real demand stays <900, 500> shares):\n\n";
   TextTable lies("usable shares (min of grant and true demand)");
-  lies.header({"Claim", "wmmf", "drf", "rrf", "rrf-sp"});
+  const alloc::PolicyKind liars[] = {kWmmf, kDrf, kRrf, kRrfSp};
+  std::vector<std::string> lies_header{"Claim"};
+  for (const alloc::PolicyKind kind : liars) {
+    lies_header.emplace_back(alloc::policy(kind).name);
+  }
+  lies.header(lies_header);
   const ResourceVector true_demand = tenants[1].demand;
   const ResourceVector claims[] = {
       {900.0, 500.0},   // the truth
@@ -67,9 +74,9 @@ int main() {
   for (const ResourceVector& claim : claims) {
     tenants[1].demand = claim;
     std::vector<std::string> row{claim.to_string(0)};
-    for (const char* name : {"wmmf", "drf", "rrf", "rrf-sp"}) {
-      const alloc::AllocatorPtr policy = alloc::make_allocator(name);
-      const alloc::AllocationResult r = policy->allocate(pool, tenants);
+    for (const alloc::PolicyKind kind : liars) {
+      const alloc::AllocationResult r =
+          alloc::policy(kind).allocator->allocate(pool, tenants);
       row.push_back(TextTable::num(
           alloc::satisfied_value(r.allocations[1], true_demand), 0));
     }

@@ -6,9 +6,7 @@
 // round starts from initial shares with no carry-over.
 #pragma once
 
-#include <memory>
 #include <span>
-#include <string>
 
 #include "alloc/entity.hpp"
 
@@ -17,9 +15,6 @@ namespace rrf::alloc {
 class Allocator {
  public:
   virtual ~Allocator() = default;
-
-  /// Short policy identifier ("tshirt", "wmmf", "drf", "irt", "rrf", ...).
-  virtual std::string name() const = 0;
 
   /// Compute entitlements.  Implementations must:
   ///  * never allocate more than `capacity` in total per resource type
@@ -30,7 +25,5 @@ class Allocator {
       const ResourceVector& capacity,
       std::span<const AllocationEntity> entities) const = 0;
 };
-
-using AllocatorPtr = std::unique_ptr<Allocator>;
 
 }  // namespace rrf::alloc

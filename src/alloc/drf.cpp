@@ -203,7 +203,7 @@ AllocationResult SequentialDrfAllocator::allocate(
     result.unallocated[k] = std::max(0.0, remaining[k]);
   }
   if (contract::armed()) {
-    check_allocation_contracts("drf-seq", capacity, entities, result,
+    check_allocation_contracts("sequential drf", capacity, entities, result,
                                {.demand_capped = true});
   }
   return result;

@@ -22,8 +22,6 @@ namespace rrf::alloc {
 
 class DrfAllocator final : public Allocator {
  public:
-  std::string name() const override { return "drf"; }
-
   AllocationResult allocate(
       const ResourceVector& capacity,
       std::span<const AllocationEntity> entities) const override;
@@ -31,8 +29,6 @@ class DrfAllocator final : public Allocator {
 
 class SequentialDrfAllocator final : public Allocator {
  public:
-  std::string name() const override { return "drf-seq"; }
-
   AllocationResult allocate(
       const ResourceVector& capacity,
       std::span<const AllocationEntity> entities) const override;

@@ -1,5 +1,7 @@
 #include "alloc/entity.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 
 namespace rrf::alloc {
@@ -11,19 +13,35 @@ ResourceVector AllocationResult::total() const {
   return t;
 }
 
+namespace {
+
+bool finite_nonneg(double v) { return std::isfinite(v) && v >= 0.0; }
+
+bool finite_nonneg(const ResourceVector& v) {
+  for (std::size_t k = 0; k < v.size(); ++k) {
+    if (!finite_nonneg(v[k])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 void validate_entities(const ResourceVector& capacity,
                        std::span<const AllocationEntity> entities) {
   RRF_REQUIRE(!entities.empty(), "no entities to allocate to");
-  RRF_REQUIRE(capacity.all_nonneg(), "capacity must be non-negative");
+  RRF_REQUIRE(finite_nonneg(capacity),
+              "capacity must be finite and non-negative");
   for (const auto& e : entities) {
     RRF_REQUIRE(e.initial_share.size() == capacity.size(),
                 "entity share arity must match capacity");
     RRF_REQUIRE(e.demand.size() == capacity.size(),
                 "entity demand arity must match capacity");
-    RRF_REQUIRE(e.initial_share.all_nonneg(),
-                "initial shares must be non-negative");
-    RRF_REQUIRE(e.demand.all_nonneg(), "demands must be non-negative");
-    RRF_REQUIRE(e.weight >= 0.0, "weights must be non-negative");
+    RRF_REQUIRE(finite_nonneg(e.initial_share),
+                "initial shares must be finite and non-negative");
+    RRF_REQUIRE(finite_nonneg(e.demand),
+                "demands must be finite and non-negative");
+    RRF_REQUIRE(finite_nonneg(e.weight),
+                "weights must be finite and non-negative");
   }
 }
 

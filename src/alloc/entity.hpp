@@ -60,8 +60,9 @@ struct AllocationResult {
   ResourceVector total() const;
 };
 
-/// Validate a policy input: non-negative vectors of uniform arity matching
-/// the capacity.  Throws PreconditionError on violations.
+/// Validate a policy input: finite, non-negative vectors of uniform arity
+/// matching the capacity, and finite non-negative weights.  Throws
+/// PreconditionError on violations.
 void validate_entities(const ResourceVector& capacity,
                        std::span<const AllocationEntity> entities);
 

@@ -1,5 +1,6 @@
 #include "alloc/entity_io.hpp"
 
+#include <cmath>
 #include <ostream>
 #include <sstream>
 
@@ -54,6 +55,10 @@ std::vector<AllocationEntity> read_entities_csv(std::istream& in) {
       } catch (const std::exception&) {
         throw DomainError("entity CSV line " + std::to_string(line_no) +
                           ": not a number: " + cells[k + 1]);
+      }
+      if (!std::isfinite(value)) {
+        throw DomainError("entity CSV line " + std::to_string(line_no) +
+                          ": not a finite number: " + cells[k + 1]);
       }
       if (k < p) {
         entity.initial_share[k] = value;

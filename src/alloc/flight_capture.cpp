@@ -3,7 +3,7 @@
 #include <utility>
 #include <vector>
 
-#include "alloc/factory.hpp"
+#include "alloc/policy.hpp"
 #include "common/build_info.hpp"
 #include "common/error.hpp"
 #include "obs/provenance.hpp"
@@ -14,13 +14,13 @@ obs::FlightRecording capture_alloc_round(
     const std::string& policy_name, const ResourceVector& capacity,
     std::span<const AllocationEntity> entities) {
   RRF_REQUIRE(!entities.empty(), "no entities to capture");
-  const AllocatorPtr allocator = make_allocator(policy_name);
+  const Allocator& allocator = *policy(policy_name).allocator;
 
   obs::ProvenanceRound prov;
   AllocationResult result;
   {
     obs::ProvenanceScope scope(&prov);
-    result = allocator->allocate(capacity, entities);
+    result = allocator.allocate(capacity, entities);
   }
 
   obs::FlightRecording recording;

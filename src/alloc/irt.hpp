@@ -66,8 +66,6 @@ class IrtAllocator final : public Allocator {
  public:
   explicit IrtAllocator(IrtOptions options = {}) : options_(options) {}
 
-  std::string name() const override { return "irt"; }
-
   AllocationResult allocate(
       const ResourceVector& capacity,
       std::span<const AllocationEntity> entities) const override;

@@ -1,0 +1,118 @@
+#include "alloc/policy.hpp"
+
+#include <algorithm>
+
+#include "alloc/contract_checks.hpp"
+#include "alloc/drf.hpp"
+#include "alloc/irt.hpp"
+#include "alloc/rrf.hpp"
+#include "alloc/tshirt.hpp"
+#include "alloc/wmmf.hpp"
+#include "common/contract.hpp"
+#include "common/error.hpp"
+
+namespace rrf::alloc {
+
+namespace {
+
+/// `iwa` over flat entities.  Each entity is a single-VM tenant whose
+/// tenant level is its own share (scaled down per type when the shares
+/// oversell the pool), and IWA on one VM caps that share at its demand.
+class IwaOnlyAllocator final : public Allocator {
+ public:
+  AllocationResult allocate(
+      const ResourceVector& capacity,
+      std::span<const AllocationEntity> entities) const override {
+    validate_entities(capacity, entities);
+    const ResourceVector sold = total_share(entities);
+    AllocationResult result;
+    result.allocations.reserve(entities.size());
+    ResourceVector used(capacity.size());
+    for (const AllocationEntity& e : entities) {
+      ResourceVector own = e.initial_share;
+      for (std::size_t k = 0; k < capacity.size(); ++k) {
+        if (sold[k] > capacity[k]) own[k] *= capacity[k] / sold[k];
+      }
+      result.allocations.push_back(
+          ResourceVector::elementwise_min(own, e.demand));
+      used += result.allocations.back();
+    }
+    result.unallocated = ResourceVector(capacity.size());
+    for (std::size_t k = 0; k < capacity.size(); ++k) {
+      result.unallocated[k] = std::max(0.0, capacity[k] - used[k]);
+    }
+    if (contract::armed()) {
+      check_allocation_contracts("iwa", capacity, entities, result,
+                                 {.demand_capped = true});
+    }
+    return result;
+  }
+};
+
+IrtOptions strategy_proof() {
+  IrtOptions options;
+  options.cap_gain_at_contribution = true;
+  return options;
+}
+
+}  // namespace
+
+std::span<const Policy> policies() {
+  static const TShirtAllocator tshirt;
+  static const WmmfAllocator wmmf;
+  static const DrfAllocator drf;
+  static const SequentialDrfAllocator drf_seq;
+  static const IrtAllocator irt;
+  static const IwaOnlyAllocator iwa;
+  static const RrfAllocator rrf;
+  static const RrfAllocator rrf_sp(strategy_proof());
+  using enum PolicyKind;
+  using enum PolicyLevel;
+  static const Policy table[] = {
+      // name     kind      paper  level    allocator rrf      banks
+      {"tshirt",  kTshirt,  true,  kStatic, &tshirt,  nullptr, false},
+      {"wmmf",    kWmmf,    true,  kFlat,   &wmmf,    nullptr, false},
+      {"drf",     kDrf,     true,  kFlat,   &drf,     nullptr, false},
+      {"drf-seq", kDrfSeq,  false, kFlat,   &drf_seq, nullptr, false},
+      {"irt",     kIrt,     false, kFlat,   &irt,     nullptr, false},
+      {"iwa",     kIwaOnly, true,  kTenant, &iwa,     nullptr, false},
+      {"rrf",     kRrf,     true,  kTenant, &rrf,     &rrf,    false},
+      {"rrf-sp",  kRrfSp,   false, kTenant, &rrf_sp,  &rrf_sp, false},
+      {"rrf-lt",  kRrfLt,   false, kTenant, &rrf,     &rrf,    true},
+  };
+  return table;
+}
+
+const Policy& policy(PolicyKind kind) {
+  for (const Policy& p : policies()) {
+    if (p.kind == kind) return p;
+  }
+  throw DomainError("policy kind " +
+                    std::to_string(static_cast<int>(kind)) +
+                    " has no row in the policy table");
+}
+
+const Policy& policy(std::string_view name) {
+  for (const Policy& p : policies()) {
+    if (p.name == name) return p;
+  }
+  throw DomainError("unknown policy '" + std::string(name) +
+                    "'; valid policies: " + join_policy_names(", "));
+}
+
+std::vector<std::string> policy_names() {
+  std::vector<std::string> names;
+  for (const Policy& p : policies()) names.emplace_back(p.name);
+  return names;
+}
+
+std::string join_policy_names(std::string_view separator) {
+  std::string out;
+  for (const Policy& p : policies()) {
+    if (!out.empty()) out += separator;
+    out += p.name;
+  }
+  return out;
+}
+
+}  // namespace rrf::alloc

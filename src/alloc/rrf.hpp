@@ -46,8 +46,6 @@ class RrfAllocator final : public Allocator {
  public:
   explicit RrfAllocator(IrtOptions irt_options = {}) : irt_(irt_options) {}
 
-  std::string name() const override { return "rrf"; }
-
   /// Full hierarchical allocation: IRT across tenants, IWA within each.
   HierarchicalResult allocate_hierarchical(
       const ResourceVector& capacity,

@@ -12,8 +12,6 @@ namespace rrf::alloc {
 
 class TShirtAllocator final : public Allocator {
  public:
-  std::string name() const override { return "tshirt"; }
-
   AllocationResult allocate(
       const ResourceVector& capacity,
       std::span<const AllocationEntity> entities) const override;

@@ -36,8 +36,6 @@ void weighted_max_min_into(double capacity, std::span<const double> demands,
 
 class WmmfAllocator final : public Allocator {
  public:
-  std::string name() const override { return "wmmf"; }
-
   /// Runs weighted_max_min per resource type with per-type weights equal to
   /// the entities' per-type initial shares (allocation proportional to
   /// payment, as the paper prescribes).

@@ -383,4 +383,64 @@ std::string escape(std::string_view s) {
   return out;
 }
 
+namespace {
+
+[[noreturn]] void raise(Fail fail, const std::string& message) {
+  fail(message);
+  throw DomainError(message);  // `fail` must throw; never fall through
+}
+
+[[noreturn]] void raise_type(Fail fail, const char* key, const char* type) {
+  raise(fail, std::string("field '") + key + "' is not " + type);
+}
+
+}  // namespace
+
+const Value& field(const Value& object, const char* key, Fail fail) {
+  const Value* v = object.find(key);
+  if (v == nullptr) raise(fail, std::string("missing field '") + key + "'");
+  return *v;
+}
+
+double num_field(const Value& object, const char* key, Fail fail) {
+  const Value& v = field(object, key, fail);
+  if (!v.is_number()) raise_type(fail, key, "a number");
+  return v.as_number();
+}
+
+std::size_t size_field(const Value& object, const char* key, Fail fail) {
+  const double d = num_field(object, key, fail);
+  if (!(d >= 0.0 && d <= 9007199254740992.0 && d == std::floor(d))) {
+    raise_type(fail, key, "a non-negative integer");
+  }
+  return static_cast<std::size_t>(d);
+}
+
+std::int32_t int_field(const Value& object, const char* key, Fail fail) {
+  const double d = num_field(object, key, fail);
+  if (!(d >= -2147483648.0 && d <= 2147483647.0 && d == std::floor(d))) {
+    raise_type(fail, key, "a 32-bit integer");
+  }
+  return static_cast<std::int32_t>(d);
+}
+
+const std::string& str_field(const Value& object, const char* key,
+                             Fail fail) {
+  const Value& v = field(object, key, fail);
+  if (!v.is_string()) raise_type(fail, key, "a string");
+  return v.as_string();
+}
+
+bool bool_field(const Value& object, const char* key, Fail fail) {
+  const Value& v = field(object, key, fail);
+  if (!v.is_bool()) raise_type(fail, key, "a bool");
+  return v.as_bool();
+}
+
+const Array& array_field(const Value& object, const char* key, Fail fail) {
+  const Value& v = field(object, key, fail);
+  if (!v.is_array()) raise_type(fail, key, "an array");
+  return v.as_array();
+}
+
 }  // namespace rrf::json

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -67,5 +68,23 @@ class Value {
 
 /// Convenience: quote + escape a string literal as JSON.
 std::string escape(std::string_view s);
+
+/// Typed member readers shared by the JSON loaders.  `fail` is the
+/// loader's own error function: it throws with the loader's prefix
+/// ("flightrec: ", "journal: ", ...) and must not return.
+using Fail = void (*)(const std::string& message);
+
+/// The member `key`; fails when absent.
+const Value& field(const Value& object, const char* key, Fail fail);
+double num_field(const Value& object, const char* key, Fail fail);
+/// A non-negative integer no larger than 2^53, so the cast to size_t is
+/// defined and every value in range is exact.
+std::size_t size_field(const Value& object, const char* key, Fail fail);
+/// An integer in the int32 range.
+std::int32_t int_field(const Value& object, const char* key, Fail fail);
+const std::string& str_field(const Value& object, const char* key,
+                             Fail fail);
+bool bool_field(const Value& object, const char* key, Fail fail);
+const Array& array_field(const Value& object, const char* key, Fail fail);
 
 }  // namespace rrf::json

@@ -22,43 +22,11 @@ namespace {
   throw DomainError("flightrec: " + message);
 }
 
-const json::Value& field(const json::Value& object, const char* key) {
-  const json::Value* v = object.find(key);
-  if (v == nullptr) fail(std::string("missing field '") + key + "'");
-  return *v;
-}
-
-double num_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_number()) fail(std::string("field '") + key + "' is not a number");
-  return v.as_number();
-}
-
 double num_or(const json::Value& object, const char* key, double fallback) {
   const json::Value* v = object.find(key);
   if (v == nullptr) return fallback;
   if (!v->is_number()) fail(std::string("field '") + key + "' is not a number");
   return v->as_number();
-}
-
-std::size_t size_field(const json::Value& object, const char* key) {
-  const double d = num_field(object, key);
-  if (d < 0.0 || d != std::floor(d)) {
-    fail(std::string("field '") + key + "' is not a non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-std::string str_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_string()) fail(std::string("field '") + key + "' is not a string");
-  return v.as_string();
-}
-
-const json::Array& array_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_array()) fail(std::string("field '") + key + "' is not an array");
-  return v.as_array();
 }
 
 json::Value vec_to_json(const ResourceVector& v) {
@@ -82,7 +50,7 @@ ResourceVector vec_from_json(const json::Value& value, const char* what) {
 }
 
 ResourceVector vec_field(const json::Value& object, const char* key) {
-  return vec_from_json(field(object, key), key);
+  return vec_from_json(field(object, key, fail), key);
 }
 
 json::Value doubles_to_json(const std::vector<double>& values) {
@@ -162,48 +130,48 @@ json::Value flight_header_to_json(const FlightHeader& header) {
 
 FlightHeader flight_header_from_json(const json::Value& value) {
   if (!value.is_object()) fail("header is not an object");
-  if (str_field(value, "schema") != kFlightSchemaName) {
+  if (str_field(value, "schema", fail) != kFlightSchemaName) {
     fail("not a " + std::string(kFlightSchemaName) + " recording");
   }
   FlightHeader header;
-  const double version = num_field(value, "version");
+  const double version = num_field(value, "version", fail);
   if (version != static_cast<double>(kFlightSchemaVersion)) {
     fail("unsupported schema version " + shortest(version) + " (this build reads " +
          std::to_string(kFlightSchemaVersion) + ")");
   }
   header.version = kFlightSchemaVersion;
-  header.kind = str_field(value, "kind");
+  header.kind = str_field(value, "kind", fail);
   if (header.kind != "sim" && header.kind != "alloc") {
     fail("unknown recording kind '" + header.kind + "'");
   }
-  header.policy = str_field(value, "policy");
-  header.window = num_field(value, "window");
-  header.duration = num_field(value, "duration");
+  header.policy = str_field(value, "policy", fail);
+  header.window = num_field(value, "window", fail);
+  header.duration = num_field(value, "duration", fail);
   header.pricing = vec_field(value, "pricing");
-  for (const json::Value& h : array_field(value, "hosts")) {
+  for (const json::Value& h : array_field(value, "hosts", fail)) {
     header.hosts.push_back(vec_from_json(h, "host capacity"));
   }
   if (header.hosts.empty()) fail("recording has no hosts");
-  for (const json::Value& t : array_field(value, "tenants")) {
+  for (const json::Value& t : array_field(value, "tenants", fail)) {
     if (!t.is_object()) fail("tenant entry is not an object");
     FlightTenant tenant;
-    tenant.name = str_field(t, "name");
-    tenant.metric = str_field(t, "metric");
-    for (const json::Value& vm : array_field(t, "vms")) {
+    tenant.name = str_field(t, "name", fail);
+    tenant.metric = str_field(t, "metric", fail);
+    for (const json::Value& vm : array_field(t, "vms", fail)) {
       if (!vm.is_object()) fail("vm entry is not an object");
       FlightVm out;
-      out.name = str_field(vm, "name");
-      out.vcpus = size_field(vm, "vcpus");
+      out.name = str_field(vm, "name", fail);
+      out.vcpus = size_field(vm, "vcpus", fail);
       out.provisioned = vec_field(vm, "provisioned");
-      out.max_mem_gb = num_field(vm, "max_mem_gb");
-      out.host = size_field(vm, "host");
+      out.max_mem_gb = num_field(vm, "max_mem_gb", fail);
+      out.host = size_field(vm, "host", fail);
       if (out.host >= header.hosts.size()) fail("vm placed on unknown host");
       tenant.vms.push_back(std::move(out));
     }
     header.tenants.push_back(std::move(tenant));
   }
   if (header.tenants.empty()) fail("recording has no tenants");
-  for (const json::Value& u : array_field(value, "unplaced")) {
+  for (const json::Value& u : array_field(value, "unplaced", fail)) {
     if (!u.is_array() || u.as_array().size() != 2 ||
         !u.as_array()[0].is_number() || !u.as_array()[1].is_number()) {
       fail("unplaced entry is not a [tenant, vm] pair");
@@ -212,7 +180,7 @@ FlightHeader flight_header_from_json(const json::Value& value) {
         static_cast<std::size_t>(u.as_array()[0].as_number()),
         static_cast<std::size_t>(u.as_array()[1].as_number()));
   }
-  header.engine = field(value, "engine");
+  header.engine = field(value, "engine", fail);
   // Additive: recordings written before the build stamp existed lack it.
   if (const json::Value* build = value.find("build")) {
     if (!build->is_object()) fail("field 'build' is not an object");
@@ -319,34 +287,34 @@ json::Value flight_round_to_json(const FlightRound& round) {
 FlightRound flight_round_from_json(const json::Value& value) {
   if (!value.is_object()) fail("round is not an object");
   FlightRound round;
-  round.round = size_field(value, "round");
-  round.time = num_field(value, "time");
+  round.round = size_field(value, "round", fail);
+  round.time = num_field(value, "time", fail);
   if (const json::Value* m = value.find("migrations")) {
     if (!m->is_array()) fail("migrations is not an array");
     for (const json::Value& e : m->as_array()) {
       FlightMigration out;
-      out.tenant = size_field(e, "tenant");
-      out.vm = size_field(e, "vm");
-      out.from = size_field(e, "from");
-      out.to = size_field(e, "to");
-      out.cost_gb = num_field(e, "cost_gb");
+      out.tenant = size_field(e, "tenant", fail);
+      out.vm = size_field(e, "vm", fail);
+      out.from = size_field(e, "from", fail);
+      out.to = size_field(e, "to", fail);
+      out.cost_gb = num_field(e, "cost_gb", fail);
       round.migrations.push_back(out);
     }
   }
   if (const json::Value* p = value.find("pressure_before")) {
     round.pressure_before = doubles_from_json(*p, "pressure_before");
-    round.pressure_after =
-        doubles_from_json(field(value, "pressure_after"), "pressure_after");
+    round.pressure_after = doubles_from_json(
+        field(value, "pressure_after", fail), "pressure_after");
   }
-  for (const json::Value& n : array_field(value, "nodes")) {
+  for (const json::Value& n : array_field(value, "nodes", fail)) {
     if (!n.is_object()) fail("node entry is not an object");
     FlightNode node;
-    node.node = size_field(n, "node");
-    for (const json::Value& s : array_field(n, "slots")) {
+    node.node = size_field(n, "node", fail);
+    for (const json::Value& s : array_field(n, "slots", fail)) {
       if (!s.is_object()) fail("slot entry is not an object");
       FlightSlot slot;
-      slot.tenant = size_field(s, "t");
-      slot.vm = size_field(s, "v");
+      slot.tenant = size_field(s, "t", fail);
+      slot.vm = size_field(s, "v", fail);
       slot.share = vec_field(s, "share");
       slot.demand = vec_field(s, "demand");
       slot.forecast = vec_field(s, "forecast");
@@ -360,20 +328,20 @@ FlightRound flight_round_from_json(const json::Value& value) {
     }
     if (const json::Value* irt = n.find("irt")) {
       node.has_irt = true;
-      for (const json::Value& t : array_field(*irt, "tenants")) {
+      for (const json::Value& t : array_field(*irt, "tenants", fail)) {
         FlightIrtTenant out;
-        out.tenant = size_field(t, "t");
-        out.lambda = num_field(t, "lambda");
+        out.tenant = size_field(t, "t", fail);
+        out.lambda = num_field(t, "lambda", fail);
         out.share = vec_field(t, "share");
         out.demand = vec_field(t, "demand");
         out.grant = vec_field(t, "grant");
         node.irt.push_back(std::move(out));
       }
-      for (const json::Value& k : array_field(*irt, "types")) {
+      for (const json::Value& k : array_field(*irt, "types", fail)) {
         ProvenanceIrtType out;
-        out.contributors = size_field(k, "contributors");
-        out.capped = size_field(k, "capped");
-        out.redistributed = num_field(k, "redistributed");
+        out.contributors = size_field(k, "contributors", fail);
+        out.capped = size_field(k, "capped", fail);
+        out.redistributed = num_field(k, "redistributed", fail);
         node.irt_types.push_back(out);
       }
     }
@@ -381,8 +349,8 @@ FlightRound flight_round_from_json(const json::Value& value) {
       if (!iwa->is_array()) fail("iwa is not an array");
       for (const json::Value& w : iwa->as_array()) {
         FlightIwa out;
-        out.tenant = size_field(w, "t");
-        for (const json::Value& g : array_field(w, "grant")) {
+        out.tenant = size_field(w, "t", fail);
+        for (const json::Value& g : array_field(w, "grant", fail)) {
           out.vm_grant.push_back(vec_from_json(g, "iwa grant"));
         }
         out.headroom = vec_field(w, "headroom");
@@ -422,9 +390,9 @@ FlightRecording FlightRecording::load(std::istream& in) {
     }
     if (const json::Value* t = value.find("trailer")) {
       FlightTrailer trailer;
-      trailer.rounds = size_field(*t, "rounds");
-      trailer.dropped = size_field(*t, "dropped");
-      trailer.bytes = size_field(*t, "bytes");
+      trailer.rounds = size_field(*t, "rounds", fail);
+      trailer.dropped = size_field(*t, "dropped", fail);
+      trailer.bytes = size_field(*t, "bytes", fail);
       recording.trailer = trailer;
       continue;
     }

@@ -16,46 +16,6 @@ namespace {
   throw DomainError("journal: " + message);
 }
 
-const json::Value& field(const json::Value& object, const char* key) {
-  const json::Value* v = object.find(key);
-  if (v == nullptr) fail(std::string("missing field '") + key + "'");
-  return *v;
-}
-
-double num_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_number()) fail(std::string("field '") + key + "' is not a number");
-  return v.as_number();
-}
-
-std::size_t size_field(const json::Value& object, const char* key) {
-  const double d = num_field(object, key);
-  if (d < 0.0 || d != std::floor(d)) {
-    fail(std::string("field '") + key + "' is not a non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-std::int32_t int_field(const json::Value& object, const char* key) {
-  const double d = num_field(object, key);
-  if (d != std::floor(d)) {
-    fail(std::string("field '") + key + "' is not an integer");
-  }
-  return static_cast<std::int32_t>(d);
-}
-
-std::string str_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_string()) fail(std::string("field '") + key + "' is not a string");
-  return v.as_string();
-}
-
-bool bool_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_bool()) fail(std::string("field '") + key + "' is not a bool");
-  return v.as_bool();
-}
-
 std::string rotated_path(const std::string& path) { return path + ".1"; }
 
 }  // namespace
@@ -82,27 +42,27 @@ json::Value journal_header_to_json(const JournalHeader& header) {
 
 JournalHeader journal_header_from_json(const json::Value& value) {
   if (!value.is_object()) fail("header is not an object");
-  if (str_field(value, "schema") != kJournalSchemaName) {
-    fail("not a telemetry journal (schema tag '" + str_field(value, "schema") +
-         "')");
+  if (str_field(value, "schema", fail) != kJournalSchemaName) {
+    fail("not a telemetry journal (schema tag '" +
+         str_field(value, "schema", fail) + "')");
   }
   JournalHeader header;
-  header.version = int_field(value, "version");
+  header.version = int_field(value, "version", fail);
   if (header.version != kJournalSchemaVersion) {
     fail("unsupported version " + std::to_string(header.version) +
          " (this build reads version " +
          std::to_string(kJournalSchemaVersion) + ")");
   }
-  header.kind = str_field(value, "kind");
-  header.policy = str_field(value, "policy");
-  const json::Value& tenants = field(value, "tenants");
+  header.kind = str_field(value, "kind", fail);
+  header.policy = str_field(value, "policy", fail);
+  const json::Value& tenants = field(value, "tenants", fail);
   if (!tenants.is_array()) fail("field 'tenants' is not an array");
   for (const json::Value& t : tenants.as_array()) {
     if (!t.is_string()) fail("tenant name is not a string");
     header.tenants.push_back(t.as_string());
   }
-  header.segment = size_field(value, "segment");
-  header.continued = bool_field(value, "continued");
+  header.segment = size_field(value, "segment", fail);
+  header.continued = bool_field(value, "continued", fail);
   // Additive: journals written before the build stamp existed lack it.
   if (const json::Value* build = value.find("build")) {
     if (!build->is_object()) fail("field 'build' is not an object");
@@ -126,19 +86,19 @@ json::Value journal_alert_to_json(const JournalAlert& alert) {
 
 JournalAlert journal_alert_from_json(const json::Value& value) {
   if (!value.is_object()) fail("alert record is not an object");
-  if (str_field(value, "t") != "alert") fail("record tag is not 'alert'");
+  if (str_field(value, "t", fail) != "alert") fail("record tag is not 'alert'");
   JournalAlert alert;
-  const std::string state = str_field(value, "state");
+  const std::string state = str_field(value, "state", fail);
   if (state != "raised" && state != "resolved") {
     fail("alert state '" + state + "' is neither 'raised' nor 'resolved'");
   }
   alert.raised = state == "raised";
-  alert.kind = str_field(value, "kind");
-  alert.tenant = int_field(value, "tenant");
-  alert.tenant_name = str_field(value, "tenant_name");
-  alert.window = size_field(value, "window");
-  alert.value = num_field(value, "value");
-  alert.threshold = num_field(value, "threshold");
+  alert.kind = str_field(value, "kind", fail);
+  alert.tenant = int_field(value, "tenant", fail);
+  alert.tenant_name = str_field(value, "tenant_name", fail);
+  alert.window = size_field(value, "window", fail);
+  alert.value = num_field(value, "value", fail);
+  alert.threshold = num_field(value, "threshold", fail);
   return alert;
 }
 
@@ -159,25 +119,25 @@ json::Value journal_incident_to_json(const JournalIncident& incident) {
 
 JournalIncident journal_incident_from_json(const json::Value& value) {
   if (!value.is_object()) fail("incident record is not an object");
-  if (str_field(value, "t") != "incident") {
+  if (str_field(value, "t", fail) != "incident") {
     fail("record tag is not 'incident'");
   }
   JournalIncident incident;
-  const std::string state = str_field(value, "state");
+  const std::string state = str_field(value, "state", fail);
   if (state != "opened" && state != "resolved") {
     fail("incident state '" + state + "' is neither 'opened' nor 'resolved'");
   }
   incident.opened = state == "opened";
-  incident.id = str_field(value, "id");
-  incident.window = size_field(value, "window");
-  incident.severity = str_field(value, "severity");
-  const json::Value& kinds = field(value, "kinds");
+  incident.id = str_field(value, "id", fail);
+  incident.window = size_field(value, "window", fail);
+  incident.severity = str_field(value, "severity", fail);
+  const json::Value& kinds = field(value, "kinds", fail);
   if (!kinds.is_array()) fail("field 'kinds' is not an array");
   for (const json::Value& k : kinds.as_array()) {
     if (!k.is_string()) fail("incident kind is not a string");
     incident.kinds.push_back(k.as_string());
   }
-  incident.dir = str_field(value, "dir");
+  incident.dir = str_field(value, "dir", fail);
   return incident;
 }
 
@@ -229,7 +189,7 @@ Segment load_segment(const std::string& path) {
         fail("record after the end record");
       }
       if (!value.is_object()) fail("record is not an object");
-      const std::string tag = str_field(value, "t");
+      const std::string tag = str_field(value, "t", fail);
       if (tag == "round") {
         seg.rounds.push_back(round_summary_from_json(value));
       } else if (tag == "alert") {
@@ -238,11 +198,11 @@ Segment load_segment(const std::string& path) {
         seg.incidents.push_back(journal_incident_from_json(value));
       } else if (tag == "end") {
         JournalEnd end;
-        end.rounds = size_field(value, "rounds");
-        end.alerts = size_field(value, "alerts");
+        end.rounds = size_field(value, "rounds", fail);
+        end.alerts = size_field(value, "alerts", fail);
         // Additive: end records written before incidents existed lack it.
         if (value.find("incidents") != nullptr) {
-          end.incidents = size_field(value, "incidents");
+          end.incidents = size_field(value, "incidents", fail);
         }
         seg.end = end;
       } else {

@@ -15,32 +15,6 @@ namespace {
   throw DomainError("ops: " + message);
 }
 
-const json::Value& field(const json::Value& object, const char* key) {
-  const json::Value* v = object.find(key);
-  if (v == nullptr) fail(std::string("missing field '") + key + "'");
-  return *v;
-}
-
-double num_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_number()) fail(std::string("field '") + key + "' is not a number");
-  return v.as_number();
-}
-
-std::size_t size_field(const json::Value& object, const char* key) {
-  const double d = num_field(object, key);
-  if (d < 0.0 || d != std::floor(d)) {
-    fail(std::string("field '") + key + "' is not a non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-std::string str_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_string()) fail(std::string("field '") + key + "' is not a string");
-  return v.as_string();
-}
-
 }  // namespace
 
 json::Value round_summary_to_json(const RoundSummary& summary) {
@@ -76,36 +50,37 @@ json::Value round_summary_to_json(const RoundSummary& summary) {
 
 RoundSummary round_summary_from_json(const json::Value& value) {
   if (!value.is_object()) fail("round record is not an object");
-  if (str_field(value, "t") != "round") fail("record tag is not 'round'");
+  if (str_field(value, "t", fail) != "round") fail("record tag is not 'round'");
   RoundSummary out;
-  out.window = size_field(value, "window");
-  out.time = num_field(value, "time");
-  out.jain = num_field(value, "jain");
-  out.slots = size_field(value, "slots");
-  const json::Value& phases = field(value, "phase_seconds");
+  out.window = size_field(value, "window", fail);
+  out.time = num_field(value, "time", fail);
+  out.jain = num_field(value, "jain", fail);
+  out.slots = size_field(value, "slots", fail);
+  const json::Value& phases = field(value, "phase_seconds", fail);
   if (!phases.is_object()) fail("field 'phase_seconds' is not an object");
   for (std::size_t i = 0; i < kPhaseCount; ++i) {
     out.phase_seconds[i] =
-        num_field(phases, to_string(static_cast<Phase>(i)));
+        num_field(phases, to_string(static_cast<Phase>(i)), fail);
   }
-  out.active_alerts = size_field(value, "active_alerts");
-  out.alerts_total = size_field(value, "alerts_total");
-  const json::Value& tenants = field(value, "tenants");
+  out.active_alerts = size_field(value, "active_alerts", fail);
+  out.alerts_total = size_field(value, "alerts_total", fail);
+  const json::Value& tenants = field(value, "tenants", fail);
   if (!tenants.is_array()) fail("field 'tenants' is not an array");
   out.tenants.reserve(tenants.as_array().size());
   for (const json::Value& t : tenants.as_array()) {
     if (!t.is_object()) fail("tenant entry is not an object");
     TenantRoundStat stat;
-    stat.name = str_field(t, "name");
-    stat.share = num_field(t, "share");
-    stat.demand = num_field(t, "demand");
+    stat.name = str_field(t, "name", fail);
+    stat.share = num_field(t, "share", fail);
+    stat.demand = num_field(t, "demand", fail);
     // Additive since the incident-detection schema rev: older journals
     // and fixtures carry no "granted"; the ledger position is the best
     // stand-in (they coincide whenever nothing is oversold).
-    stat.granted =
-        t.find("granted") != nullptr ? num_field(t, "granted") : stat.share;
-    stat.contributed = num_field(t, "contributed");
-    stat.gained = num_field(t, "gained");
+    stat.granted = t.find("granted") != nullptr
+                       ? num_field(t, "granted", fail)
+                       : stat.share;
+    stat.contributed = num_field(t, "contributed", fail);
+    stat.gained = num_field(t, "gained", fail);
     out.tenants.push_back(std::move(stat));
   }
   return out;

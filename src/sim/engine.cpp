@@ -7,10 +7,8 @@
 #include <set>
 #include <span>
 
-#include "alloc/drf.hpp"
 #include "alloc/iwa.hpp"
 #include "alloc/rrf.hpp"
-#include "alloc/tshirt.hpp"
 #include "alloc/wmmf.hpp"
 #include "common/contract.hpp"
 #include "common/error.hpp"
@@ -32,34 +30,19 @@
 namespace rrf::sim {
 
 std::string to_string(PolicyKind policy) {
-  switch (policy) {
-    case PolicyKind::kTshirt: return "tshirt";
-    case PolicyKind::kWmmf: return "wmmf";
-    case PolicyKind::kDrf: return "drf";
-    case PolicyKind::kDrfSeq: return "drf-seq";
-    case PolicyKind::kIwaOnly: return "iwa";
-    case PolicyKind::kRrf: return "rrf";
-    case PolicyKind::kRrfSp: return "rrf-sp";
-    case PolicyKind::kRrfLt: return "rrf-lt";
-  }
-  return "unknown";
+  return std::string(alloc::policy(policy).name);
 }
 
 PolicyKind policy_from_string(const std::string& name) {
-  if (name == "tshirt") return PolicyKind::kTshirt;
-  if (name == "wmmf") return PolicyKind::kWmmf;
-  if (name == "drf") return PolicyKind::kDrf;
-  if (name == "drf-seq") return PolicyKind::kDrfSeq;
-  if (name == "iwa") return PolicyKind::kIwaOnly;
-  if (name == "rrf") return PolicyKind::kRrf;
-  if (name == "rrf-sp") return PolicyKind::kRrfSp;
-  if (name == "rrf-lt") return PolicyKind::kRrfLt;
-  throw DomainError("unknown policy: " + name);
+  return alloc::policy(name).kind;
 }
 
 std::vector<PolicyKind> paper_policies() {
-  return {PolicyKind::kTshirt, PolicyKind::kWmmf, PolicyKind::kDrf,
-          PolicyKind::kIwaOnly, PolicyKind::kRrf};
+  std::vector<PolicyKind> out;
+  for (const alloc::Policy& p : alloc::policies()) {
+    if (p.paper) out.push_back(p.kind);
+  }
+  return out;
 }
 
 namespace {
@@ -218,33 +201,42 @@ void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
 /// (indexed by global tenant id) the IRT policies add each tenant's
 /// declared contribution Lambda(i) on this node into it, for the fairness
 /// auditor's reciprocity accounting.
-void allocate_entitlements(PolicyKind policy, NodeState& node,
+void allocate_entitlements(const alloc::Policy& policy, NodeState& node,
                            std::span<const double> tenant_banked,
                            std::vector<double>* tenant_lambda = nullptr) {
   const std::size_t n = node.slots.size();
 
-  // Refresh per-round demands in the cached flat entity list.
-  auto refresh_flat = [&] {
+  if (policy.level == alloc::PolicyLevel::kStatic) {
+    for (std::size_t i = 0; i < n; ++i) {
+      node.entitlement_shares[i] = node.slots[i].initial_share;
+    }
+    return;
+  }
+
+  if (policy.level == alloc::PolicyLevel::kFlat) {
+    // Refresh per-round demands in the cached flat entity list.
     for (std::size_t i = 0; i < n; ++i) {
       node.flat_entities[i].demand = node.demand_shares[i];
     }
-  };
+    node.entitlement_shares =
+        policy.allocator->allocate(node.pool, node.flat_entities).allocations;
+    return;
+  }
 
-  // Refresh per-round demands (and the rrf-lt bank) in the cached groups.
-  auto refresh_groups = [&] {
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto [g, vi] = node.slot_group[i];
-      node.groups[g].vms[vi].demand = node.demand_shares[i];
+  // Tenant level: refresh per-round demands (and the rrf-lt bank) in the
+  // cached groups.
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [g, vi] = node.slot_group[i];
+    node.groups[g].vms[vi].demand = node.demand_shares[i];
+  }
+  if (!tenant_banked.empty()) {
+    for (std::size_t g = 0; g < node.groups.size(); ++g) {
+      node.groups[g].banked_contribution =
+          node.tenant_ids[g] < tenant_banked.size()
+              ? tenant_banked[node.tenant_ids[g]]
+              : 0.0;
     }
-    if (!tenant_banked.empty()) {
-      for (std::size_t g = 0; g < node.groups.size(); ++g) {
-        node.groups[g].banked_contribution =
-            node.tenant_ids[g] < tenant_banked.size()
-                ? tenant_banked[node.tenant_ids[g]]
-                : 0.0;
-      }
-    }
-  };
+  }
 
   // Map grouped VM allocations back to slot order.
   auto ungroup = [&](const std::vector<std::vector<ResourceVector>>& alloc) {
@@ -254,71 +246,34 @@ void allocate_entitlements(PolicyKind policy, NodeState& node,
     }
   };
 
-  switch (policy) {
-    case PolicyKind::kTshirt: {
-      for (std::size_t i = 0; i < n; ++i) {
-        node.entitlement_shares[i] = node.slots[i].initial_share;
-      }
-      return;
+  if (policy.rrf == nullptr) {
+    // Tenant entitlement is static (its own shares); IWA moves shares
+    // between the tenant's VMs only.
+    std::vector<std::vector<ResourceVector>> per_group;
+    per_group.reserve(node.groups.size());
+    for (std::size_t g = 0; g < node.groups.size(); ++g) {
+      per_group.push_back(
+          alloc::iwa_distribute(node.group_totals[g], node.groups[g].vms)
+              .allocations);
     }
-    case PolicyKind::kWmmf:
-      refresh_flat();
-      node.entitlement_shares =
-          alloc::WmmfAllocator{}.allocate(node.pool, node.flat_entities)
-              .allocations;
-      return;
-    case PolicyKind::kDrf:
-      refresh_flat();
-      node.entitlement_shares =
-          alloc::DrfAllocator{}.allocate(node.pool, node.flat_entities)
-              .allocations;
-      return;
-    case PolicyKind::kDrfSeq:
-      refresh_flat();
-      node.entitlement_shares =
-          alloc::SequentialDrfAllocator{}
-              .allocate(node.pool, node.flat_entities)
-              .allocations;
-      return;
-    case PolicyKind::kIwaOnly: {
-      // Tenant entitlement is static (its own shares); IWA moves shares
-      // between the tenant's VMs only.
-      refresh_groups();
-      std::vector<std::vector<ResourceVector>> per_group;
-      per_group.reserve(node.groups.size());
-      for (std::size_t g = 0; g < node.groups.size(); ++g) {
-        per_group.push_back(
-            alloc::iwa_distribute(node.group_totals[g], node.groups[g].vms)
-                .allocations);
+    ungroup(per_group);
+    return;
+  }
+
+  const alloc::HierarchicalResult hr =
+      policy.rrf->allocate_hierarchical(node.pool, node.groups);
+  if (tenant_lambda != nullptr) {
+    // tenant_ids is ascending — the same order the groups (and hence
+    // IRT's entity indices) were built in.
+    for (std::size_t g = 0; g < node.tenant_ids.size(); ++g) {
+      if (node.tenant_ids[g] < tenant_lambda->size() &&
+          g < hr.tenant_level.contribution_lambda.size()) {
+        (*tenant_lambda)[node.tenant_ids[g]] +=
+            hr.tenant_level.contribution_lambda[g];
       }
-      ungroup(per_group);
-      return;
-    }
-    case PolicyKind::kRrf:
-    case PolicyKind::kRrfSp:
-    case PolicyKind::kRrfLt: {
-      alloc::IrtOptions options;
-      options.cap_gain_at_contribution = policy == PolicyKind::kRrfSp;
-      const alloc::RrfAllocator rrf{options};
-      refresh_groups();
-      const alloc::HierarchicalResult hr =
-          rrf.allocate_hierarchical(node.pool, node.groups);
-      if (tenant_lambda != nullptr) {
-        // tenant_ids is ascending — the same order the groups (and hence
-        // IRT's entity indices) were built in.
-        for (std::size_t g = 0; g < node.tenant_ids.size(); ++g) {
-          if (node.tenant_ids[g] < tenant_lambda->size() &&
-              g < hr.tenant_level.contribution_lambda.size()) {
-            (*tenant_lambda)[node.tenant_ids[g]] +=
-                hr.tenant_level.contribution_lambda[g];
-          }
-        }
-      }
-      ungroup(hr.vm_allocations);
-      return;
     }
   }
-  throw DomainError("unhandled policy");
+  ungroup(hr.vm_allocations);
 }
 
 /// Assembles this node's flight-recorder entry for the window just
@@ -387,6 +342,7 @@ SimResult run_simulation(const Scenario& scenario,
   const PricingModel& pricing = cl.pricing();
   const std::size_t tenant_count = cl.tenants().size();
   const std::size_t host_count = cl.hosts().size();
+  const alloc::Policy& policy = alloc::policy(config.policy);
 
   const std::set<std::pair<std::size_t, std::size_t>> unplaced(
       scenario.unplaced.begin(), scenario.unplaced.end());
@@ -428,7 +384,7 @@ SimResult run_simulation(const Scenario& scenario,
 
   // ---- per-tenant metrics ----
   SimResult result;
-  result.policy = to_string(config.policy);
+  result.policy = std::string(policy.name);
   result.window = config.window;
   result.tenants.reserve(tenant_count);
   for (std::size_t t = 0; t < tenant_count; ++t) {
@@ -486,7 +442,7 @@ SimResult run_simulation(const Scenario& scenario,
 
   // rrf-lt: per-tenant contribution bank (EMA of per-window net giving).
   std::vector<double> lt_balance;
-  if (config.policy == PolicyKind::kRrfLt) {
+  if (policy.banks_contribution) {
     RRF_REQUIRE(config.ltrf_alpha > 0.0 && config.ltrf_alpha <= 1.0,
                 "ltrf_alpha must be in (0, 1]");
     lt_balance.assign(tenant_count, 0.0);
@@ -538,7 +494,7 @@ SimResult run_simulation(const Scenario& scenario,
     }
   };
   if (config.incidents != nullptr) {
-    config.incidents->set_metadata("policy", to_string(config.policy));
+    config.incidents->set_metadata("policy", std::string(policy.name));
     config.incidents->set_metadata("windows", std::to_string(windows));
     config.incidents->set_metadata("window_seconds",
                                    std::to_string(config.window));
@@ -739,10 +695,9 @@ SimResult run_simulation(const Scenario& scenario,
       {
         std::optional<obs::ProvenanceScope> prov_scope;
         if (flight_on) prov_scope.emplace(&node_prov[h]);
-        allocate_entitlements(config.policy, node, lt_balance,
-                              &node.node_lambda);
+        allocate_entitlements(policy, node, lt_balance, &node.node_lambda);
       }
-      if (config.policy != PolicyKind::kTshirt) {
+      if (policy.level != alloc::PolicyLevel::kStatic) {
         // rrf-hot-path: begin(engine.surplus)
         // Work-conserving surplus pass: physical capacity *nobody paid
         // for* flows to VMs with residual demand in proportion to their
@@ -1000,7 +955,7 @@ SimResult run_simulation(const Scenario& scenario,
                                       tenant_demand_shares[t], score);
     }
 
-    if (config.policy == PolicyKind::kRrfLt) {
+    if (policy.banks_contribution) {
       // Net giving this window = initial shares minus the ledger position
       // (positive when other tenants consumed this tenant's surplus).
       for (std::size_t t = 0; t < tenant_count; ++t) {

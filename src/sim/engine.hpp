@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc/policy.hpp"
 #include "cluster/rebalance.hpp"
 #include "hypervisor/node.hpp"
 #include "obs/audit.hpp"
@@ -30,18 +31,11 @@ class TelemetryJournal;
 
 namespace rrf::sim {
 
-enum class PolicyKind {
-  kTshirt,   ///< static T-shirt model (no sharing)
-  kWmmf,     ///< per-type weighted max-min over all VMs
-  kDrf,      ///< canonical weighted DRF over all VMs
-  kDrfSeq,   ///< the paper's sequential DRF arithmetic
-  kIwaOnly,  ///< intra-tenant weight adjustment only
-  kRrf,      ///< IRT across tenants + IWA within tenants
-  kRrfSp,    ///< RRF with the strategy-proof gain cap
-  kRrfLt,    ///< long-term RRF: contributions bank across windows
-};
+/// The policy table lives in alloc/policy.hpp; these are lookups in it.
+using alloc::PolicyKind;
 
 std::string to_string(PolicyKind policy);
+/// Throws DomainError naming the valid policies when `name` is unknown.
 PolicyKind policy_from_string(const std::string& name);
 
 /// The five schemes the paper's evaluation compares (Section VI-A).

@@ -47,34 +47,6 @@ hv::MemoryBackend backend_from_name(const std::string& name) {
   fail("unknown memory backend '" + name + "'");
 }
 
-double num_field(const json::Value& object, const char* key) {
-  const json::Value* v = object.find(key);
-  if (v == nullptr || !v->is_number()) {
-    fail(std::string("engine section: missing number '") + key + "'");
-  }
-  return v->as_number();
-}
-
-bool bool_field(const json::Value& object, const char* key) {
-  const json::Value* v = object.find(key);
-  if (v == nullptr || !v->is_bool()) {
-    fail(std::string("engine section: missing bool '") + key + "'");
-  }
-  return v->as_bool();
-}
-
-std::size_t size_field(const json::Value& object, const char* key) {
-  return static_cast<std::size_t>(num_field(object, key));
-}
-
-std::string str_field(const json::Value& object, const char* key) {
-  const json::Value* v = object.find(key);
-  if (v == nullptr || !v->is_string()) {
-    fail(std::string("engine section: missing string '") + key + "'");
-  }
-  return v->as_string();
-}
-
 /// Workload that replays the per-VM demand table captured in a recording.
 /// Demands are keyed by round index (t / window); the intra-tenant jitter
 /// the original generator applied is already baked into the table.
@@ -227,55 +199,57 @@ EngineConfig engine_config_from_recording(
   config.policy = policy_from_string(header.policy);
   config.window = header.window;
   config.duration = header.duration;
-  config.use_actuators = bool_field(engine, "use_actuators");
+  config.use_actuators = bool_field(engine, "use_actuators", fail);
   config.memory_backend =
-      backend_from_name(str_field(engine, "memory_backend"));
-  config.balloon_rate_gb_s = num_field(engine, "balloon_rate_gb_s");
-  config.use_sliced_scheduler = bool_field(engine, "use_sliced_scheduler");
-  config.use_predictor = bool_field(engine, "use_predictor");
-  config.ltrf_alpha = num_field(engine, "ltrf_alpha");
-  config.parallel_nodes = bool_field(engine, "parallel_nodes");
+      backend_from_name(str_field(engine, "memory_backend", fail));
+  config.balloon_rate_gb_s = num_field(engine, "balloon_rate_gb_s", fail);
+  config.use_sliced_scheduler =
+      bool_field(engine, "use_sliced_scheduler", fail);
+  config.use_predictor = bool_field(engine, "use_predictor", fail);
+  config.ltrf_alpha = num_field(engine, "ltrf_alpha", fail);
+  config.parallel_nodes = bool_field(engine, "parallel_nodes", fail);
   // Additive in schema v2: recordings made before sharding omit it.
-  if (const json::Value* shards = engine.find("shards");
-      shards != nullptr && shards->is_number()) {
-    config.shards = static_cast<std::size_t>(shards->as_number());
+  if (engine.find("shards") != nullptr) {
+    config.shards = size_field(engine, "shards", fail);
   }
 
   const json::Value* predictor = engine.find("predictor");
   if (predictor == nullptr) fail("engine section: missing 'predictor'");
-  config.predictor.ewma_alpha = num_field(*predictor, "ewma_alpha");
-  config.predictor.base_padding = num_field(*predictor, "base_padding");
-  config.predictor.max_padding = num_field(*predictor, "max_padding");
-  config.predictor.error_window = size_field(*predictor, "error_window");
+  config.predictor.ewma_alpha = num_field(*predictor, "ewma_alpha", fail);
+  config.predictor.base_padding = num_field(*predictor, "base_padding", fail);
+  config.predictor.max_padding = num_field(*predictor, "max_padding", fail);
+  config.predictor.error_window = size_field(*predictor, "error_window", fail);
   config.predictor.enable_periodicity =
-      bool_field(*predictor, "enable_periodicity");
-  config.predictor.history = size_field(*predictor, "history");
-  config.predictor.min_period = size_field(*predictor, "min_period");
+      bool_field(*predictor, "enable_periodicity", fail);
+  config.predictor.history = size_field(*predictor, "history", fail);
+  config.predictor.min_period = size_field(*predictor, "min_period", fail);
   config.predictor.period_confidence =
-      num_field(*predictor, "period_confidence");
-  config.predictor.redetect_every = size_field(*predictor, "redetect_every");
+      num_field(*predictor, "period_confidence", fail);
+  config.predictor.redetect_every =
+      size_field(*predictor, "redetect_every", fail);
 
   const json::Value* perf = engine.find("perf");
   if (perf == nullptr) fail("engine section: missing 'perf'");
   config.perf.mem_penalty_exponent =
-      num_field(*perf, "mem_penalty_exponent");
-  config.perf.progress_floor = num_field(*perf, "progress_floor");
+      num_field(*perf, "mem_penalty_exponent", fail);
+  config.perf.progress_floor = num_field(*perf, "progress_floor", fail);
   config.perf.latency_saturation_guard =
-      num_field(*perf, "latency_saturation_guard");
+      num_field(*perf, "latency_saturation_guard", fail);
 
   const json::Value* rebalance = engine.find("rebalance");
   if (rebalance == nullptr) fail("engine section: missing 'rebalance'");
-  config.rebalance.enabled = bool_field(*rebalance, "enabled");
-  config.rebalance.every_windows = size_field(*rebalance, "every_windows");
+  config.rebalance.enabled = bool_field(*rebalance, "enabled", fail);
+  config.rebalance.every_windows =
+      size_field(*rebalance, "every_windows", fail);
   config.rebalance.options.pressure_gap_threshold =
-      num_field(*rebalance, "pressure_gap_threshold");
+      num_field(*rebalance, "pressure_gap_threshold", fail);
   config.rebalance.options.max_migrations =
-      size_field(*rebalance, "max_migrations");
+      size_field(*rebalance, "max_migrations", fail);
   config.rebalance.penalty_windows =
-      size_field(*rebalance, "penalty_windows");
-  config.rebalance.slowdown = num_field(*rebalance, "slowdown");
+      size_field(*rebalance, "penalty_windows", fail);
+  config.rebalance.slowdown = num_field(*rebalance, "slowdown", fail);
   config.rebalance.demand_ema_alpha =
-      num_field(*rebalance, "demand_ema_alpha");
+      num_field(*rebalance, "demand_ema_alpha", fail);
   return config;
 }
 

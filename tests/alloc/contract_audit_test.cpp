@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "alloc/factory.hpp"
+#include "alloc/policy.hpp"
 #include "alloc/properties.hpp"
 #include "alloc/rrf.hpp"
 #include "common/contract.hpp"
@@ -41,17 +41,17 @@ std::string violation_summary() {
 }
 
 TEST_F(ContractAuditTest, AllPoliciesSweepCleanly) {
-  for (const std::string& name : allocator_names()) {
-    const AllocatorPtr policy = make_allocator(name);
+  for (const Policy& row : policies()) {
+    const Allocator& policy = *row.allocator;
     Rng rng(2026);
     for (int trial = 0; trial < 200; ++trial) {
       ResourceVector capacity;
       const std::vector<AllocationEntity> entities =
           random_scenario(rng, {}, &capacity);
-      (void)policy->allocate(capacity, entities);
+      (void)policy.allocate(capacity, entities);
     }
     EXPECT_EQ(contract::total_violations(), 0u)
-        << name << " violated: " << violation_summary();
+        << row.name << " violated: " << violation_summary();
     contract::reset_violations();
   }
 }
@@ -62,17 +62,17 @@ TEST_F(ContractAuditTest, UnbalancedSharesSweepCleanly) {
   ScenarioOptions options;
   options.balanced_shares = false;
   options.resource_types = 3;
-  for (const std::string& name : allocator_names()) {
-    const AllocatorPtr policy = make_allocator(name);
+  for (const Policy& row : policies()) {
+    const Allocator& policy = *row.allocator;
     Rng rng(77);
     for (int trial = 0; trial < 100; ++trial) {
       ResourceVector capacity;
       const std::vector<AllocationEntity> entities =
           random_scenario(rng, options, &capacity);
-      (void)policy->allocate(capacity, entities);
+      (void)policy.allocate(capacity, entities);
     }
     EXPECT_EQ(contract::total_violations(), 0u)
-        << name << " violated: " << violation_summary();
+        << row.name << " violated: " << violation_summary();
     contract::reset_violations();
   }
 }

@@ -11,7 +11,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "alloc/factory.hpp"
+#include "alloc/policy.hpp"
 #include "common/rng.hpp"
 
 namespace rrf::alloc {
@@ -31,15 +31,15 @@ std::vector<AllocationEntity> random_entities(Rng& rng, std::size_t m,
   return entities;
 }
 
-class PolicyInvariants : public ::testing::TestWithParam<const char*> {};
+class PolicyInvariants : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PolicyInvariants, ScaleInvariance) {
-  const AllocatorPtr policy = make_allocator(GetParam());
+  const Allocator& policy = *alloc::policy(GetParam()).allocator;
   Rng rng(201);
   for (int t = 0; t < 50; ++t) {
     ResourceVector capacity(2);
     const auto entities = random_entities(rng, 5, &capacity);
-    const AllocationResult base = policy->allocate(capacity, entities);
+    const AllocationResult base = policy.allocate(capacity, entities);
 
     const double c = rng.uniform(0.1, 10.0);
     std::vector<AllocationEntity> scaled = entities;
@@ -49,7 +49,7 @@ TEST_P(PolicyInvariants, ScaleInvariance) {
       if (e.weight > 0.0) e.weight *= c;
     }
     const AllocationResult result =
-        policy->allocate(capacity * c, scaled);
+        policy.allocate(capacity * c, scaled);
     for (std::size_t i = 0; i < entities.size(); ++i) {
       EXPECT_TRUE(result.allocations[i].approx_equal(
           base.allocations[i] * c, 1e-6 * std::max(1.0, c)))
@@ -59,12 +59,12 @@ TEST_P(PolicyInvariants, ScaleInvariance) {
 }
 
 TEST_P(PolicyInvariants, PermutationInvariance) {
-  const AllocatorPtr policy = make_allocator(GetParam());
+  const Allocator& policy = *alloc::policy(GetParam()).allocator;
   Rng rng(202);
   for (int t = 0; t < 50; ++t) {
     ResourceVector capacity(2);
     const auto entities = random_entities(rng, 6, &capacity);
-    const AllocationResult base = policy->allocate(capacity, entities);
+    const AllocationResult base = policy.allocate(capacity, entities);
 
     std::vector<std::size_t> perm(entities.size());
     std::iota(perm.begin(), perm.end(), 0);
@@ -73,7 +73,7 @@ TEST_P(PolicyInvariants, PermutationInvariance) {
     for (std::size_t i = 0; i < entities.size(); ++i) {
       shuffled[i] = entities[perm[i]];
     }
-    const AllocationResult result = policy->allocate(capacity, shuffled);
+    const AllocationResult result = policy.allocate(capacity, shuffled);
     for (std::size_t i = 0; i < entities.size(); ++i) {
       EXPECT_TRUE(result.allocations[i].approx_equal(
           base.allocations[perm[i]], 1e-6))
@@ -85,20 +85,20 @@ TEST_P(PolicyInvariants, PermutationInvariance) {
 TEST_P(PolicyInvariants, AllocationIsAFixedPoint) {
   // T-shirt ignores demand, so the fixed-point property is trivial there;
   // for the sharing policies it means a stable system does not churn.
-  const AllocatorPtr policy = make_allocator(GetParam());
+  const Allocator& policy = *alloc::policy(GetParam()).allocator;
   Rng rng(203);
   for (int t = 0; t < 50; ++t) {
     ResourceVector capacity(2);
     auto entities = random_entities(rng, 5, &capacity);
-    const AllocationResult first = policy->allocate(capacity, entities);
+    const AllocationResult first = policy.allocate(capacity, entities);
 
     std::vector<AllocationEntity> again = entities;
     for (std::size_t i = 0; i < entities.size(); ++i) {
       again[i].demand = first.allocations[i];
     }
-    const AllocationResult second = policy->allocate(capacity, again);
+    const AllocationResult second = policy.allocate(capacity, again);
     for (std::size_t i = 0; i < entities.size(); ++i) {
-      if (std::string(GetParam()) == "tshirt") continue;
+      if (GetParam() == "tshirt") continue;
       EXPECT_TRUE(second.allocations[i].approx_equal(first.allocations[i],
                                                      1e-6))
           << GetParam() << " trial " << t << " entity " << i;
@@ -109,14 +109,14 @@ TEST_P(PolicyInvariants, AllocationIsAFixedPoint) {
 TEST_P(PolicyInvariants, DuplicatedEntitiesSplitEvenly) {
   // Two identical entities (same shares, same demands) must receive
   // identical allocations — anonymity.
-  const AllocatorPtr policy = make_allocator(GetParam());
+  const Allocator& policy = *alloc::policy(GetParam()).allocator;
   Rng rng(204);
   for (int t = 0; t < 50; ++t) {
     ResourceVector capacity(2);
     auto entities = random_entities(rng, 4, &capacity);
     entities.push_back(entities.front());
     capacity += entities.front().initial_share;
-    const AllocationResult result = policy->allocate(capacity, entities);
+    const AllocationResult result = policy.allocate(capacity, entities);
     EXPECT_TRUE(result.allocations.front().approx_equal(
         result.allocations.back(), 1e-6))
         << GetParam() << " trial " << t;
@@ -124,8 +124,7 @@ TEST_P(PolicyInvariants, DuplicatedEntitiesSplitEvenly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyInvariants,
-                         ::testing::Values("tshirt", "wmmf", "drf", "drf-seq",
-                                           "irt", "rrf", "rrf-sp"));
+                         ::testing::ValuesIn(policy_names()));
 
 }  // namespace
 }  // namespace rrf::alloc

@@ -4,8 +4,8 @@
 // fairness machinery generalizes.
 #include <gtest/gtest.h>
 
-#include "alloc/factory.hpp"
 #include "alloc/irt.hpp"
+#include "alloc/policy.hpp"
 #include "alloc/properties.hpp"
 #include "alloc/rrf.hpp"
 #include "common/rng.hpp"
@@ -66,14 +66,14 @@ TEST(MultiResource, ContributionCurrencySpansAllTypes) {
   EXPECT_NEAR(r.allocations[1][2], 900.0, 1e-9);  // B's disk need met
 }
 
-class MultiResourceSafety : public ::testing::TestWithParam<const char*> {};
+class MultiResourceSafety : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(MultiResourceSafety, ThreeTypes) {
   ScenarioOptions options;
   options.resource_types = 3;
-  const AllocatorPtr policy = make_allocator(GetParam());
+  const Allocator& policy = *alloc::policy(GetParam()).allocator;
   const auto report =
-      check_capacity_safety(*policy, Rng(191), 150, options);
+      check_capacity_safety(policy, Rng(191), 150, options);
   EXPECT_TRUE(report.holds()) << GetParam() << ": " << report.first_example;
 }
 
@@ -81,15 +81,14 @@ TEST_P(MultiResourceSafety, FourTypes) {
   ScenarioOptions options;
   options.resource_types = 4;
   options.balanced_shares = false;
-  const AllocatorPtr policy = make_allocator(GetParam());
+  const Allocator& policy = *alloc::policy(GetParam()).allocator;
   const auto report =
-      check_capacity_safety(*policy, Rng(192), 150, options);
+      check_capacity_safety(policy, Rng(192), 150, options);
   EXPECT_TRUE(report.holds()) << GetParam() << ": " << report.first_example;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, MultiResourceSafety,
-                         ::testing::Values("tshirt", "wmmf", "drf", "drf-seq",
-                                           "irt", "rrf", "rrf-sp"));
+                         ::testing::ValuesIn(policy_names()));
 
 TEST(MultiResource, RrfPropertiesHoldWithThreeTypes) {
   ScenarioOptions options;
@@ -104,9 +103,9 @@ TEST(MultiResource, RrfPropertiesHoldWithThreeTypes) {
 TEST(MultiResource, StrategyProofVariantHoldsWithThreeTypes) {
   ScenarioOptions options;
   options.resource_types = 3;
-  const AllocatorPtr policy = make_allocator("rrf-sp");
+  const Allocator& policy = *alloc::policy("rrf-sp").allocator;
   EXPECT_TRUE(
-      check_strategy_proofness(*policy, Rng(195), 100, options).holds());
+      check_strategy_proofness(policy, Rng(195), 100, options).holds());
 }
 
 TEST(MultiResource, MixedArityIsRejected) {

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "alloc/drf.hpp"
-#include "alloc/factory.hpp"
 #include "alloc/irt.hpp"
+#include "alloc/policy.hpp"
 #include "alloc/rrf.hpp"
 #include "alloc/tshirt.hpp"
 #include "alloc/wmmf.hpp"
@@ -124,15 +124,14 @@ TEST(StrategyProofness, RrfUnderReportingCanPay) {
 TEST(StrategyProofness, BudgetCappedRrfHolds) {
   // The rrf-sp extension caps gains at contributions (exchange rate <= 1),
   // closing the under-reporting loophole.
-  const AllocatorPtr policy = make_allocator("rrf-sp");
-  const auto report =
-      check_strategy_proofness(*policy, Rng(121), kTrials);
+  const Allocator& policy = *alloc::policy("rrf-sp").allocator;
+  const auto report = check_strategy_proofness(policy, Rng(121), kTrials);
   EXPECT_TRUE(report.holds()) << report.first_example;
 }
 
 TEST(SharingIncentive, BudgetCappedRrfHolds) {
-  const AllocatorPtr policy = make_allocator("rrf-sp");
-  const auto report = check_sharing_incentive(*policy, Rng(106), kTrials);
+  const Allocator& policy = *alloc::policy("rrf-sp").allocator;
+  const auto report = check_sharing_incentive(policy, Rng(106), kTrials);
   EXPECT_TRUE(report.holds()) << report.first_example;
 }
 
@@ -221,35 +220,33 @@ TEST(ResourceMonotonicity, TshirtHolds) {
 
 // --- Structural safety for every policy ---
 
-class CapacitySafety : public ::testing::TestWithParam<const char*> {};
+class CapacitySafety : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CapacitySafety, NoPolicyOverAllocates) {
-  const AllocatorPtr policy = make_allocator(GetParam());
-  const auto report = check_capacity_safety(*policy, Rng(131), kTrials);
+  const Allocator& policy = *alloc::policy(GetParam()).allocator;
+  const auto report = check_capacity_safety(policy, Rng(131), kTrials);
   EXPECT_TRUE(report.holds())
       << GetParam() << ": " << report.first_example;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, CapacitySafety,
-                         ::testing::Values("tshirt", "wmmf", "drf", "drf-seq",
-                                           "irt", "rrf", "rrf-sp"));
+                         ::testing::ValuesIn(policy_names()));
 
 // Skewed (unbalanced) share vectors stress the same safety property.
-class CapacitySafetySkewed : public ::testing::TestWithParam<const char*> {};
+class CapacitySafetySkewed : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CapacitySafetySkewed, NoPolicyOverAllocates) {
   ScenarioOptions opts;
   opts.balanced_shares = false;
-  const AllocatorPtr policy = make_allocator(GetParam());
+  const Allocator& policy = *alloc::policy(GetParam()).allocator;
   const auto report =
-      check_capacity_safety(*policy, Rng(132), kTrials, opts);
+      check_capacity_safety(policy, Rng(132), kTrials, opts);
   EXPECT_TRUE(report.holds())
       << GetParam() << ": " << report.first_example;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, CapacitySafetySkewed,
-                         ::testing::Values("tshirt", "wmmf", "drf", "drf-seq",
-                                           "irt", "rrf", "rrf-sp"));
+                         ::testing::ValuesIn(policy_names()));
 
 }  // namespace
 }  // namespace rrf::alloc

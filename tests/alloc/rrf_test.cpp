@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "alloc/factory.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -136,38 +135,6 @@ TEST(Rrf, VmAllocationsCappedAtVmDemand) {
             r.vm_allocations[i][j].all_le(tenants[i].vms[j].demand, 1e-6));
       }
     }
-  }
-}
-
-TEST(Factory, BuildsEveryRegisteredPolicy) {
-  for (const auto& name : allocator_names()) {
-    const AllocatorPtr a = make_allocator(name);
-    ASSERT_NE(a, nullptr) << name;
-    // "rrf-sp" shares the RrfAllocator class (and thus its name()).
-    if (name != "rrf-sp") {
-      EXPECT_EQ(a->name(), name);
-    }
-  }
-  EXPECT_THROW(make_allocator("nonsense"), DomainError);
-}
-
-TEST(Factory, PoliciesProduceValidAllocationsOnCommonScenario) {
-  const std::vector<AllocationEntity> entities{
-      vm({500.0, 500.0}, {600.0, 600.0}),
-      vm({500.0, 500.0}, {800.0, 200.0}),
-      vm({1000.0, 1000.0}, {800.0, 1600.0}),
-  };
-  const ResourceVector capacity{2000.0, 2000.0};
-  for (const auto& name : allocator_names()) {
-    const AllocatorPtr a = make_allocator(name);
-    const AllocationResult r = a->allocate(capacity, entities);
-    ASSERT_EQ(r.allocations.size(), entities.size()) << name;
-    ResourceVector total(2);
-    for (const auto& alloc : r.allocations) {
-      EXPECT_TRUE(alloc.all_nonneg(1e-9)) << name;
-      total += alloc;
-    }
-    EXPECT_TRUE(total.all_le(capacity, 1e-6)) << name;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -112,6 +113,34 @@ TEST(Json, TypedAccessorsCheckTypes) {
   EXPECT_THROW(v.as_object(), DomainError);
   EXPECT_THROW(v.as_array()[0].as_string(), DomainError);
   EXPECT_EQ(v.as_array()[0].as_number(), 1.0);
+}
+
+[[noreturn]] void loader_fail(const std::string& message) {
+  throw DomainError("loader: " + message);
+}
+
+TEST(Json, FieldReadersCheckPresenceTypeAndRange) {
+  const json::Value v = json::Value::parse(
+      R"({"n": 7, "neg": -1, "frac": 2.5, "huge": 1e300, "big": 3e9,)"
+      R"( "s": "x", "b": true, "a": [1]})");
+  EXPECT_EQ(json::size_field(v, "n", loader_fail), 7u);
+  EXPECT_EQ(json::int_field(v, "neg", loader_fail), -1);
+  EXPECT_EQ(json::str_field(v, "s", loader_fail), "x");
+  EXPECT_TRUE(json::bool_field(v, "b", loader_fail));
+  EXPECT_EQ(json::array_field(v, "a", loader_fail).size(), 1u);
+  // Counts that are negative, fractional or past 2^53, and int32 fields
+  // outside its range, are refused instead of cast.
+  for (const char* key : {"neg", "frac", "huge"}) {
+    EXPECT_THROW(json::size_field(v, key, loader_fail), DomainError) << key;
+  }
+  EXPECT_THROW(json::int_field(v, "big", loader_fail), DomainError);
+  EXPECT_THROW(json::num_field(v, "s", loader_fail), DomainError);
+  try {
+    json::field(v, "missing", loader_fail);
+    FAIL() << "no throw";
+  } catch (const DomainError& e) {
+    EXPECT_STREQ(e.what(), "loader: missing field 'missing'");
+  }
 }
 
 }  // namespace

@@ -37,10 +37,8 @@ TEST(Engine, TshirtBetaIsExactlyOne) {
 
 TEST(Engine, EveryPolicyRunsAndProducesSaneMetrics) {
   const Scenario s = small_scenario();
-  for (const PolicyKind policy :
-       {PolicyKind::kTshirt, PolicyKind::kWmmf, PolicyKind::kDrf,
-        PolicyKind::kDrfSeq, PolicyKind::kIwaOnly, PolicyKind::kRrf,
-        PolicyKind::kRrfSp, PolicyKind::kRrfLt}) {
+  for (const alloc::Policy& row : alloc::policies()) {
+    const PolicyKind policy = row.kind;
     const SimResult r = run_simulation(s, fast_engine(policy));
     ASSERT_EQ(r.tenants.size(), 4u) << to_string(policy);
     for (const auto& t : r.tenants) {
@@ -212,14 +210,15 @@ TEST(Engine, ObserverSeesEveryWindow) {
 }
 
 TEST(Engine, PolicyStringRoundTrip) {
-  for (const PolicyKind policy :
-       {PolicyKind::kTshirt, PolicyKind::kWmmf, PolicyKind::kDrf,
-        PolicyKind::kDrfSeq, PolicyKind::kIwaOnly, PolicyKind::kRrf,
-        PolicyKind::kRrfSp}) {
-    EXPECT_EQ(policy_from_string(to_string(policy)), policy);
+  for (const alloc::Policy& row : alloc::policies()) {
+    EXPECT_EQ(policy_from_string(to_string(row.kind)), row.kind);
   }
   EXPECT_THROW(policy_from_string("bogus"), DomainError);
-  EXPECT_EQ(paper_policies().size(), 5u);
+  // The five schemes of the paper's Section VI-A, in comparison order.
+  EXPECT_EQ(paper_policies(),
+            (std::vector<PolicyKind>{PolicyKind::kTshirt, PolicyKind::kWmmf,
+                                     PolicyKind::kDrf, PolicyKind::kIwaOnly,
+                                     PolicyKind::kRrf}));
 }
 
 TEST(Engine, ValidatesConfig) {

@@ -62,12 +62,9 @@ TEST(FlightReplay, PinnedRrfCellReplaysBitIdentically) {
 
 TEST(FlightReplay, EveryPolicyReplaysBitIdentically) {
   const sim::Scenario scenario = pinned_cell(2, 6, 3);
-  for (const sim::PolicyKind policy :
-       {sim::PolicyKind::kTshirt, sim::PolicyKind::kWmmf,
-        sim::PolicyKind::kDrf, sim::PolicyKind::kIwaOnly,
-        sim::PolicyKind::kRrf, sim::PolicyKind::kRrfSp}) {
+  for (const alloc::Policy& policy : alloc::policies()) {
     sim::EngineConfig config;
-    config.policy = policy;
+    config.policy = policy.kind;
     config.window = 5.0;
     config.duration = 20.0;
     config.audit.enabled = false;
@@ -75,7 +72,7 @@ TEST(FlightReplay, EveryPolicyReplaysBitIdentically) {
     const obs::FlightRecording recording = record_run(scenario, config);
     const sim::ReplayResult replay = sim::replay_recording(recording);
     EXPECT_TRUE(replay.diff.identical)
-        << sim::to_string(policy) << ": " << replay.diff.first_divergence;
+        << policy.name << ": " << replay.diff.first_divergence;
   }
 }
 
@@ -158,6 +155,47 @@ TEST(FlightReplay, TruncatedRecordingsAreRefused) {
   recording.rounds.erase(recording.rounds.begin() + 1);
   recording.trailer.reset();
   EXPECT_THROW(sim::replay_recording(recording), DomainError);
+}
+
+/// `engine` with `section`.`key` set to `value`.
+json::Value with_engine_field(const json::Value& engine,
+                              const std::string& section, const char* key,
+                              double value) {
+  json::Object out = engine.as_object();
+  for (auto& [name, sub] : out) {
+    if (name != section) continue;
+    json::Object inner = sub.as_object();
+    for (auto& [k, v] : inner) {
+      if (k == key) v = value;
+    }
+    sub = json::Value(std::move(inner));
+  }
+  return out;
+}
+
+TEST(FlightReplay, OutOfRangeEngineCountsAreRefused) {
+  // A count that is negative, fractional or past 2^53 cannot be cast to
+  // size_t; the engine section must reject it instead.
+  const sim::Scenario scenario = pinned_cell(2, 4, 2);
+  obs::FlightRecording recording;
+  recording.header = sim::make_flight_header(scenario, sim::EngineConfig{});
+  const json::Value engine = recording.header.engine;
+  ASSERT_NO_THROW(sim::engine_config_from_recording(recording));
+  const struct {
+    const char* section;
+    const char* key;
+    double value;
+  } bad[] = {
+      {"predictor", "history", -1.0},
+      {"predictor", "history", 2.5},
+      {"rebalance", "every_windows", 1e300},
+  };
+  for (const auto& b : bad) {
+    recording.header.engine =
+        with_engine_field(engine, b.section, b.key, b.value);
+    EXPECT_THROW(sim::engine_config_from_recording(recording), DomainError)
+        << b.section << "." << b.key << " = " << b.value;
+  }
 }
 
 TEST(FlightReplay, ExplainRendersTheSimDecisionChain) {

@@ -29,9 +29,6 @@ namespace {
 // 13 is prime: none of these divide it, and 16 > 13 leaves empty shards.
 constexpr std::size_t kShardCounts[] = {1, 2, 3, 7, 16};
 
-constexpr const char* kPolicies[] = {"tshirt", "wmmf",  "drf",    "drf-seq",
-                                     "iwa",    "rrf",   "rrf-sp", "rrf-lt"};
-
 std::size_t stress_iters() {
   const char* env = std::getenv("RRF_STRESS_ITERS");
   if (env == nullptr || *env == '\0') return 2;
@@ -94,7 +91,7 @@ std::vector<obs::RoundSummary> collect_rounds(const Scenario& scenario,
   return rounds;
 }
 
-class ShardDeterminism : public ::testing::TestWithParam<const char*> {};
+class ShardDeterminism : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ShardDeterminism, RecordedRoundsMatchSerialForEveryShardCount) {
   const Scenario scenario = test_scenario();
@@ -148,7 +145,7 @@ TEST_P(ShardDeterminism, LedgerFlowsMatchSerialForEveryShardCount) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ShardDeterminism,
-                         ::testing::ValuesIn(kPolicies));
+                         ::testing::ValuesIn(alloc::policy_names()));
 
 TEST(ShardDeterminismEdge, NodeWithoutSlotsIsMergedAsANoop) {
   // Empty a node by moving its VMs to a neighbour: the merge must skip

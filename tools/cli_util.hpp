@@ -4,15 +4,33 @@
 // this header keeps their spelling, parsing and defaults in one place so
 // the two tools can never drift apart (`--journal` meaning bytes in one
 // and a path in the other).  Both tools already use a `next()` closure to
-// consume flag values, so parse_flag() takes any nullary callable.
+// consume flag values, so parse_flag() takes any nullary callable.  Every
+// tool that takes a policy name checks it with policy_or_exit().
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
+#include <iostream>
 #include <string>
 
+#include "alloc/policy.hpp"
+#include "common/error.hpp"
 #include "obs/journal.hpp"
 
 namespace rrf::tools {
+
+/// Looks `name` up in the policy table.  An unknown name prints the
+/// valid names and exits 2, so a typo fails loudly instead of running,
+/// or verifying, nothing.
+inline const alloc::Policy& policy_or_exit(const char* tool,
+                                           const std::string& name) {
+  try {
+    return alloc::policy(name);
+  } catch (const DomainError& e) {
+    std::cerr << tool << ": " << e.what() << "\n";
+    std::exit(2);
+  }
+}
 
 /// Help text for the shared journal flags (same indentation as the rest
 /// of each tool's usage block).

@@ -15,7 +15,6 @@
 #include <thread>
 
 #include "alloc/entity_io.hpp"
-#include "alloc/factory.hpp"
 #include "alloc/flight_capture.hpp"
 #include "cli_util.hpp"
 #include "common/stats.hpp"
@@ -35,7 +34,7 @@ using namespace rrf;
   std::cout <<
       "rrf_alloc_cli — one-shot multi-resource allocation (RRF, SC'14)\n\n"
       "  rrf_alloc_cli [--policy <name>] --capacity <v0,v1,...> <csv|- >\n\n"
-      "  --policy    tshirt|wmmf|drf|drf-seq|irt|rrf|rrf-sp (default rrf)\n"
+      "  --policy    " << alloc::join_policy_names("|") << " (default rrf)\n"
       "  --capacity  pool capacity per resource type, comma separated\n"
       "              (same arity as the CSV's share/demand columns)\n"
       "  --record <path>   capture a schema-v1 flight recording (JSONL) of\n"
@@ -157,27 +156,36 @@ int main(int argc, char** argv) {
     else usage(2);
   }
   if (capacity_text.empty() || input_path.empty()) usage(2);
+  const alloc::Policy& policy = tools::policy_or_exit("rrf_alloc_cli",
+                                                      policy_name);
+
+  // Bad input (capacity, entity CSV, non-finite or negative values) exits
+  // 2 before anything runs.
+  ResourceVector capacity;
+  std::vector<alloc::AllocationEntity> entities;
+  try {
+    capacity = parse_vector(capacity_text);
+    if (input_path == "-") {
+      entities = alloc::read_entities_csv(std::cin);
+    } else {
+      std::ifstream in(input_path);
+      if (!in) throw DomainError("cannot open " + input_path);
+      entities = alloc::read_entities_csv(in);
+    }
+    alloc::validate_entities(capacity, entities);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
+
   obs::set_tracing_enabled(!trace_path.empty());
   obs::set_metrics_enabled(!metrics_path.empty() || serve_ops_port >= 0);
   obs::set_profiling_enabled(!profile_path.empty());
   if (obs::profiling_enabled()) obs::set_thread_name("main");
 
   try {
-    const ResourceVector capacity = parse_vector(capacity_text);
-    std::vector<alloc::AllocationEntity> entities;
-    if (input_path == "-") {
-      entities = alloc::read_entities_csv(std::cin);
-    } else {
-      std::ifstream in(input_path);
-      if (!in) {
-        std::cerr << "cannot open " << input_path << "\n";
-        return 1;
-      }
-      entities = alloc::read_entities_csv(in);
-    }
-    const alloc::AllocatorPtr policy = alloc::make_allocator(policy_name);
     const alloc::AllocationResult result =
-        policy->allocate(capacity, entities);
+        policy.allocator->allocate(capacity, entities);
     std::cout << "policy: " << policy_name << ", capacity "
               << capacity.to_string(0) << "\n"
               << alloc::format_result(entities, result);

@@ -97,8 +97,8 @@ struct CliOptions {
 [[noreturn]] void usage(int code) {
   std::cout <<
       "rrf_sim_cli — multi-resource fair-sharing simulator (RRF, SC'14)\n\n"
-      "  --policy <name>     tshirt|wmmf|drf|drf-seq|iwa|rrf|rrf-sp|rrf-lt"
-      "|all (default rrf)\n"
+      "  --policy <name>     " << alloc::join_policy_names("|")
+      << "|all (default rrf)\n"
       "  --workloads <list>  comma list of tpcc,rubbos,kernel,hadoop;\n"
       "                      repeats allowed (default: all four, once)\n"
       "  --alpha <f>         provisioning coefficient (default 1.0)\n"
@@ -230,6 +230,9 @@ CliOptions parse(int argc, char** argv) {
       std::cerr << "unknown flag: " << arg << "\n";
       usage(2);
     }
+  }
+  if (options.policy != "all") {
+    tools::policy_or_exit("rrf_sim_cli", options.policy);
   }
   if (options.workloads.empty()) {
     std::cerr << "no workloads given\n";
@@ -490,13 +493,10 @@ int main(int argc, char** argv) {
   }
 
   std::vector<sim::PolicyKind> policies;
-  if (options.policy == "all") {
-    policies = {sim::PolicyKind::kTshirt, sim::PolicyKind::kWmmf,
-                sim::PolicyKind::kDrf,    sim::PolicyKind::kDrfSeq,
-                sim::PolicyKind::kIwaOnly, sim::PolicyKind::kRrf,
-                sim::PolicyKind::kRrfSp,  sim::PolicyKind::kRrfLt};
-  } else {
-    policies = {sim::policy_from_string(options.policy)};
+  for (const alloc::Policy& p : alloc::policies()) {
+    if (options.policy == "all" || p.name == options.policy) {
+      policies.push_back(p.kind);
+    }
   }
 
   const sim::EngineConfig engine = engine_config(options);

@@ -28,9 +28,10 @@
 #include <string_view>
 #include <vector>
 
-#include "alloc/factory.hpp"
 #include "alloc/irt.hpp"
+#include "alloc/policy.hpp"
 #include "alloc/properties.hpp"
+#include "cli_util.hpp"
 #include "common/contract.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -66,7 +67,8 @@ struct CheckResult {
       "usage: rrf_verify [options]\n"
       "  --seeds N        scenario sweep width per check (default 5)\n"
       "  --seed-base S    base seed; seed i of the sweep is S + i\n"
-      "  --policies CSV   restrict to these policies (default: all)\n"
+      "  --policies CSV   restrict to these policies (default: all of\n"
+      "                   " << alloc::join_policy_names(",") << ")\n"
       "  --duration SEC   simulated seconds per engine run (default 60)\n"
       "  --out PATH       write the JSON report here (default stdout)\n"
       "  --quiet          suppress the progress log on stderr\n";
@@ -92,7 +94,9 @@ Options parse_args(int argc, char** argv) {
       std::stringstream ss(need_value(i));
       std::string tok;
       while (std::getline(ss, tok, ',')) {
-        if (!tok.empty()) opt.policies.push_back(tok);
+        if (tok.empty()) continue;
+        tools::policy_or_exit("rrf_verify", tok);
+        opt.policies.push_back(tok);
       }
     } else if (arg == "--duration") {
       opt.duration = std::stod(need_value(i));
@@ -114,7 +118,7 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-bool wants(const Options& opt, const std::string& policy) {
+bool wants(const Options& opt, std::string_view policy) {
   if (opt.policies.empty()) return true;
   for (const std::string& p : opt.policies) {
     if (p == policy) return true;
@@ -139,10 +143,10 @@ bool bit_identical(const alloc::AllocationResult& a,
 }
 
 /// Same scenario allocated twice must give bit-identical results.
-CheckResult check_allocator_determinism(const std::string& policy,
+CheckResult check_allocator_determinism(const alloc::Policy& policy,
                                         const Options& opt) {
-  CheckResult r{"alloc.determinism", policy, true, ""};
-  const alloc::AllocatorPtr allocator = alloc::make_allocator(policy);
+  CheckResult r{"alloc.determinism", std::string(policy.name), true, ""};
+  const alloc::Allocator* allocator = policy.allocator;
   for (std::size_t s = 0; s < opt.seeds; ++s) {
     Rng rng(opt.seed_base + s);
     for (int trial = 0; trial < 8; ++trial) {
@@ -211,42 +215,48 @@ CheckResult from_report(const std::string& name, const std::string& policy,
 
 /// Paper Table III: the fairness predicates each policy must satisfy.
 void run_property_sweeps(const Options& opt, std::vector<CheckResult>& out) {
+  using enum alloc::PolicyKind;
   const std::size_t trials = opt.seeds * 10;
-  for (const std::string& name : alloc::allocator_names()) {
-    if (!wants(opt, name)) continue;
-    const alloc::AllocatorPtr policy = alloc::make_allocator(name);
+  for (const alloc::Policy& row : alloc::policies()) {
+    if (!wants(opt, row.name)) continue;
+    const std::string name(row.name);
+    const alloc::Allocator& policy = *row.allocator;
+    const alloc::PolicyKind kind = row.kind;
     Rng rng(opt.seed_base);
     out.push_back(from_report(
         "alloc.capacity_safety", name,
-        alloc::check_capacity_safety(*policy, rng.fork(1), trials)));
+        alloc::check_capacity_safety(policy, rng.fork(1), trials)));
     // Sharing incentive holds for every scheme except canonical DRF
     // (frozen users on exhausted resources can fall below their static
     // partition) and the paper's sequential-DRF arithmetic.
-    if (name != "drf" && name != "drf-seq") {
+    if (kind != kDrf && kind != kDrfSeq) {
       out.push_back(from_report(
           "alloc.sharing_incentive", name,
-          alloc::check_sharing_incentive(*policy, rng.fork(2), trials)));
+          alloc::check_sharing_incentive(policy, rng.fork(2), trials)));
     }
     // Gain-as-you-contribute is RRF's defining property (WMMF/DRF fail
-    // it by design; the sp variant's budget caps trade it away).
-    if (name == "irt" || name == "rrf") {
+    // it by design; the sp variant's budget caps trade it away).  Flat
+    // rrf-lt is plain RRF on a zero bank.
+    const bool plain_irt = kind == kIrt || kind == kRrf || kind == kRrfLt;
+    if (plain_irt) {
       out.push_back(from_report(
           "alloc.gain_as_you_contribute", name,
-          alloc::check_gain_as_you_contribute(*policy, rng.fork(3), trials)));
+          alloc::check_gain_as_you_contribute(policy, rng.fork(3), trials)));
     }
-    // Strategy-proofness: full for the static partition and the sp
-    // variant; plain RRF resists over-reporting only (Theorem 3).
-    if (name == "tshirt" || name == "rrf-sp") {
+    // Strategy-proofness: full for the static partition, IWA alone (each
+    // entity keeps at most its own share) and the sp variant; plain RRF
+    // resists over-reporting only (Theorem 3).
+    if (kind == kTshirt || kind == kIwaOnly || kind == kRrfSp) {
       out.push_back(from_report(
           "alloc.strategy_proofness", name,
-          alloc::check_strategy_proofness(*policy, rng.fork(4), trials)));
-    } else if (name == "rrf" || name == "irt") {
+          alloc::check_strategy_proofness(policy, rng.fork(4), trials)));
+    } else if (plain_irt) {
       out.push_back(from_report(
           "alloc.strategy_proofness_overreport", name,
-          alloc::check_strategy_proofness(*policy, rng.fork(4), trials, {},
+          alloc::check_strategy_proofness(policy, rng.fork(4), trials, {},
                                           alloc::Manipulation::kOverReport)));
     }
-    out.push_back(check_allocator_determinism(name, opt));
+    out.push_back(check_allocator_determinism(row, opt));
   }
   if (wants(opt, "irt")) out.push_back(check_irt_search_equivalence(opt));
 }
@@ -269,12 +279,10 @@ std::string record_engine_run(const sim::Scenario& scenario,
 /// target, in shortest-round-trip double form).
 void run_engine_determinism(const Options& opt,
                             std::vector<CheckResult>& out) {
-  const std::vector<std::string> policies = {
-      "tshirt", "wmmf", "drf", "drf-seq", "iwa", "rrf", "rrf-sp", "rrf-lt"};
   // A couple of cluster shapes; sweeping seeds varies the demand phases.
-  for (const std::string& name : policies) {
-    if (!wants(opt, name)) continue;
-    CheckResult r{"engine.determinism", name, true, ""};
+  for (const alloc::Policy& policy : alloc::policies()) {
+    if (!wants(opt, policy.name)) continue;
+    CheckResult r{"engine.determinism", std::string(policy.name), true, ""};
     std::size_t runs = 0;
     for (std::size_t s = 0; s < opt.seeds && r.pass; ++s) {
       sim::SyntheticConfig syn;
@@ -285,7 +293,7 @@ void run_engine_determinism(const Options& opt,
       const sim::Scenario scenario = sim::make_synthetic_scenario(syn);
 
       sim::EngineConfig config;
-      config.policy = sim::policy_from_string(name);
+      config.policy = policy.kind;
       config.duration = opt.duration;
       config.parallel_nodes = true;
       const std::string first = record_engine_run(scenario, config);
@@ -327,12 +335,11 @@ std::string_view recording_rounds(const std::string& recording) {
 /// byte-identical to the serial run's.
 void run_shard_determinism(const Options& opt,
                            std::vector<CheckResult>& out) {
-  const std::vector<std::string> policies = {
-      "tshirt", "wmmf", "drf", "drf-seq", "iwa", "rrf", "rrf-sp", "rrf-lt"};
   const std::size_t shard_counts[] = {1, 2, 3, 7, 16};
-  for (const std::string& name : policies) {
-    if (!wants(opt, name)) continue;
-    CheckResult r{"engine.shard_determinism", name, true, ""};
+  for (const alloc::Policy& policy : alloc::policies()) {
+    if (!wants(opt, policy.name)) continue;
+    CheckResult r{"engine.shard_determinism", std::string(policy.name), true,
+                  ""};
     std::size_t runs = 0;
     for (std::size_t s = 0; s < opt.seeds && r.pass; ++s) {
       sim::SyntheticConfig syn;
@@ -343,7 +350,7 @@ void run_shard_determinism(const Options& opt,
       const sim::Scenario scenario = sim::make_synthetic_scenario(syn);
 
       sim::EngineConfig config;
-      config.policy = sim::policy_from_string(name);
+      config.policy = policy.kind;
       config.duration = opt.duration;
       config.parallel_nodes = false;
       const std::string serial = record_engine_run(scenario, config);
