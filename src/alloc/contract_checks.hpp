@@ -1,6 +1,6 @@
 // Shared post-allocation contract checks (see docs/STATIC_ANALYSIS.md).
 //
-// Every policy's allocate() must produce a result that is
+// Every policy's allocate_into() must produce a result that is
 //  * non-negative,
 //  * within capacity per resource type,
 //  * consistent with its own unallocated report
@@ -23,7 +23,7 @@ struct AllocationContractOptions {
   bool demand_capped = false;
 };
 
-/// Post-conditions common to every Allocator::allocate() result.
+/// Post-conditions common to every Allocator::allocate_into() result.
 /// `policy` names the policy in violation messages; the contract sites
 /// are the stable "alloc.*" identifiers.
 void check_allocation_contracts(const char* policy,

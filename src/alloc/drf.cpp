@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "alloc/contract_checks.hpp"
@@ -17,24 +18,29 @@ namespace {
 constexpr double kEps = 1e-9;
 }  // namespace
 
-AllocationResult DrfAllocator::allocate(
-    const ResourceVector& capacity,
-    std::span<const AllocationEntity> entities) const {
+void DrfAllocator::allocate_into(const ResourceVector& capacity,
+                                 std::span<const AllocationEntity> entities,
+                                 Workspace& ws,
+                                 AllocationResult& result) const {
   validate_entities(capacity, entities);
   const std::size_t p = capacity.size();
   const std::size_t m = entities.size();
 
-  AllocationResult result;
   result.allocations.assign(m, ResourceVector(p));
+  result.contribution_lambda.clear();
   ResourceVector remaining = capacity;
 
   // Per-user dominant-share fraction of full demand and filling rate.
   // x_i in [0,1] is the satisfied fraction; at common weighted dominant
   // share level g, an active user's fraction is x_i = g * w_i / ds_i.
-  std::vector<double> ds(m, 0.0);   // dominant share of the full demand
-  std::vector<double> rate(m, 0.0); // dx/dg = w_i / ds_i
-  std::vector<double> x(m, 0.0);
-  std::vector<bool> active(m, false);
+  std::vector<double>& ds = ws.key;       // dominant share of the full demand
+  std::vector<double>& rate = ws.weight;  // dx/dg = w_i / ds_i
+  std::vector<double>& x = ws.grant;
+  std::vector<char>& active = ws.flag;
+  ds.assign(m, 0.0);
+  rate.assign(m, 0.0);
+  x.assign(m, 0.0);
+  active.assign(m, 0);
 
   for (std::size_t i = 0; i < m; ++i) {
     double d = 0.0;
@@ -50,7 +56,7 @@ AllocationResult DrfAllocator::allocate(
       const double w = entities[i].effective_weight();
       RRF_REQUIRE(w > 0.0, "DRF requires positive weights for demanders");
       rate[i] = w / d;
-      active[i] = true;
+      active[i] = 1;
     } else {
       x[i] = 1.0;  // nothing demanded: trivially satisfied
     }
@@ -97,7 +103,7 @@ AllocationResult DrfAllocator::allocate(
     for (std::size_t i = 0; i < m; ++i) {
       if (active[i] && x[i] >= 1.0 - kEps) {
         x[i] = 1.0;
-        active[i] = false;
+        active[i] = 0;
       }
     }
     // Freeze users touching an exhausted resource.
@@ -105,7 +111,7 @@ AllocationResult DrfAllocator::allocate(
       if (remaining[k] <= kEps * std::max(1.0, capacity[k])) {
         remaining[k] = std::max(0.0, remaining[k]);
         for (std::size_t i = 0; i < m; ++i) {
-          if (active[i] && entities[i].demand[k] > 0.0) active[i] = false;
+          if (active[i] && entities[i].demand[k] > 0.0) active[i] = 0;
         }
       }
     }
@@ -124,24 +130,32 @@ AllocationResult DrfAllocator::allocate(
     check_allocation_contracts("drf", capacity, entities, result,
                                {.demand_capped = true});
   }
-  return result;
 }
 
-AllocationResult SequentialDrfAllocator::allocate(
+void SequentialDrfAllocator::allocate_into(
     const ResourceVector& capacity,
-    std::span<const AllocationEntity> entities) const {
+    std::span<const AllocationEntity> entities, Workspace& ws,
+    AllocationResult& result) const {
   validate_entities(capacity, entities);
   const std::size_t p = capacity.size();
   const std::size_t m = entities.size();
 
-  AllocationResult result;
   result.allocations.assign(m, ResourceVector(p));
+  result.contribution_lambda.clear();
   ResourceVector remaining = capacity;
 
   // Ascending weighted dominant share of the *full* demand.
-  std::vector<std::size_t> order(m);
+  std::vector<std::size_t>& order = ws.order;
+  order.resize(m);
   std::iota(order.begin(), order.end(), 0);
-  std::vector<double> wds(m, 0.0);
+  std::vector<double>& wds = ws.key;
+  wds.assign(m, 0.0);
+  // Phase 2's columns, sized for all m entities whether or not this round
+  // reaches phase 2, so a workspace reused across rounds stops growing.
+  ws.demand.resize(m);
+  ws.weight.assign(m, 1.0);
+  ws.grant.resize(m);
+  ws.fill_order.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
     double d = 0.0;
     for (std::size_t k = 0; k < p; ++k) {
@@ -154,8 +168,10 @@ AllocationResult SequentialDrfAllocator::allocate(
     const double w = entities[i].effective_weight();
     wds[i] = w > 0.0 ? d / w : std::numeric_limits<double>::infinity();
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return wds[a] < wds[b]; });
+  // Ties keep index order, exactly as a stable sort would.
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return wds[a] != wds[b] ? wds[a] < wds[b] : a < b;
+  });
 
   // Phase 1: fully satisfy users in ascending dominant-share order, but
   // process *ties* as one batch (the paper satisfies VM1 first, then treats
@@ -184,13 +200,15 @@ AllocationResult SequentialDrfAllocator::allocate(
   // max-min on their demands (the paper's Table-I arithmetic).
   if (idx < m) {
     const std::size_t rest = m - idx;
-    std::vector<double> demands(rest), ones(rest, 1.0);
+    const std::span<double> demands(ws.demand.data(), rest);
+    const std::span<const double> ones(ws.weight.data(), rest);
+    const std::span<double> alloc(ws.grant.data(), rest);
     for (std::size_t k = 0; k < p; ++k) {
       for (std::size_t j = 0; j < rest; ++j) {
         demands[j] = entities[order[idx + j]].demand[k];
       }
-      const std::vector<double> alloc =
-          weighted_max_min(std::max(0.0, remaining[k]), demands, ones);
+      weighted_max_min_into(std::max(0.0, remaining[k]), demands, ones,
+                            alloc, ws.fill_order);
       for (std::size_t j = 0; j < rest; ++j) {
         result.allocations[order[idx + j]][k] = alloc[j];
         remaining[k] -= alloc[j];
@@ -206,7 +224,6 @@ AllocationResult SequentialDrfAllocator::allocate(
     check_allocation_contracts("sequential drf", capacity, entities, result,
                                {.demand_capped = true});
   }
-  return result;
 }
 
 }  // namespace rrf::alloc

@@ -22,16 +22,16 @@ namespace rrf::alloc {
 
 class DrfAllocator final : public Allocator {
  public:
-  AllocationResult allocate(
-      const ResourceVector& capacity,
-      std::span<const AllocationEntity> entities) const override;
+  void allocate_into(const ResourceVector& capacity,
+                     std::span<const AllocationEntity> entities,
+                     Workspace& ws, AllocationResult& out) const override;
 };
 
 class SequentialDrfAllocator final : public Allocator {
  public:
-  AllocationResult allocate(
-      const ResourceVector& capacity,
-      std::span<const AllocationEntity> entities) const override;
+  void allocate_into(const ResourceVector& capacity,
+                     std::span<const AllocationEntity> entities,
+                     Workspace& ws, AllocationResult& out) const override;
 };
 
 }  // namespace rrf::alloc

@@ -32,6 +32,11 @@ std::vector<AllocationEntity> read_entities_csv(std::istream& in) {
         "entity CSV header must be name + p share + p demand columns");
   }
   const std::size_t p = (columns - 1) / 2;
+  if (p > ResourceVector::kInlineCapacity) {
+    throw DomainError("entity CSV header: " + std::to_string(p) +
+                      " resource types exceed the limit of " +
+                      std::to_string(ResourceVector::kInlineCapacity));
+  }
 
   std::vector<AllocationEntity> entities;
   std::size_t line_no = 1;

@@ -40,26 +40,20 @@ constexpr double kEps = 1e-9;
 /// on a prefix and false after it.
 class BoundarySearch {
  public:
-  /// The three cumulative-sum tables live in caller-provided scratch so
-  /// the per-resource-type loop reuses one heap block instead of
-  /// allocating three vectors per type.
-  struct Scratch {
-    std::vector<double> prefix_demand;
-    std::vector<double> suffix_share;
-    std::vector<double> suffix_lambda;
-  };
-
+  /// The three cumulative-sum tables live in the caller's workspace, so
+  /// the per-resource-type loop reuses one heap block per table instead
+  /// of allocating three vectors per type.
   BoundarySearch(double capacity, std::span<const AllocationEntity> entities,
                  std::span<const double> lambda,
                  std::span<const std::size_t> order, std::size_t k,
-                 Scratch& scratch)
+                 Workspace& ws)
       : entities_(entities),
         lambda_(lambda),
         order_(order),
         k_(k),
-        prefix_demand_(scratch.prefix_demand),
-        suffix_share_(scratch.suffix_share),
-        suffix_lambda_(scratch.suffix_lambda) {
+        prefix_demand_(ws.prefix_demand),
+        suffix_share_(ws.suffix_share),
+        suffix_lambda_(ws.suffix_lambda) {
     const std::size_t m = order.size();
     prefix_demand_.assign(m + 1, 0.0);
     suffix_share_.assign(m + 1, 0.0);
@@ -108,11 +102,9 @@ class BoundarySearch {
   std::vector<double>& suffix_lambda_;
 };
 
-}  // namespace
-
-std::vector<double> IrtAllocator::total_contributions(
-    std::span<const AllocationEntity> entities) {
-  std::vector<double> lambda(entities.size(), 0.0);
+/// Lambda(i) of every entity into `lambda` (one slot per entity).
+void contributions_into(std::span<const AllocationEntity> entities,
+                        std::span<double> lambda) {
   for (std::size_t i = 0; i < entities.size(); ++i) {
     // Instantaneous contribution plus any banked long-term credit
     // (rrf-lt); clamped so a debtor never gets negative priority.
@@ -121,19 +113,37 @@ std::vector<double> IrtAllocator::total_contributions(
         entities[i].initial_share.surplus_over(entities[i].demand).sum() +
             entities[i].banked_contribution);
   }
+}
+
+}  // namespace
+
+std::vector<double> IrtAllocator::total_contributions(
+    std::span<const AllocationEntity> entities) {
+  std::vector<double> lambda(entities.size(), 0.0);
+  contributions_into(entities, lambda);
   return lambda;
 }
 
-AllocationResult IrtAllocator::allocate(
-    const ResourceVector& capacity,
-    std::span<const AllocationEntity> entities) const {
-  return allocate_traced(capacity, entities, nullptr);
+void IrtAllocator::allocate_into(const ResourceVector& capacity,
+                                 std::span<const AllocationEntity> entities,
+                                 Workspace& ws, AllocationResult& out) const {
+  allocate_impl(capacity, entities, ws, out, nullptr);
 }
 
 AllocationResult IrtAllocator::allocate_traced(
     const ResourceVector& capacity,
     std::span<const AllocationEntity> entities,
     std::vector<IrtTypeTrace>* traces) const {
+  Workspace ws;
+  AllocationResult result;
+  allocate_impl(capacity, entities, ws, result, traces);
+  return result;
+}
+
+void IrtAllocator::allocate_impl(const ResourceVector& capacity,
+                                 std::span<const AllocationEntity> entities,
+                                 Workspace& ws, AllocationResult& result,
+                                 std::vector<IrtTypeTrace>* traces) const {
   obs::ProfileScope profile("irt.allocate");
   validate_entities(capacity, entities);
   const std::size_t p = capacity.size();
@@ -145,8 +155,11 @@ AllocationResult IrtAllocator::allocate_traced(
     invocations.add();
   }
 
+  // rrf-hot-path: begin(irt.prepare)
   // Lines 1-8: initial shares, per-type contributions, total Lambda(i).
-  const std::vector<double> lambda = total_contributions(entities);
+  std::vector<double>& lambda = ws.lambda;
+  lambda.resize(m);
+  contributions_into(entities, lambda);
 
   if (contract::armed()) {
     // Lambda(i) is a clamped sum of per-type surpluses, so it is bounded
@@ -163,62 +176,71 @@ AllocationResult IrtAllocator::allocate_traced(
     }
   }
 
-  AllocationResult result;
   result.allocations.assign(m, ResourceVector(p));
   result.unallocated = ResourceVector(p);
-  result.contribution_lambda = lambda;
+  result.contribution_lambda.assign(lambda.begin(), lambda.end());
   if (traces) traces->assign(p, IrtTypeTrace{});
 
   // Trade budgets for the strategy-proof variant: a tenant's cumulative
   // gain across all types may not exceed her total contribution.
-  std::vector<double> budget;
-  if (options_.cap_gain_at_contribution) budget = lambda;
+  std::vector<double>& budget = ws.budget;
+  if (options_.cap_gain_at_contribution) {
+    budget.assign(lambda.begin(), lambda.end());
+  }
 
-  // Per-type scratch, reused across the k loop (order is re-filled by
-  // iota + stable_sort each iteration; the cumulative tables are
-  // reassigned by the BoundarySearch constructor).  The suffix
-  // water-fill scratch (caps/weights/extras over at most m entities and
-  // the weighted_max_min_into ordering) is hoisted here too so the loop
-  // body stays heap-allocation-free.
-  std::vector<std::size_t> order(m);
-  BoundarySearch::Scratch search_scratch;
-  std::vector<double> cap_scratch(m), weight_scratch(m), extra_scratch(m);
-  std::vector<std::size_t> wmm_order;
+  // Per-type scratch, reused across the k loop: the sort keys and order
+  // are refilled each iteration and the cumulative tables are reassigned
+  // by the BoundarySearch constructor.  The suffix water-fill scratch
+  // (caps/weights/extras over at most m entities) is sized here too so
+  // the loop body stays heap-allocation-free.
+  std::vector<char>& contributor = ws.flag;
+  std::vector<double>& key = ws.key;
+  std::vector<std::size_t>& order = ws.order;
+  contributor.resize(m);
+  key.resize(m);
+  order.resize(m);
+  std::vector<double>& cap_scratch = ws.demand;
+  std::vector<double>& weight_scratch = ws.weight;
+  std::vector<double>& extra_scratch = ws.grant;
+  cap_scratch.resize(m);
+  weight_scratch.resize(m);
+  extra_scratch.resize(m);
+  ws.fill_order.reserve(m);
+  // rrf-hot-path: end(irt.prepare)
 
   // rrf-hot-path: begin(irt.types)
   for (std::size_t k = 0; k < p; ++k) {
-    // ---- ordering: contributors by ascending U, then beneficiaries by
-    // ascending V (lines 9-14). ----
-    auto is_contributor = [&](std::size_t i) {
-      return entities[i].demand[k] < entities[i].initial_share[k] - kEps;
-    };
-    auto u_of = [&](std::size_t i) {
+    // ---- ordering: contributors by ascending U = D/S, then
+    // beneficiaries by ascending V = (D - S)/Lambda (lines 9-14). ----
+    // Both keys are computed once per entity; ties fall back to the
+    // entity index, which is the order a stable sort of the iota keeps.
+    std::size_t u = 0;
+    for (std::size_t i = 0; i < m; ++i) {
       const double s = entities[i].initial_share[k];
-      return s > 0.0 ? entities[i].demand[k] / s : 0.0;
-    };
-    auto v_of = [&](std::size_t i) {
-      const double need =
-          entities[i].demand[k] - entities[i].initial_share[k];
-      if (need <= 0.0) return 0.0;
-      return lambda[i] > 0.0 ? need / lambda[i]
-                             : std::numeric_limits<double>::infinity();
-    };
-
+      const double d = entities[i].demand[k];
+      const bool c = d < s - kEps;
+      contributor[i] = c ? 1 : 0;
+      if (c) {
+        ++u;
+        key[i] = s > 0.0 ? d / s : 0.0;
+      } else {
+        const double need = d - s;
+        key[i] = need <= 0.0    ? 0.0
+                 : lambda[i] > 0.0 ? need / lambda[i]
+                                   : std::numeric_limits<double>::infinity();
+      }
+    }
     std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const bool ca = is_contributor(a);
-                       const bool cb = is_contributor(b);
-                       if (ca != cb) return ca;  // contributors first
-                       if (ca) return u_of(a) < u_of(b);
-                       return v_of(a) < v_of(b);
-                     });
-    const std::size_t u = static_cast<std::size_t>(std::count_if(
-        order.begin(), order.end(), is_contributor));
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      if (contributor[a] != contributor[b]) {
+        return contributor[a] > contributor[b];  // contributors first
+      }
+      if (key[a] != key[b]) return key[a] < key[b];
+      return a < b;
+    });
 
     // ---- boundary search (line 15). ----
-    const BoundarySearch search(capacity[k], entities, lambda, order, k,
-                                search_scratch);
+    const BoundarySearch search(capacity[k], entities, lambda, order, k, ws);
     std::size_t v = u;
     if (options_.cap_gain_at_contribution) {
       // Budget caps break the monotonicity proof, so the strategy-proof
@@ -297,7 +319,7 @@ AllocationResult IrtAllocator::allocate_traced(
           caps[t] = std::min(need, budget[i]);
           weights[t] = lambda[i];
         }
-        weighted_max_min_into(psi, caps, weights, extras, wmm_order);
+        weighted_max_min_into(psi, caps, weights, extras, ws.fill_order);
         for (std::size_t t = 0; t < rest; ++t) {
           const std::size_t i = order[v + t];
           result.allocations[i][k] = entities[i].initial_share[k] + extras[t];
@@ -352,7 +374,8 @@ AllocationResult IrtAllocator::allocate_traced(
                 0.0, entities[i].demand[k] - entities[i].initial_share[k]);
             weights[t] = entities[i].initial_share[k];
           }
-          weighted_max_min_into(psi, needs, weights, extras, wmm_order);
+          weighted_max_min_into(psi, needs, weights, extras,
+                                ws.fill_order);
         }
         for (std::size_t t = 0; t < rest; ++t) {
           const std::size_t i = order[v + t];
@@ -479,7 +502,6 @@ AllocationResult IrtAllocator::allocate_traced(
     check_allocation_contracts("irt", capacity, entities, result,
                                {.demand_capped = true});
   }
-  return result;
 }
 
 }  // namespace rrf::alloc

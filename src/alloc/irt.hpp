@@ -66,9 +66,9 @@ class IrtAllocator final : public Allocator {
  public:
   explicit IrtAllocator(IrtOptions options = {}) : options_(options) {}
 
-  AllocationResult allocate(
-      const ResourceVector& capacity,
-      std::span<const AllocationEntity> entities) const override;
+  void allocate_into(const ResourceVector& capacity,
+                     std::span<const AllocationEntity> entities,
+                     Workspace& ws, AllocationResult& out) const override;
 
   /// Like allocate() but also fills per-type traces (one per resource).
   AllocationResult allocate_traced(const ResourceVector& capacity,
@@ -81,6 +81,13 @@ class IrtAllocator final : public Allocator {
       std::span<const AllocationEntity> entities);
 
  private:
+  /// The one implementation behind allocate_into and allocate_traced;
+  /// `traces` may be null.
+  void allocate_impl(const ResourceVector& capacity,
+                     std::span<const AllocationEntity> entities,
+                     Workspace& ws, AllocationResult& result,
+                     std::vector<IrtTypeTrace>* traces) const;
+
   IrtOptions options_;
 };
 

@@ -127,14 +127,26 @@ IwaResult iwa_distribute(double tenant_total,
 
 IwaVectorResult iwa_distribute(const ResourceVector& tenant_total,
                                std::span<const AllocationEntity> vms) {
+  Workspace ws;
+  IwaVectorResult out;
+  out.allocations.resize(vms.size());
+  out.headroom = iwa_distribute_into(tenant_total, vms, ws, out.allocations);
+  return out;
+}
+
+ResourceVector iwa_distribute_into(const ResourceVector& tenant_total,
+                                   std::span<const AllocationEntity> vms,
+                                   Workspace& ws,
+                                   std::span<ResourceVector> allocations) {
   obs::ProfileScope profile("iwa.distribute");
   RRF_REQUIRE(!vms.empty(), "tenant with no VMs");
+  RRF_REQUIRE(allocations.size() == vms.size(),
+              "output span length mismatch");
   const std::size_t p = tenant_total.size();
   const std::size_t n = vms.size();
 
-  IwaVectorResult out;
-  out.allocations.assign(n, ResourceVector(p));
-  out.headroom = ResourceVector(p);
+  ResourceVector headroom(p);
+  for (ResourceVector& a : allocations) a = ResourceVector(p);
 
   if (obs::metrics_enabled()) {
     static obs::Counter& invocations =
@@ -142,7 +154,12 @@ IwaVectorResult iwa_distribute(const ResourceVector& tenant_total,
     invocations.add();
   }
 
-  std::vector<double> shares(n), demands(n), grants(n);
+  std::vector<double>& shares = ws.share;
+  std::vector<double>& demands = ws.demand;
+  std::vector<double>& grants = ws.grant;
+  shares.resize(n);
+  demands.resize(n);
+  grants.resize(n);
   // rrf-hot-path: begin(iwa.types)
   for (std::size_t k = 0; k < p; ++k) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -152,10 +169,10 @@ IwaVectorResult iwa_distribute(const ResourceVector& tenant_total,
       shares[j] = vms[j].initial_share[k];
       demands[j] = vms[j].demand[k];
     }
-    out.headroom[k] =
+    headroom[k] =
         iwa_distribute_into(tenant_total[k], shares, demands, grants);
     for (std::size_t j = 0; j < n; ++j) {
-      out.allocations[j][k] = grants[j];
+      allocations[j][k] = grants[j];
     }
 
     if (obs::tracing_enabled() || obs::metrics_enabled()) {
@@ -190,11 +207,11 @@ IwaVectorResult iwa_distribute(const ResourceVector& tenant_total,
     // One entry per call; the caller (hierarchical RRF) invokes this in
     // group order, so entry order identifies the tenant.
     obs::ProvenanceIwa captured;
-    captured.vm_grant = out.allocations;
-    captured.headroom = out.headroom;
+    captured.vm_grant.assign(allocations.begin(), allocations.end());
+    captured.headroom = headroom;
     sink->iwa.push_back(std::move(captured));
   }
-  return out;
+  return headroom;
 }
 
 }  // namespace rrf::alloc

@@ -15,7 +15,7 @@
 #include <span>
 #include <vector>
 
-#include "alloc/entity.hpp"
+#include "alloc/allocator.hpp"
 
 namespace rrf::alloc {
 
@@ -51,5 +51,13 @@ struct IwaVectorResult {
 };
 IwaVectorResult iwa_distribute(const ResourceVector& tenant_total,
                                std::span<const AllocationEntity> vms);
+
+/// Allocation-free vector IWA: writes each VM's grant into `allocations`
+/// (allocations.size() == vms.size()), takes its per-type columns from
+/// `ws`, and returns the tenant headroom per type.
+ResourceVector iwa_distribute_into(const ResourceVector& tenant_total,
+                                   std::span<const AllocationEntity> vms,
+                                   Workspace& ws,
+                                   std::span<ResourceVector> allocations);
 
 }  // namespace rrf::alloc

@@ -20,22 +20,23 @@ namespace {
 /// oversell the pool), and IWA on one VM caps that share at its demand.
 class IwaOnlyAllocator final : public Allocator {
  public:
-  AllocationResult allocate(
-      const ResourceVector& capacity,
-      std::span<const AllocationEntity> entities) const override {
+  void allocate_into(const ResourceVector& capacity,
+                     std::span<const AllocationEntity> entities,
+                     Workspace& /*ws*/,
+                     AllocationResult& result) const override {
     validate_entities(capacity, entities);
     const ResourceVector sold = total_share(entities);
-    AllocationResult result;
-    result.allocations.reserve(entities.size());
+    result.allocations.resize(entities.size());
+    result.contribution_lambda.clear();
     ResourceVector used(capacity.size());
-    for (const AllocationEntity& e : entities) {
+    for (std::size_t i = 0; i < entities.size(); ++i) {
+      const AllocationEntity& e = entities[i];
       ResourceVector own = e.initial_share;
       for (std::size_t k = 0; k < capacity.size(); ++k) {
         if (sold[k] > capacity[k]) own[k] *= capacity[k] / sold[k];
       }
-      result.allocations.push_back(
-          ResourceVector::elementwise_min(own, e.demand));
-      used += result.allocations.back();
+      result.allocations[i] = ResourceVector::elementwise_min(own, e.demand);
+      used += result.allocations[i];
     }
     result.unallocated = ResourceVector(capacity.size());
     for (std::size_t k = 0; k < capacity.size(); ++k) {
@@ -45,7 +46,6 @@ class IwaOnlyAllocator final : public Allocator {
       check_allocation_contracts("iwa", capacity, entities, result,
                                  {.demand_capped = true});
     }
-    return result;
   }
 };
 

@@ -10,8 +10,14 @@
 namespace rrf::alloc {
 
 AllocationEntity TenantGroup::aggregate() const {
-  RRF_REQUIRE(!vms.empty(), "tenant with no VMs");
   AllocationEntity agg;
+  aggregate_into(agg);
+  agg.name = name;
+  return agg;
+}
+
+void TenantGroup::aggregate_into(AllocationEntity& agg) const {
+  RRF_REQUIRE(!vms.empty(), "tenant with no VMs");
   agg.initial_share = ResourceVector(vms.front().initial_share.size());
   agg.demand = ResourceVector(vms.front().demand.size());
   for (const auto& vm : vms) {
@@ -19,33 +25,44 @@ AllocationEntity TenantGroup::aggregate() const {
     agg.demand += vm.demand;
   }
   agg.banked_contribution = banked_contribution;
-  agg.name = name;
-  return agg;
 }
 
 HierarchicalResult RrfAllocator::allocate_hierarchical(
     const ResourceVector& capacity,
     std::span<const TenantGroup> tenants) const {
+  Workspace ws;
+  HierarchicalResult out;
+  allocate_hierarchical_into(capacity, tenants, ws, out);
+  return out;
+}
+
+void RrfAllocator::allocate_hierarchical_into(
+    const ResourceVector& capacity, std::span<const TenantGroup> tenants,
+    Workspace& ws, HierarchicalResult& out) const {
   obs::ProfileScope profile("rrf.hierarchical");
   RRF_REQUIRE(!tenants.empty(), "no tenants");
+  const std::size_t count = tenants.size();
 
+  // rrf-hot-path: begin(rrf.hierarchical)
   // Level 1: IRT over the tenant aggregates.
-  std::vector<AllocationEntity> aggregates;
-  aggregates.reserve(tenants.size());
-  for (const auto& t : tenants) aggregates.push_back(t.aggregate());
-
-  HierarchicalResult out;
-  out.tenant_level = irt_.allocate(capacity, aggregates);
+  ws.aggregates.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    tenants[i].aggregate_into(ws.aggregates[i]);
+  }
+  // IRT takes its scratch from the same workspace but never touches
+  // ws.aggregates, its input here.
+  irt_.allocate_into(capacity, ws.aggregates, ws, out.tenant_level);
 
   // Level 2: IWA inside each tenant, seeded with its IRT entitlement.
-  out.vm_allocations.reserve(tenants.size());
-  out.tenant_headroom.reserve(tenants.size());
-  for (std::size_t i = 0; i < tenants.size(); ++i) {
-    IwaVectorResult r = iwa_distribute(out.tenant_level.allocations[i],
-                                       tenants[i].vms);
-    out.vm_allocations.push_back(std::move(r.allocations));
-    out.tenant_headroom.push_back(std::move(r.headroom));
+  out.vm_allocations.resize(count);
+  out.tenant_headroom.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out.vm_allocations[i].resize(tenants[i].vms.size());
+    out.tenant_headroom[i] =
+        iwa_distribute_into(out.tenant_level.allocations[i], tenants[i].vms,
+                            ws, out.vm_allocations[i]);
   }
+  // rrf-hot-path: end(rrf.hierarchical)
 
   if (contract::armed()) {
     // Hierarchy glue: the two levels must agree — per tenant and type, the
@@ -68,14 +85,13 @@ HierarchicalResult RrfAllocator::allocate_hierarchical(
       }
     }
   }
-  return out;
 }
 
-AllocationResult RrfAllocator::allocate(
-    const ResourceVector& capacity,
-    std::span<const AllocationEntity> entities) const {
+void RrfAllocator::allocate_into(const ResourceVector& capacity,
+                                 std::span<const AllocationEntity> entities,
+                                 Workspace& ws, AllocationResult& out) const {
   // Single-VM tenants: IWA is the identity, so flat RRF == IRT.
-  return irt_.allocate(capacity, entities);
+  irt_.allocate_into(capacity, entities, ws, out);
 }
 
 }  // namespace rrf::alloc

@@ -31,6 +31,10 @@ struct TenantGroup {
 
   /// Tenant-level aggregates (S(i) / D(i) in Algorithm 1).
   AllocationEntity aggregate() const;
+
+  /// Sums S(i) / D(i) into `agg` in place and sets its banked credit;
+  /// every other field of `agg` (the name among them) is left alone.
+  void aggregate_into(AllocationEntity& agg) const;
 };
 
 struct HierarchicalResult {
@@ -51,10 +55,17 @@ class RrfAllocator final : public Allocator {
       const ResourceVector& capacity,
       std::span<const TenantGroup> tenants) const;
 
+  /// Allocation-free form: writes every field of `out`, taking the tenant
+  /// aggregates and the IRT/IWA scratch from `ws`.
+  void allocate_hierarchical_into(const ResourceVector& capacity,
+                                  std::span<const TenantGroup> tenants,
+                                  Workspace& ws,
+                                  HierarchicalResult& out) const;
+
   /// Flat adapter: every entity is treated as a single-VM tenant.
-  AllocationResult allocate(
-      const ResourceVector& capacity,
-      std::span<const AllocationEntity> entities) const override;
+  void allocate_into(const ResourceVector& capacity,
+                     std::span<const AllocationEntity> entities,
+                     Workspace& ws, AllocationResult& out) const override;
 
   const IrtAllocator& irt() const { return irt_; }
 

@@ -8,27 +8,28 @@
 
 namespace rrf::alloc {
 
-AllocationResult TShirtAllocator::allocate(
-    const ResourceVector& capacity,
-    std::span<const AllocationEntity> entities) const {
+void TShirtAllocator::allocate_into(const ResourceVector& capacity,
+                                    std::span<const AllocationEntity> entities,
+                                    Workspace& /*ws*/,
+                                    AllocationResult& result) const {
   validate_entities(capacity, entities);
   const std::size_t p = capacity.size();
   const ResourceVector shares = total_share(entities);
 
-  AllocationResult result;
-  result.allocations.reserve(entities.size());
+  result.allocations.resize(entities.size());
   result.unallocated = ResourceVector(p);
+  result.contribution_lambda.clear();
 
-  for (const auto& e : entities) {
-    ResourceVector a(p);
+  for (std::size_t i = 0; i < entities.size(); ++i) {
+    ResourceVector& a = result.allocations[i];
+    a = ResourceVector(p);
     for (std::size_t k = 0; k < p; ++k) {
       // Proportional static partition; if nobody owns shares of type k the
       // whole capacity stays idle.
       a[k] = shares[k] > 0.0
-                 ? capacity[k] * (e.initial_share[k] / shares[k])
+                 ? capacity[k] * (entities[i].initial_share[k] / shares[k])
                  : 0.0;
     }
-    result.allocations.push_back(std::move(a));
   }
   for (std::size_t k = 0; k < p; ++k) {
     if (shares[k] <= 0.0) result.unallocated[k] = capacity[k];
@@ -54,7 +55,6 @@ AllocationResult TShirtAllocator::allocate(
     check_allocation_contracts("tshirt", capacity, entities, result,
                                {.demand_capped = false});
   }
-  return result;
 }
 
 }  // namespace rrf::alloc

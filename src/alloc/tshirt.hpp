@@ -12,9 +12,9 @@ namespace rrf::alloc {
 
 class TShirtAllocator final : public Allocator {
  public:
-  AllocationResult allocate(
-      const ResourceVector& capacity,
-      std::span<const AllocationEntity> entities) const override;
+  void allocate_into(const ResourceVector& capacity,
+                     std::span<const AllocationEntity> entities,
+                     Workspace& ws, AllocationResult& out) const override;
 };
 
 }  // namespace rrf::alloc

@@ -73,18 +73,25 @@ void weighted_max_min_into(double capacity, std::span<const double> demands,
   }
 }
 
-AllocationResult WmmfAllocator::allocate(
-    const ResourceVector& capacity,
-    std::span<const AllocationEntity> entities) const {
+void WmmfAllocator::allocate_into(const ResourceVector& capacity,
+                                  std::span<const AllocationEntity> entities,
+                                  Workspace& ws,
+                                  AllocationResult& result) const {
   validate_entities(capacity, entities);
   const std::size_t p = capacity.size();
   const std::size_t m = entities.size();
 
-  AllocationResult result;
   result.allocations.assign(m, ResourceVector(p));
   result.unallocated = ResourceVector(p);
+  result.contribution_lambda.clear();
 
-  std::vector<double> demands(m), weights(m);
+  std::vector<double>& demands = ws.demand;
+  std::vector<double>& weights = ws.weight;
+  std::vector<double>& alloc = ws.grant;
+  demands.resize(m);
+  weights.resize(m);
+  alloc.resize(m);
+  ws.fill_order.reserve(m);
   for (std::size_t k = 0; k < p; ++k) {
     bool any_weight = false;
     for (std::size_t i = 0; i < m; ++i) {
@@ -99,8 +106,8 @@ AllocationResult WmmfAllocator::allocate(
         weights[i] = entities[i].effective_weight();
       }
     }
-    const std::vector<double> alloc =
-        weighted_max_min(capacity[k], demands, weights);
+    weighted_max_min_into(capacity[k], demands, weights, alloc,
+                          ws.fill_order);
     double used = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
       result.allocations[i][k] = alloc[i];
@@ -130,7 +137,6 @@ AllocationResult WmmfAllocator::allocate(
     check_allocation_contracts("wmmf", capacity, entities, result,
                                {.demand_capped = true});
   }
-  return result;
 }
 
 }  // namespace rrf::alloc

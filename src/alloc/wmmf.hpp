@@ -39,9 +39,9 @@ class WmmfAllocator final : public Allocator {
   /// Runs weighted_max_min per resource type with per-type weights equal to
   /// the entities' per-type initial shares (allocation proportional to
   /// payment, as the paper prescribes).
-  AllocationResult allocate(
-      const ResourceVector& capacity,
-      std::span<const AllocationEntity> entities) const override;
+  void allocate_into(const ResourceVector& capacity,
+                     std::span<const AllocationEntity> entities,
+                     Workspace& ws, AllocationResult& out) const override;
 };
 
 }  // namespace rrf::alloc

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <ostream>
 #include <sstream>
 
@@ -12,49 +11,22 @@ namespace rrf {
 
 ResourceVector ResourceVector::uniform(std::size_t p, double value) {
   ResourceVector v(p);
-  std::fill(v.data(), v.data() + p, value);
+  std::fill(v.values_.begin(), v.values_.begin() + p, value);
   return v;
-}
-
-ResourceVector& ResourceVector::operator+=(const ResourceVector& o) {
-  check_same_size(o);
-  for (std::size_t k = 0; k < size_; ++k) data()[k] += o.data()[k];
-  return *this;
-}
-
-ResourceVector& ResourceVector::operator-=(const ResourceVector& o) {
-  check_same_size(o);
-  for (std::size_t k = 0; k < size_; ++k) data()[k] -= o.data()[k];
-  return *this;
-}
-
-ResourceVector& ResourceVector::operator*=(double s) {
-  for (std::size_t k = 0; k < size_; ++k) data()[k] *= s;
-  return *this;
 }
 
 ResourceVector& ResourceVector::operator/=(double s) {
   RRF_REQUIRE(!is_exact_zero(s), "division by zero scalar");
-  for (std::size_t k = 0; k < size_; ++k) data()[k] /= s;
+  for (std::size_t k = 0; k < size_; ++k) values_[k] /= s;
   return *this;
-}
-
-ResourceVector& ResourceVector::hadamard(const ResourceVector& o) {
-  check_same_size(o);
-  for (std::size_t k = 0; k < size_; ++k) data()[k] *= o.data()[k];
-  return *this;
-}
-
-double ResourceVector::sum() const {
-  return std::accumulate(data(), data() + size_, 0.0);
 }
 
 double ResourceVector::min() const {
-  return *std::min_element(data(), data() + size_);
+  return *std::min_element(values_.begin(), values_.begin() + size_);
 }
 
 double ResourceVector::max() const {
-  return *std::max_element(data(), data() + size_);
+  return *std::max_element(values_.begin(), values_.begin() + size_);
 }
 
 std::size_t ResourceVector::dominant(const ResourceVector& reference) const {
@@ -62,9 +34,9 @@ std::size_t ResourceVector::dominant(const ResourceVector& reference) const {
   std::size_t best = 0;
   double best_ratio = -1.0;
   for (std::size_t k = 0; k < size_; ++k) {
-    RRF_REQUIRE(reference.data()[k] > 0.0,
+    RRF_REQUIRE(reference.values_[k] > 0.0,
                 "dominant share needs a positive reference capacity");
-    const double ratio = data()[k] / reference.data()[k];
+    const double ratio = values_[k] / reference.values_[k];
     if (ratio > best_ratio) {
       best_ratio = ratio;
       best = k;
@@ -75,13 +47,13 @@ std::size_t ResourceVector::dominant(const ResourceVector& reference) const {
 
 double ResourceVector::dominant_share(const ResourceVector& reference) const {
   const std::size_t k = dominant(reference);
-  return data()[k] / reference.data()[k];
+  return values_[k] / reference.values_[k];
 }
 
 bool ResourceVector::all_le(const ResourceVector& o, double eps) const {
   check_same_size(o);
   for (std::size_t k = 0; k < size_; ++k) {
-    if (data()[k] > o.data()[k] + eps) return false;
+    if (values_[k] > o.values_[k] + eps) return false;
   }
   return true;
 }
@@ -91,14 +63,14 @@ bool ResourceVector::all_ge(const ResourceVector& o, double eps) const {
 }
 
 bool ResourceVector::all_nonneg(double eps) const {
-  return std::all_of(data(), data() + size_,
+  return std::all_of(values_.begin(), values_.begin() + size_,
                      [eps](double v) { return v >= -eps; });
 }
 
 bool ResourceVector::approx_equal(const ResourceVector& o, double eps) const {
   if (size_ != o.size_) return false;
   for (std::size_t k = 0; k < size_; ++k) {
-    if (std::abs(data()[k] - o.data()[k]) > eps) return false;
+    if (std::abs(values_[k] - o.values_[k]) > eps) return false;
   }
   return true;
 }
@@ -108,7 +80,7 @@ ResourceVector ResourceVector::elementwise_min(const ResourceVector& a,
   a.check_same_size(b);
   ResourceVector out(a.size());
   for (std::size_t k = 0; k < a.size(); ++k) {
-    out.data()[k] = std::min(a.data()[k], b.data()[k]);
+    out.values_[k] = std::min(a.values_[k], b.values_[k]);
   }
   return out;
 }
@@ -118,7 +90,7 @@ ResourceVector ResourceVector::elementwise_max(const ResourceVector& a,
   a.check_same_size(b);
   ResourceVector out(a.size());
   for (std::size_t k = 0; k < a.size(); ++k) {
-    out.data()[k] = std::max(a.data()[k], b.data()[k]);
+    out.values_[k] = std::max(a.values_[k], b.values_[k]);
   }
   return out;
 }
@@ -129,7 +101,7 @@ ResourceVector ResourceVector::clamped(const ResourceVector& lo,
   check_same_size(hi);
   ResourceVector out(size());
   for (std::size_t k = 0; k < size(); ++k) {
-    out.data()[k] = std::clamp(data()[k], lo.data()[k], hi.data()[k]);
+    out.values_[k] = std::clamp(values_[k], lo.values_[k], hi.values_[k]);
   }
   return out;
 }
@@ -138,7 +110,7 @@ ResourceVector ResourceVector::surplus_over(const ResourceVector& o) const {
   check_same_size(o);
   ResourceVector out(size());
   for (std::size_t k = 0; k < size(); ++k) {
-    out.data()[k] = std::max(0.0, data()[k] - o.data()[k]);
+    out.values_[k] = std::max(0.0, values_[k] - o.values_[k]);
   }
   return out;
 }
@@ -153,7 +125,7 @@ std::string ResourceVector::to_string(int precision) const {
   os << std::fixed << "<";
   for (std::size_t k = 0; k < size_; ++k) {
     if (k != 0) os << ", ";
-    os << data()[k];
+    os << values_[k];
   }
   os << ">";
   return os.str();

@@ -1,21 +1,22 @@
 // ResourceVector: a small dense vector over resource types (CPU, RAM, ...).
 //
 // This is the central value type of the library: demands, shares,
-// allocations, contributions and capacities are all ResourceVectors.  It is
-// dynamically sized (the algorithms are generic over `p` resource types)
-// and optimised for small arity via an inline buffer: up to
-// kInlineCapacity components live inside the object itself, so the
-// ubiquitous p == 2 temporaries in the allocation hot path never touch
-// the heap.  Larger vectors transparently spill to heap storage.
+// allocations, contributions and capacities are all ResourceVectors.  The
+// algorithms are generic over the number of resource types p, but p is
+// at most kInlineCapacity (4): the components live inside the object, so
+// a ResourceVector is trivially copyable (40 bytes) and never touches the
+// heap.  A larger arity is rejected with PreconditionError; input readers
+// check the limit first and report it against the offending field.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <initializer_list>
 #include <iosfwd>
 #include <span>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -24,26 +25,22 @@ namespace rrf {
 
 class ResourceVector {
  public:
-  /// Components stored inline (no heap allocation) up to this arity.
+  /// The largest arity: every component is stored inline.
   static constexpr std::size_t kInlineCapacity = 4;
 
   /// Zero vector with `p` resource types (default: CPU + RAM).
-  explicit ResourceVector(std::size_t p = kDefaultResourceCount) : size_(p) {
-    if (p > kInlineCapacity) heap_.resize(p, 0.0);
-  }
+  explicit ResourceVector(std::size_t p = kDefaultResourceCount)
+      : size_(checked_arity(p)) {}
 
   /// Construct from explicit per-type values, e.g. `{6.0, 3.0}`.
   ResourceVector(std::initializer_list<double> init)
       : ResourceVector(std::span<const double>(init.begin(), init.size())) {}
 
   /// Construct from an existing range of values.
-  explicit ResourceVector(std::span<const double> init) : size_(init.size()) {
+  explicit ResourceVector(std::span<const double> init)
+      : size_(checked_arity(init.size())) {
     RRF_REQUIRE(size_ > 0, "a resource vector needs >= 1 type");
-    if (size_ > kInlineCapacity) {
-      heap_.assign(init.begin(), init.end());
-    } else {
-      for (std::size_t k = 0; k < size_; ++k) inline_[k] = init[k];
-    }
+    std::copy_n(init.begin(), size_, values_.begin());
   }
 
   /// Vector with the same value in every component.
@@ -53,11 +50,11 @@ class ResourceVector {
 
   double operator[](std::size_t k) const {
     RRF_ASSERT(k < size_);
-    return data()[k];
+    return values_[k];
   }
   double& operator[](std::size_t k) {
     RRF_ASSERT(k < size_);
-    return data()[k];
+    return values_[k];
   }
   double operator[](Resource r) const {
     return (*this)[static_cast<std::size_t>(r)];
@@ -66,15 +63,30 @@ class ResourceVector {
     return (*this)[static_cast<std::size_t>(r)];
   }
 
-  std::span<const double> values() const { return {data(), size_}; }
+  std::span<const double> values() const { return {values_.data(), size_}; }
 
   // ---- arithmetic (element-wise) ----
-  ResourceVector& operator+=(const ResourceVector& o);
-  ResourceVector& operator-=(const ResourceVector& o);
-  ResourceVector& operator*=(double s);
+  ResourceVector& operator+=(const ResourceVector& o) {
+    check_same_size(o);
+    for (std::size_t k = 0; k < size_; ++k) values_[k] += o.values_[k];
+    return *this;
+  }
+  ResourceVector& operator-=(const ResourceVector& o) {
+    check_same_size(o);
+    for (std::size_t k = 0; k < size_; ++k) values_[k] -= o.values_[k];
+    return *this;
+  }
+  ResourceVector& operator*=(double s) {
+    for (std::size_t k = 0; k < size_; ++k) values_[k] *= s;
+    return *this;
+  }
   ResourceVector& operator/=(double s);
-  /// Element-wise product / quotient.
-  ResourceVector& hadamard(const ResourceVector& o);
+  /// Element-wise product.
+  ResourceVector& hadamard(const ResourceVector& o) {
+    check_same_size(o);
+    for (std::size_t k = 0; k < size_; ++k) values_[k] *= o.values_[k];
+    return *this;
+  }
 
   friend ResourceVector operator+(ResourceVector a, const ResourceVector& b) {
     return a += b;
@@ -89,14 +101,18 @@ class ResourceVector {
   friend bool operator==(const ResourceVector& a, const ResourceVector& b) {
     if (a.size_ != b.size_) return false;
     for (std::size_t k = 0; k < a.size_; ++k) {
-      if (a.data()[k] != b.data()[k]) return false;
+      if (a.values_[k] != b.values_[k]) return false;
     }
     return true;
   }
 
   // ---- reductions ----
   /// Sum of all components (e.g. total shares when the vector is in shares).
-  double sum() const;
+  double sum() const {
+    double total = 0.0;
+    for (std::size_t k = 0; k < size_; ++k) total += values_[k];
+    return total;
+  }
   /// Smallest / largest component.
   double min() const;
   double max() const;
@@ -129,21 +145,24 @@ class ResourceVector {
   std::string to_string(int precision = 2) const;
 
  private:
+  static std::size_t checked_arity(std::size_t p) {
+    RRF_REQUIRE(p <= kInlineCapacity,
+                std::to_string(p) + " resource types exceed the limit of " +
+                    std::to_string(kInlineCapacity));
+    return p;
+  }
+
   void check_same_size(const ResourceVector& o) const {
     RRF_REQUIRE(size_ == o.size_,
                 "resource vectors must have the same arity");
   }
 
-  double* data() { return size_ <= kInlineCapacity ? inline_.data() : heap_.data(); }
-  const double* data() const {
-    return size_ <= kInlineCapacity ? inline_.data() : heap_.data();
-  }
-
   std::size_t size_;
-  std::array<double, kInlineCapacity> inline_{};
-  /// Spill storage, used only when size_ > kInlineCapacity.
-  std::vector<double> heap_;
+  /// Components [0, size_); the rest stay zero.
+  std::array<double, kInlineCapacity> values_{};
 };
+
+static_assert(std::is_trivially_copyable_v<ResourceVector>);
 
 std::ostream& operator<<(std::ostream& os, const ResourceVector& v);
 

@@ -40,6 +40,12 @@ ResourceVector vec_from_json(const json::Value& value, const char* what) {
   if (!value.is_array() || value.as_array().empty()) {
     fail(std::string(what) + " is not a non-empty array");
   }
+  if (value.as_array().size() > ResourceVector::kInlineCapacity) {
+    fail(std::string(what) + ": " +
+         std::to_string(value.as_array().size()) +
+         " resource types exceed the limit of " +
+         std::to_string(ResourceVector::kInlineCapacity));
+  }
   std::vector<double> values;
   values.reserve(value.as_array().size());
   for (const json::Value& e : value.as_array()) {

@@ -68,9 +68,11 @@ struct VmSlot {
 /// slot membership only, so they are rebuilt exactly when membership
 /// changes (initial placement, live migration) instead of every round.
 /// Each round merely overwrites the per-entity demand values in place.
-/// Per-round scratch buffers live here too so the steady-state round
-/// performs no heap allocation for them; NodeState is touched by one
-/// thread at a time (parallel_for hands each node to one worker).
+/// Per-round scratch buffers, the policy's workspace and its result
+/// buffers live here too, so once they have grown to the node's size the
+/// round (actuators off) performs no heap allocation; NodeState is
+/// touched by one thread at a time (parallel_for hands each node to one
+/// worker).
 struct NodeState {
   std::vector<VmSlot> slots;
   std::unique_ptr<hv::HypervisorNode> hv_node;
@@ -119,6 +121,12 @@ struct NodeState {
   /// (the per-round surplus water-fill must not heap-allocate).
   std::vector<double> surplus_extra;
   std::vector<std::size_t> wmm_order;
+  /// The policy's scratch and its outputs: flat policies write
+  /// flat_result, tenant-level ones tenant_result (iwa fills only its VM
+  /// level).
+  alloc::Workspace workspace;
+  alloc::AllocationResult flat_result;
+  alloc::HierarchicalResult tenant_result;
 
   double& phase_accum(obs::Phase phase) {
     return phase_seconds[static_cast<std::size_t>(phase)];
@@ -205,6 +213,7 @@ void allocate_entitlements(const alloc::Policy& policy, NodeState& node,
                            std::span<const double> tenant_banked,
                            std::vector<double>* tenant_lambda = nullptr) {
   const std::size_t n = node.slots.size();
+  // rrf-hot-path: begin(engine.allocate)
 
   if (policy.level == alloc::PolicyLevel::kStatic) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -218,8 +227,9 @@ void allocate_entitlements(const alloc::Policy& policy, NodeState& node,
     for (std::size_t i = 0; i < n; ++i) {
       node.flat_entities[i].demand = node.demand_shares[i];
     }
-    node.entitlement_shares =
-        policy.allocator->allocate(node.pool, node.flat_entities).allocations;
+    policy.allocator->allocate_into(node.pool, node.flat_entities,
+                                    node.workspace, node.flat_result);
+    node.entitlement_shares = node.flat_result.allocations;
     return;
   }
 
@@ -238,42 +248,40 @@ void allocate_entitlements(const alloc::Policy& policy, NodeState& node,
     }
   }
 
-  // Map grouped VM allocations back to slot order.
-  auto ungroup = [&](const std::vector<std::vector<ResourceVector>>& alloc) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto [g, vi] = node.slot_group[i];
-      node.entitlement_shares[i] = alloc[g][vi];
-    }
-  };
-
+  alloc::HierarchicalResult& hr = node.tenant_result;
   if (policy.rrf == nullptr) {
     // Tenant entitlement is static (its own shares); IWA moves shares
     // between the tenant's VMs only.
-    std::vector<std::vector<ResourceVector>> per_group;
-    per_group.reserve(node.groups.size());
+    hr.vm_allocations.resize(node.groups.size());
+    hr.tenant_headroom.resize(node.groups.size());
     for (std::size_t g = 0; g < node.groups.size(); ++g) {
-      per_group.push_back(
-          alloc::iwa_distribute(node.group_totals[g], node.groups[g].vms)
-              .allocations);
+      hr.vm_allocations[g].resize(node.groups[g].vms.size());
+      hr.tenant_headroom[g] =
+          alloc::iwa_distribute_into(node.group_totals[g], node.groups[g].vms,
+                                     node.workspace, hr.vm_allocations[g]);
     }
-    ungroup(per_group);
-    return;
-  }
-
-  const alloc::HierarchicalResult hr =
-      policy.rrf->allocate_hierarchical(node.pool, node.groups);
-  if (tenant_lambda != nullptr) {
-    // tenant_ids is ascending — the same order the groups (and hence
-    // IRT's entity indices) were built in.
-    for (std::size_t g = 0; g < node.tenant_ids.size(); ++g) {
-      if (node.tenant_ids[g] < tenant_lambda->size() &&
-          g < hr.tenant_level.contribution_lambda.size()) {
-        (*tenant_lambda)[node.tenant_ids[g]] +=
-            hr.tenant_level.contribution_lambda[g];
+  } else {
+    policy.rrf->allocate_hierarchical_into(node.pool, node.groups,
+                                           node.workspace, hr);
+    if (tenant_lambda != nullptr) {
+      // tenant_ids is ascending — the same order the groups (and hence
+      // IRT's entity indices) were built in.
+      for (std::size_t g = 0; g < node.tenant_ids.size(); ++g) {
+        if (node.tenant_ids[g] < tenant_lambda->size() &&
+            g < hr.tenant_level.contribution_lambda.size()) {
+          (*tenant_lambda)[node.tenant_ids[g]] +=
+              hr.tenant_level.contribution_lambda[g];
+        }
       }
     }
   }
-  ungroup(hr.vm_allocations);
+
+  // Map grouped VM allocations back to slot order.
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [g, vi] = node.slot_group[i];
+    node.entitlement_shares[i] = hr.vm_allocations[g][vi];
+  }
+  // rrf-hot-path: end(engine.allocate)
 }
 
 /// Assembles this node's flight-recorder entry for the window just
@@ -537,6 +545,9 @@ SimResult run_simulation(const Scenario& scenario,
   std::vector<obs::FlightNode> flight_nodes(flight_on ? host_count : 0);
   obs::ProvenanceRound rebalance_prov;
 
+  // Per-VM demands of the current window, one vector per tenant.
+  std::vector<std::vector<ResourceVector>> demands(tenant_count);
+
   setup_profile.stop();
 
   for (std::size_t w = 0; w < windows; ++w) {
@@ -625,7 +636,6 @@ SimResult run_simulation(const Scenario& scenario,
 
     // Sample per-VM demands once per tenant (shared by all nodes).
     obs::ProfileScope demands_profile("window.demands");
-    std::vector<std::vector<ResourceVector>> demands(tenant_count);
     for (std::size_t t = 0; t < tenant_count; ++t) {
       demands[t] = scenario.workloads[t]->vm_demands_at(now);
     }

@@ -14,12 +14,12 @@ DemandPredictor::DemandPredictor(std::size_t resource_types,
                                  PredictorConfig config)
     : config_(config),
       ewma_(resource_types),
-      under_errors_(resource_types),
       last_prediction_(resource_types),
       history_(resource_types) {
   RRF_REQUIRE(config.ewma_alpha > 0.0 && config.ewma_alpha <= 1.0,
               "EWMA alpha must be in (0, 1]");
   RRF_REQUIRE(config.error_window >= 1, "error window must be >= 1");
+  under_errors_.assign(resource_types * config.error_window, 0.0);
   if (config.enable_periodicity) {
     RRF_REQUIRE(config.min_period >= 2, "min_period must be >= 2");
     RRF_REQUIRE(config.history >= 4 * config.min_period,
@@ -29,6 +29,8 @@ DemandPredictor::DemandPredictor(std::size_t resource_types,
 
 void DemandPredictor::observe(const ResourceVector& actual) {
   RRF_REQUIRE(actual.size() == ewma_.size(), "arity mismatch");
+  const std::size_t window = config_.error_window;
+  // rrf-hot-path: begin(predictor.observe)
   for (std::size_t k = 0; k < ewma_.size(); ++k) {
     // Track how badly the previous forecast undershot (relative); only
     // meaningful when a forecast was actually issued since the last
@@ -38,9 +40,7 @@ void DemandPredictor::observe(const ResourceVector& actual) {
           actual[k] > last_prediction_[k] && actual[k] > 0.0
               ? (actual[k] - last_prediction_[k]) / actual[k]
               : 0.0;
-      auto& errors = under_errors_[k];
-      errors.push_back(under);
-      if (errors.size() > config_.error_window) errors.pop_front();
+      under_errors_[k * window + under_next_] = under;
       if (obs::metrics_enabled()) {
         // Relative undershoot of the previous forecast, 0 when it covered
         // the demand.  Bounded by 1, so ratio-scaled buckets.
@@ -55,13 +55,12 @@ void DemandPredictor::observe(const ResourceVector& actual) {
                    ? actual[k]
                    : config_.ewma_alpha * actual[k] +
                          (1.0 - config_.ewma_alpha) * ewma_[k];
-    if (config_.enable_periodicity) {
-      auto& series = history_[k];
-      series.push_back(actual[k]);
-      if (series.size() > config_.history) {
-        series.erase(series.begin());
-      }
-    }
+  }
+  if (has_prediction_) {
+    // The slot just written becomes the newest; once every slot is
+    // filled the next write overwrites the oldest.
+    under_next_ = under_next_ + 1 == window ? 0 : under_next_ + 1;
+    under_count_ = std::min(under_count_ + 1, window);
   }
   ++observations_;
   has_prediction_ = false;
@@ -70,9 +69,18 @@ void DemandPredictor::observe(const ResourceVector& actual) {
         obs::metrics().counter("predictor.observations");
     observations.add();
   }
-  if (config_.enable_periodicity &&
-      observations_ % config_.redetect_every == 0) {
-    maybe_redetect_period();
+  // rrf-hot-path: end(predictor.observe)
+  if (config_.enable_periodicity) {
+    for (std::size_t k = 0; k < ewma_.size(); ++k) {
+      auto& series = history_[k];
+      series.push_back(actual[k]);
+      if (series.size() > config_.history) {
+        series.erase(series.begin());
+      }
+    }
+    if (observations_ % config_.redetect_every == 0) {
+      maybe_redetect_period();
+    }
   }
 }
 
@@ -108,14 +116,17 @@ void DemandPredictor::maybe_redetect_period() {
 }
 
 ResourceVector DemandPredictor::predict() const {
+  const std::size_t window = config_.error_window;
   ResourceVector out(ewma_.size());
+  // rrf-hot-path: begin(predictor.predict)
   for (std::size_t k = 0; k < ewma_.size(); ++k) {
     double pad = config_.base_padding;
-    const auto& errors = under_errors_[k];
-    if (!errors.empty()) {
+    if (under_count_ > 0) {
       // Adaptive padding: the worst recent undershoot is added on top of
       // the base pad (CloudScale's "reactive error correction" spirit).
-      pad += *std::max_element(errors.begin(), errors.end());
+      // The filled slots are [0, under_count_) of the type's ring.
+      const double* errors = under_errors_.data() + k * window;
+      pad += *std::max_element(errors, errors + under_count_);
     }
     pad = std::min(pad, config_.max_padding);
 
@@ -130,6 +141,7 @@ ResourceVector DemandPredictor::predict() const {
     }
     out[k] = base * (1.0 + pad);
   }
+  // rrf-hot-path: end(predictor.predict)
   last_prediction_ = out;
   has_prediction_ = true;
   return out;

@@ -7,7 +7,6 @@
 // under-estimates grow the pad, calm periods shrink it.
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "common/resource_vector.hpp"
@@ -56,8 +55,14 @@ class DemandPredictor {
  private:
   PredictorConfig config_;
   ResourceVector ewma_;
-  /// Recent relative under-prediction per type (0 when over-predicted).
-  std::vector<std::deque<double>> under_errors_;
+  /// Recent relative under-prediction per type (0 when over-predicted):
+  /// one ring of `error_window` slots per type, type k at
+  /// [k * error_window, (k + 1) * error_window).  Every type records an
+  /// error on the same observations, so one fill count and one write
+  /// position serve all rings.
+  std::vector<double> under_errors_;
+  std::size_t under_count_{0};
+  std::size_t under_next_{0};
   /// Cache of the latest forecast, compared against the next observation
   /// to measure under-prediction; logically not part of observable state.
   mutable ResourceVector last_prediction_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "alloc/irt.hpp"
 #include "common/error.hpp"
@@ -73,6 +74,20 @@ TEST(EntityIo, RejectsMalformedInput) {
   {
     std::stringstream header_only("name,s0,s1,d0,d1\n");
     EXPECT_THROW(read_entities_csv(header_only), DomainError);
+  }
+}
+
+TEST(EntityIo, RejectsMoreResourceTypesThanTheLimit) {
+  std::stringstream in(
+      "name,s0,s1,s2,s3,s4,d0,d1,d2,d3,d4\n"
+      "A,1,1,1,1,1,1,1,1,1,1\n");
+  try {
+    read_entities_csv(in);
+    FAIL() << "a five-type CSV was accepted";
+  } catch (const DomainError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("entity CSV header"), std::string::npos) << what;
+    EXPECT_NE(what.find("limit of 4"), std::string::npos) << what;
   }
 }
 

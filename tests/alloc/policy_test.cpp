@@ -11,6 +11,7 @@
 
 #include "alloc/rrf.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace rrf::alloc {
 namespace {
@@ -121,6 +122,94 @@ TEST(PolicyTable, FlatLongTermRrfIsRrfOnTheCallersBank) {
   const AllocationResult rrf = RrfAllocator{}.allocate(capacity, entities);
   for (std::size_t i = 0; i < entities.size(); ++i) {
     EXPECT_TRUE(lt.allocations[i].approx_equal(rrf.allocations[i], 0.0));
+  }
+}
+
+/// A random flat input: `m` entities over `p` resource types, capacity
+/// equal to the shares sold.
+struct FlatInput {
+  ResourceVector capacity;
+  std::vector<AllocationEntity> entities;
+};
+
+FlatInput random_input(std::size_t m, std::size_t p, std::uint64_t seed) {
+  Rng rng(seed);
+  FlatInput in{ResourceVector(p), {}};
+  for (std::size_t i = 0; i < m; ++i) {
+    AllocationEntity e;
+    e.initial_share = ResourceVector(p);
+    e.demand = ResourceVector(p);
+    for (std::size_t k = 0; k < p; ++k) {
+      e.initial_share[k] = rng.uniform(100.0, 1000.0);
+      e.demand[k] = rng.uniform(0.0, 1500.0);
+    }
+    in.capacity += e.initial_share;
+    in.entities.push_back(e);
+  }
+  return in;
+}
+
+// allocate_into owes the same bits whatever its workspace and result held
+// before: one pair is reused across inputs that grow, shrink and change
+// arity, and every call must match a fresh by-value allocation.
+TEST(PolicyTable, ReusedWorkspaceMatchesAFreshOne) {
+  const std::vector<FlatInput> inputs{
+      random_input(3, 2, 1), random_input(9, 3, 2), random_input(2, 4, 3),
+      random_input(5, 2, 4), random_input(3, 2, 1)};
+  for (const Policy& row : policies()) {
+    Workspace ws;
+    AllocationResult reused;
+    for (std::size_t c = 0; c < inputs.size(); ++c) {
+      const FlatInput& in = inputs[c];
+      row.allocator->allocate_into(in.capacity, in.entities, ws, reused);
+      const AllocationResult fresh =
+          row.allocator->allocate(in.capacity, in.entities);
+      EXPECT_EQ(reused.allocations, fresh.allocations)
+          << row.name << " input " << c;
+      EXPECT_EQ(reused.unallocated, fresh.unallocated)
+          << row.name << " input " << c;
+      EXPECT_EQ(reused.contribution_lambda, fresh.contribution_lambda)
+          << row.name << " input " << c;
+    }
+  }
+}
+
+TEST(PolicyTable, ReusedHierarchicalBuffersMatchAFreshRun) {
+  // Tenants of 1..3 VMs cut from the flat inputs above.
+  auto tenants_of = [](const FlatInput& in) {
+    std::vector<TenantGroup> groups;
+    for (std::size_t i = 0; i < in.entities.size();) {
+      TenantGroup g;
+      for (std::size_t n = 0; n < 1 + groups.size() % 3 &&
+                              i < in.entities.size();
+           ++n, ++i) {
+        g.vms.push_back(in.entities[i]);
+      }
+      groups.push_back(g);
+    }
+    return groups;
+  };
+  const std::vector<FlatInput> inputs{random_input(7, 2, 5),
+                                      random_input(12, 3, 6),
+                                      random_input(4, 2, 7)};
+  for (const Policy& row : policies()) {
+    if (row.rrf == nullptr) continue;
+    Workspace ws;
+    HierarchicalResult reused;
+    for (std::size_t c = 0; c < inputs.size(); ++c) {
+      const std::vector<TenantGroup> groups = tenants_of(inputs[c]);
+      row.rrf->allocate_hierarchical_into(inputs[c].capacity, groups, ws,
+                                          reused);
+      const HierarchicalResult fresh =
+          row.rrf->allocate_hierarchical(inputs[c].capacity, groups);
+      EXPECT_EQ(reused.vm_allocations, fresh.vm_allocations)
+          << row.name << " input " << c;
+      EXPECT_EQ(reused.tenant_headroom, fresh.tenant_headroom)
+          << row.name << " input " << c;
+      EXPECT_EQ(reused.tenant_level.allocations,
+                fresh.tenant_level.allocations)
+          << row.name << " input " << c;
+    }
   }
 }
 

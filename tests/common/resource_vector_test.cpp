@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -120,6 +123,26 @@ TEST(ResourceVector, Clamped) {
   const ResourceVector lo{0.0, 0.0};
   const ResourceVector hi{5.0, 5.0};
   EXPECT_EQ(v.clamped(lo, hi), (ResourceVector{0.0, 5.0}));
+}
+
+static_assert(std::is_trivially_copyable_v<ResourceVector>);
+
+TEST(ResourceVector, ArityAboveTheInlineCapacityIsRejected) {
+  EXPECT_EQ(ResourceVector::kInlineCapacity, 4u);
+  EXPECT_EQ(ResourceVector(4).size(), 4u);
+  EXPECT_THROW(ResourceVector(5), PreconditionError);
+  EXPECT_THROW((ResourceVector{1.0, 2.0, 3.0, 4.0, 5.0}), PreconditionError);
+  const std::vector<double> five(5, 1.0);
+  EXPECT_THROW(ResourceVector(std::span<const double>(five)),
+               PreconditionError);
+  EXPECT_THROW(ResourceVector::uniform(5, 1.0), PreconditionError);
+  try {
+    static_cast<void>(ResourceVector(5));
+    FAIL() << "arity 5 accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("limit of 4"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ResourceVector, Printing) {

@@ -101,7 +101,8 @@ TEST(Flightrec, RecorderStreamRoundTripsBitExact) {
   EXPECT_EQ(recording.trailer->dropped, 0u);
 
   const FlightSlot& slot = recording.rounds[0].nodes[0].slots[0];
-  const FlightSlot& expected = make_round(0).nodes[0].slots[0];
+  const FlightRound expected_round = make_round(0);
+  const FlightSlot& expected = expected_round.nodes[0].slots[0];
   for (std::size_t k = 0; k < 2; ++k) {
     EXPECT_EQ(slot.demand[k], expected.demand[k]);
     EXPECT_EQ(slot.forecast[k], expected.forecast[k]);
@@ -179,6 +180,29 @@ TEST(Flightrec, LoadRejectsSchemaViolations) {
 
   // Empty stream.
   expect_load_error("");
+}
+
+TEST(Flightrec, LoadRejectsMoreResourceTypesThanTheLimit) {
+  std::ostringstream out;
+  {
+    FlightRecorder recorder(out);
+    recorder.write_header(make_header());
+    recorder.record_round(make_round(0));
+    recorder.finish();
+  }
+  std::string bad = out.str();
+  const std::size_t at = bad.find("\"pricing\":[");
+  ASSERT_NE(at, std::string::npos);
+  bad.insert(at + 11, "1,2,3,");  // five pricing components
+  std::istringstream in(bad);
+  try {
+    FlightRecording::load(in);
+    FAIL() << "a five-type pricing vector was accepted";
+  } catch (const DomainError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("pricing"), std::string::npos) << what;
+    EXPECT_NE(what.find("limit of 4"), std::string::npos) << what;
+  }
 }
 
 TEST(Flightrec, ByteBudgetDropsWholeRoundsAndCountsThem) {

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "obs/profiler.hpp"
+#include "obs/trace.hpp"
+#include "sim/synthetic.hpp"
 
 namespace rrf::sim {
 namespace {
@@ -227,6 +234,88 @@ TEST(Engine, ValidatesConfig) {
   bad.window = 0.0;
   EXPECT_THROW(run_simulation(s, bad), PreconditionError);
 }
+
+/// Heap bytes the profiler attributed to the node-round phase frames
+/// (predict, allocate, actuate, settle) and every frame nested in them;
+/// `offenders` lists the frames that allocated.
+std::uint64_t node_round_heap_bytes(const obs::ProfileSnapshot& snapshot,
+                                    std::string* offenders) {
+  std::vector<bool> in_round(snapshot.merged.size(), false);
+  std::uint64_t bytes = 0;
+  for (std::size_t i = 0; i < snapshot.merged.size(); ++i) {
+    const obs::ProfileNode& node = snapshot.merged[i];
+    bool phase = false;
+    for (std::size_t ph = 0; ph < obs::kPhaseCount; ++ph) {
+      phase = phase ||
+              node.site == obs::to_string(static_cast<obs::Phase>(ph));
+    }
+    // Preorder: a parent always precedes its children.
+    in_round[i] = phase || (node.parent >= 0 &&
+                            in_round[static_cast<std::size_t>(node.parent)]);
+    if (in_round[i] && node.bytes > 0) {
+      bytes += node.bytes;
+      *offenders += " " + node.site + "=" + std::to_string(node.bytes);
+    }
+  }
+  return bytes;
+}
+
+class NodeRoundHeap : public ::testing::TestWithParam<std::string> {};
+
+// The steady-state node round (predict -> allocate -> surplus -> settle,
+// actuators off) allocates nothing: every per-node buffer, the policy's
+// workspace and its result grow to the node's size in the first window
+// and are reused after it.
+TEST_P(NodeRoundHeap, SteadyStateRoundAllocatesNothing) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "profiler compiled out";
+  SyntheticConfig cell;
+  cell.nodes = 4;
+  cell.vms_per_node = 16;
+  cell.tenants = 8;
+  cell.seed = 3;
+  const Scenario scenario = make_synthetic_scenario(cell);
+  EngineConfig config;
+  config.policy = policy_from_string(GetParam());
+  config.window = 5.0;
+  config.duration = 100.0;  // 20 windows
+  config.use_actuators = false;
+  config.parallel_nodes = false;
+  config.observer = [](const WindowSnapshot& snapshot) {
+    // Only the windows after the first count.
+    if (snapshot.window == 0) obs::profile_reset();
+  };
+
+  const bool metrics_before = obs::metrics_enabled();
+  const bool tracing_before = obs::tracing_enabled();
+  const bool profiling_before = obs::profiling_enabled();
+  obs::set_metrics_enabled(false);
+  obs::set_tracing_enabled(false);
+  obs::set_profiling_enabled(true);
+  obs::profile_reset();
+  const SimResult result = run_simulation(scenario, config);
+  const obs::ProfileSnapshot snapshot = obs::profile_snapshot();
+  obs::profile_reset();
+  obs::set_profiling_enabled(profiling_before);
+  obs::set_tracing_enabled(tracing_before);
+  obs::set_metrics_enabled(metrics_before);
+
+  ASSERT_EQ(result.alloc_invocations, 4u * 20u);
+  // The phase frames of the 19 counted windows were seen...
+  std::uint64_t allocate_calls = 0;
+  for (const obs::ProfileNode& node : snapshot.merged) {
+    if (node.site == obs::to_string(obs::Phase::kAllocate)) {
+      allocate_calls += node.calls;
+    }
+  }
+  EXPECT_EQ(allocate_calls, 4u * 19u);
+  // ... and none of them, nor any frame inside them, touched the heap.
+  std::string offenders;
+  EXPECT_EQ(node_round_heap_bytes(snapshot, &offenders), 0u)
+      << "heap bytes in" << offenders;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, NodeRoundHeap,
+                         ::testing::ValuesIn(alloc::policy_names()));
 
 }  // namespace
 }  // namespace rrf::sim

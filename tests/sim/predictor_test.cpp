@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -60,6 +65,96 @@ TEST(Predictor, PaddingIsCapped) {
   const ResourceVector forecast = p.predict();
   // Even with terrible undershoots, pad <= 10% of the EWMA.
   EXPECT_LT(forecast[0], 100.0 * 1.1);
+}
+
+/// The forecast arithmetic the predictor had before its error history
+/// moved into rings: one deque of recent undershoots per type, trimmed
+/// to `error_window`, and the max over it added to the pad.
+class DequeReference {
+ public:
+  DequeReference(std::size_t p, PredictorConfig config)
+      : config_(config), ewma_(p), errors_(p), last_(p) {}
+
+  void observe(const ResourceVector& actual) {
+    for (std::size_t k = 0; k < ewma_.size(); ++k) {
+      if (has_prediction_) {
+        const double under = actual[k] > last_[k] && actual[k] > 0.0
+                                 ? (actual[k] - last_[k]) / actual[k]
+                                 : 0.0;
+        errors_[k].push_back(under);
+        if (errors_[k].size() > config_.error_window) errors_[k].pop_front();
+      }
+      ewma_[k] = observations_ == 0
+                     ? actual[k]
+                     : config_.ewma_alpha * actual[k] +
+                           (1.0 - config_.ewma_alpha) * ewma_[k];
+    }
+    ++observations_;
+    has_prediction_ = false;
+  }
+
+  ResourceVector predict() {
+    ResourceVector out(ewma_.size());
+    for (std::size_t k = 0; k < ewma_.size(); ++k) {
+      double pad = config_.base_padding;
+      if (!errors_[k].empty()) {
+        pad += *std::max_element(errors_[k].begin(), errors_[k].end());
+      }
+      pad = std::min(pad, config_.max_padding);
+      out[k] = ewma_[k] * (1.0 + pad);
+    }
+    last_ = out;
+    has_prediction_ = true;
+    return out;
+  }
+
+ private:
+  PredictorConfig config_;
+  ResourceVector ewma_;
+  std::vector<std::deque<double>> errors_;
+  ResourceVector last_;
+  bool has_prediction_{false};
+  std::size_t observations_{0};
+};
+
+bool same_bits(const ResourceVector& a, const ResourceVector& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (std::bit_cast<std::uint64_t>(a[k]) !=
+        std::bit_cast<std::uint64_t>(b[k])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Predictor, RingReproducesTheDequeForecastsBitForBit) {
+  for (const std::size_t window : {std::size_t{1}, std::size_t{3},
+                                   std::size_t{8}}) {
+    PredictorConfig config;
+    config.error_window = window;
+    config.max_padding = 0.9;  // keep the max over the window visible
+    DemandPredictor ring(3, config);
+    DequeReference reference(3, config);
+    Rng rng(11 + window);
+    // Many times the window, with some windows observed without a
+    // forecast in between (those record no error).
+    for (int i = 0; i < 200; ++i) {
+      if (i % 7 != 3) {
+        const ResourceVector a = ring.predict();
+        const ResourceVector b = reference.predict();
+        ASSERT_TRUE(same_bits(a, b))
+            << "window " << window << " step " << i << ": " << a << " vs "
+            << b;
+      }
+      const ResourceVector actual{rng.uniform(0.0, 10.0),
+                                  rng.uniform(0.0, 4.0),
+                                  i % 5 == 0 ? 0.0 : rng.uniform(1.0, 2.0)};
+      ring.observe(actual);
+      reference.observe(actual);
+    }
+    EXPECT_EQ(ring.observations(), 200u);
+  }
 }
 
 TEST(PeriodicPredictor, DetectsSquareWavePeriod) {

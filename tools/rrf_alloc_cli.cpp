@@ -56,12 +56,35 @@ using namespace rrf;
   std::exit(code);
 }
 
-ResourceVector parse_vector(const std::string& text) {
+/// `--capacity v0,v1,...`: one finite number per resource type, at most
+/// ResourceVector::kInlineCapacity of them; throws DomainError naming
+/// the flag otherwise.
+ResourceVector parse_capacity(const std::string& text) {
   std::vector<double> values;
   std::stringstream ss(text);
   std::string cell;
-  while (std::getline(ss, cell, ',')) values.push_back(std::stod(cell));
+  while (std::getline(ss, cell, ',')) {
+    double value = 0.0;
+    std::size_t used = 0;
+    try {
+      value = std::stod(cell, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    if (used == 0 || used != cell.size()) {
+      throw DomainError("--capacity: not a number: '" + cell + "'");
+    }
+    if (!std::isfinite(value)) {
+      throw DomainError("--capacity: not a finite number: '" + cell + "'");
+    }
+    values.push_back(value);
+  }
   if (values.empty()) usage(2);
+  if (values.size() > ResourceVector::kInlineCapacity) {
+    throw DomainError("--capacity: " + std::to_string(values.size()) +
+                      " resource types exceed the limit of " +
+                      std::to_string(ResourceVector::kInlineCapacity));
+  }
   return ResourceVector(std::span<const double>(values));
 }
 
@@ -164,7 +187,7 @@ int main(int argc, char** argv) {
   ResourceVector capacity;
   std::vector<alloc::AllocationEntity> entities;
   try {
-    capacity = parse_vector(capacity_text);
+    capacity = parse_capacity(capacity_text);
     if (input_path == "-") {
       entities = alloc::read_entities_csv(std::cin);
     } else {
