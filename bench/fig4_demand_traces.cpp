@@ -2,8 +2,9 @@
 // alpha = 1, the ratio of total demanded shares to total initial shares
 // D_t(i)/S(i) over 45 minutes.  Prints a coarse series (one sample per
 // minute) plus an ASCII sparkline, and writes the full 5-second series to
-// fig4_demand_traces.csv for plotting.  The series come straight from the
-// engine's TimeSeriesRecorder — no bench-side accumulation.
+// fig4_demand_traces.csv for plotting.  The series are the per-tenant
+// demand ratios the engine records in SimResult — no bench-side
+// accumulation.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -12,7 +13,6 @@
 
 #include "common/table.hpp"
 #include "core/rrf_system.hpp"
-#include "obs/timeseries.hpp"
 
 namespace {
 
@@ -36,12 +36,10 @@ int main() {
   scenario.hosts = 1;
   scenario.seed = 42;
 
-  obs::TimeSeriesRecorder recorder;
   sim::EngineConfig engine;
   engine.duration = 2700.0;
   engine.window = 5.0;
   engine.policy = sim::PolicyKind::kRrf;
-  engine.recorder = &recorder;
 
   const RrfSystem system(scenario, engine);
   const sim::SimResult result = system.run(sim::PolicyKind::kRrf);
@@ -51,14 +49,16 @@ int main() {
 
   {
     std::ofstream csv("fig4_demand_traces.csv");
-    recorder.write_wide_csv(csv, obs::TimeSeriesRecorder::Field::kDemandRatio);
+    sim::write_series_csv(csv, result,
+                          &sim::TenantMetrics::demand_ratio_series);
   }
 
-  const std::size_t windows = recorder.windows();
-  const std::size_t tenant_count = recorder.tenant_names().size();
+  const std::size_t tenant_count = result.tenants.size();
+  const std::size_t windows =
+      tenant_count > 0 ? result.tenants.front().windows() : 0;
   for (std::size_t t = 0; t < tenant_count; ++t) {
-    const std::vector<double> series =
-        recorder.series(t, obs::TimeSeriesRecorder::Field::kDemandRatio);
+    const std::vector<double>& series =
+        result.tenants[t].demand_ratio_series();
     std::vector<double> per_minute;
     double mn = 1e9, mx = -1e9;
     for (std::size_t w = 0; w < series.size(); w += 12) {
@@ -68,7 +68,7 @@ int main() {
       mn = std::min(mn, x);
       mx = std::max(mx, x);
     }
-    std::cout << recorder.tenant_names()[t] << "  min="
+    std::cout << result.tenants[t].name() << "  min="
               << TextTable::num(mn, 2) << " max=" << TextTable::num(mx, 2)
               << "\n  [0.0 .. 2.5] " << sparkline(per_minute, 0.0, 2.5)
               << "\n";
@@ -76,24 +76,17 @@ int main() {
 
   // The paper's headline observation: the co-located total exceeds the
   // node's capacity in some periods (contention) and fits in others.
-  std::vector<std::vector<double>> demand_series;
-  demand_series.reserve(tenant_count);
-  for (std::size_t t = 0; t < tenant_count; ++t) {
-    demand_series.push_back(
-        recorder.series(t, obs::TimeSeriesRecorder::Field::kDemandRatio));
-  }
   std::size_t contended = 0;
   for (std::size_t w = 0; w < windows; ++w) {
     double total_ratio = 0.0;
     double total_shares = 0.0;
     for (std::size_t t = 0; t < tenant_count; ++t) {
       const double s = system.scenario().cluster.tenant_shares(t).sum();
-      total_ratio += demand_series[t][w] * s;
+      total_ratio += result.tenants[t].demand_ratio_series()[w] * s;
       total_shares += s;
     }
     if (total_ratio / total_shares > 1.0) ++contended;
   }
-  (void)result;
   std::cout << "\nContended windows (aggregate demand > aggregate shares): "
             << contended << "/" << windows << " ("
             << TextTable::pct(static_cast<double>(contended) /

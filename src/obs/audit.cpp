@@ -222,7 +222,7 @@ std::vector<AlertStatus> FairnessAuditor::alert_statuses() const {
   return out;
 }
 
-void FairnessAuditor::publish_gauges(const AuditRound& round) {
+void FairnessAuditor::publish_gauges(const RoundDigest& round) {
   const std::size_t n = initial_.size();
   const std::vector<double> betas = tenant_beta();
   jain_gauge_->set(safe_jain(betas));
@@ -239,12 +239,10 @@ void FairnessAuditor::publish_gauges(const AuditRound& round) {
     const double denom = static_cast<double>(windows_) * initial_[i];
     reciprocity_gauges_[i]->set(
         denom > 0.0 ? (gained_total_[i] - contributed_total_[i]) / denom : 0.0);
-    const double share = round.position[i] / initial_[i];
+    const double share = round.tenant_position[i] / initial_[i];
     lo = std::min(lo, share);
     hi = std::max(hi, share);
-    if (!round.contribution_lambda.empty()) {
-      lambda_gauges_[i]->set(round.contribution_lambda[i]);
-    }
+    lambda_gauges_[i]->set(round.tenant_lambda[i]);
   }
   spread_gauge_->set(n > 0 ? hi - lo : 0.0);
 
@@ -265,29 +263,26 @@ void FairnessAuditor::publish_gauges(const AuditRound& round) {
   }
 }
 
-void FairnessAuditor::observe_round(const AuditRound& round) {
+void FairnessAuditor::observe_round(const RoundDigest& round) {
   if (!config_.enabled) return;
   const std::size_t n = initial_.size();
-  RRF_REQUIRE(round.position.size() == n && round.demand.size() == n,
-              "audit round span size mismatch");
-  RRF_REQUIRE(round.contributed.empty() || round.contributed.size() == n,
-              "audit round contributed span size mismatch");
-  RRF_REQUIRE(round.gained.empty() || round.gained.size() == n,
-              "audit round gained span size mismatch");
-  RRF_REQUIRE(
-      round.contribution_lambda.empty() || round.contribution_lambda.size() == n,
-      "audit round lambda span size mismatch");
+  for (const std::vector<double>* v :
+       {&round.tenant_position, &round.tenant_demand,
+        &round.tenant_contributed, &round.tenant_gained,
+        &round.tenant_lambda}) {
+    RRF_REQUIRE(v->size() == n, "audit round tenant count mismatch");
+  }
 
   ++windows_;
   for (std::size_t i = 0; i < n; ++i) {
-    position_total_[i] += round.position[i];
-    if (!round.contributed.empty()) contributed_total_[i] += round.contributed[i];
-    if (!round.gained.empty()) gained_total_[i] += round.gained[i];
+    position_total_[i] += round.tenant_position[i];
+    contributed_total_[i] += round.tenant_contributed[i];
+    gained_total_[i] += round.tenant_gained[i];
     // A round starves tenant i when she wants at least her bought share yet
     // holds less than starvation_ratio of it.
     const bool starving =
-        round.demand[i] >= initial_[i] &&
-        round.position[i] < config_.starvation_ratio * initial_[i];
+        round.tenant_demand[i] >= initial_[i] &&
+        round.tenant_position[i] < config_.starvation_ratio * initial_[i];
     starvation_streak_[i] = starving ? starvation_streak_[i] + 1 : 0;
   }
 

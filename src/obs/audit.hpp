@@ -4,8 +4,9 @@
 // online, per-round SLO checks, in the spirit of online-fairness work
 // (Zahedi & Freeman's per-period credit fairness; Dolev et al.'s
 // "no justified complaints" violation framing).  Each allocation round the
-// engine feeds it the per-tenant ledger positions, demands and the IRT
-// contribution accounting; the auditor
+// engine feeds it the window's RoundDigest (obs/round.hpp): per-tenant
+// ledger positions, demands, tenant-funded flows, the IRT contribution
+// accounting and the per-node pressure; the auditor
 //
 //  * publishes live gauges/histograms into a MetricsRegistry
 //    (fairness.jain_index, fairness.tenant_beta{tenant=...},
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/round.hpp"
 
 namespace rrf::obs {
 
@@ -112,24 +114,6 @@ struct AlertStatus {
   double threshold{0.0};
 };
 
-/// One allocation round's audit inputs, all indexed by tenant and in
-/// *shares* (the ledger domain).  `contributed`/`gained` are the
-/// tenant-funded amounts from the economic ledger: shares of a tenant's
-/// surplus other tenants actually consumed, and shares she consumed of
-/// other tenants' surplus (platform headroom excluded on both sides).
-/// `contribution_lambda` is IRT's declared contribution accounting
-/// Lambda(i) (empty for policies without trading).  `node_pressure` is the
-/// per-node dominant-share pressure (may be empty).
-struct AuditRound {
-  std::size_t window{0};
-  std::span<const double> position;
-  std::span<const double> demand;
-  std::span<const double> contributed;
-  std::span<const double> gained;
-  std::span<const double> contribution_lambda;
-  std::span<const double> node_pressure;
-};
-
 class FairnessAuditor {
  public:
   /// `initial_shares` is each tenant's bought share total S(i) (> 0).
@@ -140,7 +124,10 @@ class FairnessAuditor {
                   std::vector<double> initial_shares,
                   MetricsRegistry* registry = nullptr);
 
-  void observe_round(const AuditRound& round);
+  /// Reads the digest's position, demand, contributed, gained and lambda
+  /// (one entry per tenant each, as RoundDigest::reset sizes them) and
+  /// its node pressure (may be empty).
+  void observe_round(const RoundDigest& round);
 
   std::size_t windows() const { return windows_; }
   /// Cumulative per-tenant beta so far.
@@ -180,7 +167,7 @@ class FairnessAuditor {
   bool update_rule(Rule& rule, bool violated, bool recovered, AlertKind kind,
                    std::int32_t tenant, std::size_t window, double value,
                    double threshold);
-  void publish_gauges(const AuditRound& round);
+  void publish_gauges(const RoundDigest& round);
   void raise(AlertKind kind, std::int32_t tenant, std::size_t window,
              double value, double threshold);
 

@@ -42,13 +42,6 @@ void add_kind(std::vector<std::string>& kinds, const char* kind) {
   }
 }
 
-json::Array series_json(const std::deque<double>& series) {
-  json::Array out;
-  out.reserve(series.size());
-  for (const double v : series) out.push_back(v);
-  return out;
-}
-
 }  // namespace
 
 const char* to_string(IncidentSeverity severity) {
@@ -64,8 +57,8 @@ IncidentManager::IncidentManager(IncidentConfig config)
     : config_(std::move(config)), bank_(config_.detect) {
   RRF_REQUIRE(config_.open_after_rounds > 0 && config_.resolve_after_quiet > 0,
               "incident: hysteresis rounds must be positive");
-  RRF_REQUIRE(config_.ring_capacity > 0 && config_.evidence_window > 0,
-              "incident: bundle windows must be positive");
+  RRF_REQUIRE(config_.ring_capacity > 0,
+              "incident: the round ring must hold at least one round");
 }
 
 void IncidentManager::set_metadata(std::string key, std::string value) {
@@ -101,33 +94,6 @@ void IncidentManager::clear_providers() {
   MutexLock lock(mu_);
   alerts_provider_ = nullptr;
   extras_.clear();
-}
-
-void IncidentManager::record_evidence(const RoundSummary& summary) {
-  if (evidence_.empty() && !summary.tenants.empty()) {
-    evidence_.resize(summary.tenants.size());
-    tenant_names_.reserve(summary.tenants.size());
-    for (const TenantRoundStat& t : summary.tenants) {
-      tenant_names_.push_back(t.name);
-    }
-  }
-  for (std::size_t i = 0; i < summary.tenants.size() && i < evidence_.size();
-       ++i) {
-    const TenantRoundStat& t = summary.tenants[i];
-    EvidenceSeries& s = evidence_[i];
-    s.share.push_back(t.share);
-    s.granted.push_back(t.granted);
-    s.demand.push_back(t.demand);
-    s.contributed.push_back(t.contributed);
-    s.gained.push_back(t.gained);
-    while (s.share.size() > config_.evidence_window) {
-      s.share.pop_front();
-      s.granted.pop_front();
-      s.demand.pop_front();
-      s.contributed.pop_front();
-      s.gained.pop_front();
-    }
-  }
 }
 
 void IncidentManager::ingest_detections(
@@ -169,7 +135,6 @@ void IncidentManager::observe_round(const RoundSummary& summary) {
   MutexLock lock(mu_);
   round_ring_.push_back(summary);
   while (round_ring_.size() > config_.ring_capacity) round_ring_.pop_front();
-  record_evidence(summary);
   const std::vector<Detection> detections = bank_.observe_round(summary);
 
   Incident* open = (!incidents_.empty() && incidents_.back().open)
@@ -284,17 +249,27 @@ json::Value IncidentManager::incident_to_json(const Incident& incident) const {
 }
 
 json::Value IncidentManager::evidence_json() const {
+  // Each tenant's series over the round ring, oldest round first.
+  const std::deque<RoundSummary>& ring = round_ring_;
+  const auto series = [&ring](std::size_t i, double TenantRoundStat::*field) {
+    json::Array out;
+    out.reserve(ring.size());
+    for (const RoundSummary& round : ring) {
+      if (i < round.tenants.size()) out.push_back(round.tenants[i].*field);
+    }
+    return out;
+  };
   json::Array tenants;
-  tenants.reserve(evidence_.size());
-  for (std::size_t i = 0; i < evidence_.size(); ++i) {
-    const EvidenceSeries& s = evidence_[i];
+  const std::size_t n = ring.empty() ? 0 : ring.front().tenants.size();
+  tenants.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     tenants.push_back(json::Object{
-        {"tenant", tenant_names_[i]},
-        {"share", series_json(s.share)},
-        {"granted", series_json(s.granted)},
-        {"demand", series_json(s.demand)},
-        {"contributed", series_json(s.contributed)},
-        {"gained", series_json(s.gained)},
+        {"tenant", ring.front().tenants[i].name},
+        {"share", series(i, &TenantRoundStat::share)},
+        {"granted", series(i, &TenantRoundStat::granted)},
+        {"demand", series(i, &TenantRoundStat::demand)},
+        {"contributed", series(i, &TenantRoundStat::contributed)},
+        {"gained", series(i, &TenantRoundStat::gained)},
     });
   }
   return json::Object{

@@ -18,7 +18,7 @@
 //    detector kinds corroborate or the incident ages;
 //  * forensics — at open the manager snapshots a self-contained bundle
 //    directory: the recent round ring (rounds.jsonl), the detector
-//    estimator state and per-tenant evidence series (evidence.json),
+//    estimator state and the ring's per-tenant series (evidence.json),
 //    the auditor's alert document, contract-audit tallies, a collapsed
 //    flamegraph when profiling is live, engine-provided extras (e.g.
 //    per-shard stats) and a schema-versioned incident.json manifest
@@ -59,10 +59,9 @@ struct IncidentConfig {
   std::size_t open_after_rounds = 3;
   /// Detection-free rounds before an open incident auto-resolves.
   std::size_t resolve_after_quiet = 25;
-  /// Recent round lines retained for the bundle's rounds.jsonl.
+  /// Recent rounds retained for the bundle's rounds.jsonl and the
+  /// per-tenant series in evidence.json.
   std::size_t ring_capacity = 64;
-  /// Per-tenant evidence series length in evidence.json.
-  std::size_t evidence_window = 64;
   /// Runaway guard: stop opening new incidents past this many.
   std::size_t max_incidents = 32;
 };
@@ -161,17 +160,8 @@ class IncidentManager {
   const IncidentConfig& config() const { return config_; }
 
  private:
-  struct EvidenceSeries {
-    std::deque<double> share;
-    std::deque<double> granted;
-    std::deque<double> demand;
-    std::deque<double> contributed;
-    std::deque<double> gained;
-  };
-
   // Helpers below run with mu_ held by their public callers; REQUIRES
   // lets the analysis check both sides of that contract.
-  void record_evidence(const RoundSummary& summary) REQUIRES(mu_);
   void ingest_detections(Incident& incident,
                          const std::vector<Detection>& detections);
   IncidentSeverity severity_of(const Incident& incident) const;
@@ -188,8 +178,6 @@ class IncidentManager {
   /// deferred to bundle-write time so the per-round steady-state cost is
   /// a struct copy, not a JSON dump (the <2% overhead budget).
   std::deque<RoundSummary> round_ring_ GUARDED_BY(mu_);
-  std::vector<std::string> tenant_names_ GUARDED_BY(mu_);
-  std::vector<EvidenceSeries> evidence_ GUARDED_BY(mu_);
   std::vector<Incident> incidents_ GUARDED_BY(mu_);
   std::vector<IncidentEvent> events_ GUARDED_BY(mu_);
   std::size_t pending_streak_ GUARDED_BY(mu_){0};

@@ -2,13 +2,14 @@
 // publish/subscribe channel behind the ops HTTP endpoints
 // (observability subsystem, see docs/OBSERVABILITY.md "Live ops plane").
 //
-// A RoundSummary is the operator-facing digest of one allocation window:
-// per-tenant dominant-share / demand ratios, the tenant-funded
-// contribution and gain flows, the window's Jain index over share
-// ratios, per-phase wall timings and the auditor's alert counts.  The
-// engine emits one per window (only when an OpsHub or TelemetryJournal
-// is attached, so the disabled path stays allocation-free) and the same
-// JSON object flows to three consumers:
+// A RoundSummary is the operator-facing form of one window's RoundDigest
+// (obs/round.hpp): per-tenant share / demand / granted ratios, the
+// tenant-funded contribution and gain flows, the window's Jain index over
+// share ratios, per-phase wall timings and the auditor's alert counts.
+// The engine builds one per window with summarize_round (only when an
+// OpsHub, TelemetryJournal or IncidentManager is attached, so the
+// disabled path stays allocation-free) and the same JSON object flows to
+// three consumers:
 //  * the `/rounds` streaming endpoint (newline-delimited JSON over
 //    chunked transfer, served by obs::ExpositionServer);
 //  * the durable telemetry journal (obs/journal.hpp);
@@ -28,11 +29,13 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/instrumented_mutex.hpp"
 #include "common/json.hpp"
+#include "obs/round.hpp"
 #include "obs/trace.hpp"  // Phase, kPhaseCount
 
 namespace rrf::obs {
@@ -71,6 +74,15 @@ struct RoundSummary {
   std::size_t alerts_total{0};
   std::vector<TenantRoundStat> tenants;
 };
+
+/// The summary of one digest: each tenant's position, demand and granted
+/// shares as ratios of the shares it paid for, S(i) = `paid`, its raw
+/// flows, and Jain's index over the share ratios (1.0 when all are zero).
+/// The only place these ratios are derived; the caller fills in the alert
+/// counts.  `names` and `paid` are indexed by tenant.
+RoundSummary summarize_round(const RoundDigest& digest,
+                             std::span<const std::string> names,
+                             std::span<const double> paid);
 
 /// {"t":"round",...}; the same object shape is used by the `/rounds`
 /// feed and the telemetry journal.

@@ -13,7 +13,6 @@
 #include "common/contract.hpp"
 #include "common/error.hpp"
 #include "common/float_eq.hpp"
-#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "hypervisor/node.hpp"
 #include "obs/flightrec.hpp"
@@ -109,7 +108,6 @@ struct NodeState {
   std::vector<ResourceVector> beta_shares;
   std::vector<double> slot_contributed;
   std::vector<double> slot_gained;
-  std::vector<double> node_lambda;  // indexed by global tenant id
   // Exchange inputs, filled by the settle phase and consumed by the
   // window's canonical serial merge: the slot's demand in shares and its
   // migration-adjusted perf score.  Keeping them per-node makes the
@@ -135,8 +133,7 @@ struct NodeState {
 
 /// Rebuilds the allocation scaffolding after slot membership changed.
 void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
-                         const PricingModel& pricing,
-                         std::size_t tenant_count) {
+                         const PricingModel& pricing) {
   const std::size_t n = node.slots.size();
 
   node.pool = ResourceVector(kDefaultResourceCount);
@@ -192,7 +189,6 @@ void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
   node.beta_shares.assign(n, ResourceVector(kDefaultResourceCount));
   node.slot_contributed.assign(n, 0.0);
   node.slot_gained.assign(n, 0.0);
-  node.node_lambda.assign(tenant_count, 0.0);
   node.slot_demand_shares.assign(n, ResourceVector(kDefaultResourceCount));
   node.slot_score.assign(n, 0.0);
   node.surplus_extra.assign(n, 0.0);
@@ -205,13 +201,9 @@ void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
 /// node.entitlement_shares, using the cached scaffolding (the per-entity
 /// demands are refreshed from node.demand_shares in place).
 /// `tenant_banked` (indexed by tenant id) carries the rrf-lt contribution
-/// bank; empty for every other policy.  When `tenant_lambda` is non-null
-/// (indexed by global tenant id) the IRT policies add each tenant's
-/// declared contribution Lambda(i) on this node into it, for the fairness
-/// auditor's reciprocity accounting.
+/// bank; empty for every other policy.
 void allocate_entitlements(const alloc::Policy& policy, NodeState& node,
-                           std::span<const double> tenant_banked,
-                           std::vector<double>* tenant_lambda = nullptr) {
+                           std::span<const double> tenant_banked) {
   const std::size_t n = node.slots.size();
   // rrf-hot-path: begin(engine.allocate)
 
@@ -263,17 +255,6 @@ void allocate_entitlements(const alloc::Policy& policy, NodeState& node,
   } else {
     policy.rrf->allocate_hierarchical_into(node.pool, node.groups,
                                            node.workspace, hr);
-    if (tenant_lambda != nullptr) {
-      // tenant_ids is ascending — the same order the groups (and hence
-      // IRT's entity indices) were built in.
-      for (std::size_t g = 0; g < node.tenant_ids.size(); ++g) {
-        if (node.tenant_ids[g] < tenant_lambda->size() &&
-            g < hr.tenant_level.contribution_lambda.size()) {
-          (*tenant_lambda)[node.tenant_ids[g]] +=
-              hr.tenant_level.contribution_lambda[g];
-        }
-      }
-    }
   }
 
   // Map grouped VM allocations back to slot order.
@@ -386,8 +367,7 @@ SimResult run_simulation(const Scenario& scenario,
   }
   for (std::size_t h = 0; h < host_count; ++h) {
     rebuild_hv(nodes[h], h);
-    refresh_alloc_cache(nodes[h], cl.hosts()[h].capacity, pricing,
-                        tenant_count);
+    refresh_alloc_cache(nodes[h], cl.hosts()[h].capacity, pricing);
   }
 
   // ---- per-tenant metrics ----
@@ -405,26 +385,25 @@ SimResult run_simulation(const Scenario& scenario,
   ResourceVector used_total(kDefaultResourceCount);
   ResourceVector capacity_total = cl.total_capacity();
 
-  // Per-window per-tenant aggregates (filled by the node loop).
+  // ---- the window's digest and the per-type sums behind it ----
+  // The merge adds slot vectors into these accumulators in node order
+  // (their summation order fixes the digest's bits); the flows, Lambda
+  // and node pressure go straight into the digest.  The position is the
+  // beta ledger, which only moves when one tenant funds another; on an
+  // oversold node every slot is cut proportionally, the ledger stays
+  // flat and only the granted entitlement shows the starvation.
+  obs::RoundDigest digest;
+  std::vector<ResourceVector> tenant_position(
+      tenant_count, ResourceVector(kDefaultResourceCount));
   std::vector<ResourceVector> tenant_granted(
       tenant_count, ResourceVector(kDefaultResourceCount));
-  // Entitlements actually handed down this window.  tenant_granted is the
-  // beta LEDGER position (it only moves when one tenant funds another);
-  // on an oversold node every slot is cut proportionally, the ledger
-  // stays flat and only this aggregate shows the starvation.
-  std::vector<ResourceVector> tenant_entitled(
-      tenant_count, ResourceVector(kDefaultResourceCount));
-  std::vector<ResourceVector> tenant_demand_shares(
+  std::vector<ResourceVector> tenant_demand(
       tenant_count, ResourceVector(kDefaultResourceCount));
   std::vector<double> tenant_score_weighted(tenant_count, 0.0);
   std::vector<double> tenant_score_weight(tenant_count, 0.0);
-  // Tenant-funded ledger flows this window (shares a tenant's surplus
-  // actually handed to / took from other tenants) plus IRT's declared
-  // contribution Lambda — the fairness auditor's reciprocity inputs.
-  std::vector<double> tenant_contributed(tenant_count, 0.0);
-  std::vector<double> tenant_gained(tenant_count, 0.0);
-  std::vector<double> tenant_lambda(tenant_count, 0.0);
-  std::vector<double> node_pressure(host_count, 0.0);
+  // Cumulative per-phase seconds at the previous window tail, so the
+  // digest carries this window's delta alone.
+  std::array<double, obs::kPhaseCount> phase_prev{};
 
   // ---- shard plan for the parallel round ----
   // One pool task per shard; each shard walks its contiguous node range
@@ -444,8 +423,10 @@ SimResult run_simulation(const Scenario& scenario,
   }
 
   std::vector<double> tenant_share_sum(tenant_count, 0.0);
+  std::vector<std::string> tenant_names(tenant_count);
   for (std::size_t t = 0; t < tenant_count; ++t) {
     tenant_share_sum[t] = cl.tenant_shares(t).sum();
+    tenant_names[t] = cl.tenants()[t].name;
   }
 
   // rrf-lt: per-tenant contribution bank (EMA of per-window net giving).
@@ -459,30 +440,13 @@ SimResult run_simulation(const Scenario& scenario,
   // ---- continuous fairness auditing (SLO watchdog) ----
   std::unique_ptr<obs::FairnessAuditor> auditor;
   if (config.audit.enabled && obs::metrics_enabled()) {
-    std::vector<std::string> names;
-    names.reserve(tenant_count);
-    for (std::size_t t = 0; t < tenant_count; ++t) {
-      names.push_back(cl.tenants()[t].name);
-    }
-    auditor = std::make_unique<obs::FairnessAuditor>(config.audit, names,
-                                                     tenant_share_sum);
-  }
-  if (config.recorder != nullptr) {
-    config.recorder->clear();
-    std::vector<std::string> names;
-    names.reserve(tenant_count);
-    for (std::size_t t = 0; t < tenant_count; ++t) {
-      names.push_back(cl.tenants()[t].name);
-    }
-    config.recorder->set_tenants(std::move(names));
+    auditor = std::make_unique<obs::FairnessAuditor>(
+        config.audit, tenant_names, tenant_share_sum);
   }
 
   // ---- live ops plane (round summaries + alert transitions) ----
   const bool ops_on = config.ops != nullptr || config.journal != nullptr ||
                       config.incidents != nullptr;
-  // Cumulative per-phase seconds at the previous window tail, so each
-  // RoundSummary carries this window's delta alone.
-  std::array<double, obs::kPhaseCount> ops_phase_prev{};
   // Auditor transitions already drained into the journal / alerts doc.
   std::size_t ops_transition_cursor = 0;
   // Incident open/resolve edges already relayed into the journal.
@@ -609,8 +573,7 @@ SimResult run_simulation(const Scenario& scenario,
           // next apply_shares() retargets them within a window or two --
           // the same settling a real live migration incurs.
           rebuild_hv(nodes[h], h);
-          refresh_alloc_cache(nodes[h], cl.hosts()[h].capacity, pricing,
-                              tenant_count);
+          refresh_alloc_cache(nodes[h], cl.hosts()[h].capacity, pricing);
         }
         result.migrations += plan.migrations.size();
         result.migrated_gb += plan.total_cost_gb;
@@ -640,18 +603,16 @@ SimResult run_simulation(const Scenario& scenario,
       demands[t] = scenario.workloads[t]->vm_demands_at(now);
     }
 
-    for (auto& g : tenant_granted) g = ResourceVector(kDefaultResourceCount);
-    for (auto& e : tenant_entitled) e = ResourceVector(kDefaultResourceCount);
-    for (auto& d : tenant_demand_shares) {
-      d = ResourceVector(kDefaultResourceCount);
+    for (std::size_t t = 0; t < tenant_count; ++t) {
+      tenant_position[t] = tenant_granted[t] = tenant_demand[t] =
+          ResourceVector(kDefaultResourceCount);
     }
     std::fill(tenant_score_weighted.begin(), tenant_score_weighted.end(),
               0.0);
     std::fill(tenant_score_weight.begin(), tenant_score_weight.end(), 0.0);
-    std::fill(tenant_contributed.begin(), tenant_contributed.end(), 0.0);
-    std::fill(tenant_gained.begin(), tenant_gained.end(), 0.0);
-    std::fill(tenant_lambda.begin(), tenant_lambda.end(), 0.0);
-    std::fill(node_pressure.begin(), node_pressure.end(), 0.0);
+    digest.reset(tenant_count, host_count);
+    digest.window = w;
+    digest.time = now;
     demands_profile.stop();
 
     auto process_node = [&](std::size_t h) {
@@ -701,11 +662,10 @@ SimResult run_simulation(const Scenario& scenario,
       obs::PhaseScope allocate_phase(obs::Phase::kAllocate, node_id,
                                      window_id,
                                      &node.phase_accum(obs::Phase::kAllocate));
-      std::fill(node.node_lambda.begin(), node.node_lambda.end(), 0.0);
       {
         std::optional<obs::ProvenanceScope> prov_scope;
         if (flight_on) prov_scope.emplace(&node_prov[h]);
-        allocate_entitlements(policy, node, lt_balance, &node.node_lambda);
+        allocate_entitlements(policy, node, lt_balance);
       }
       if (policy.level != alloc::PolicyLevel::kStatic) {
         // rrf-hot-path: begin(engine.surplus)
@@ -849,7 +809,7 @@ SimResult run_simulation(const Scenario& scenario,
         for (std::size_t i = 0; i < n; ++i) {
           demand_total += node.actual_demand[i];
         }
-        node_pressure[h] =
+        digest.node_pressure[h] =
             cluster::host_pressure(cl.hosts()[h].capacity, demand_total);
       }
 
@@ -899,30 +859,37 @@ SimResult run_simulation(const Scenario& scenario,
     }
 
     // ---- global exchange: canonical serial merge in ascending node order.
-    // Every node published its exchange inputs (node_lambda, beta_shares,
-    // slot_{contributed,gained,demand_shares,score}) during its settle
-    // phase; folding them here, single-threaded and always in node order,
-    // makes the tenant ledgers bit-identical for any shard or thread
-    // count — and identical to the historical serial path, whose lock
-    // acquisition order was node order too.
+    // Every node published its exchange inputs (the IRT Lambda, beta_shares,
+    // slot_{contributed,gained,demand_shares,score}) during its allocate
+    // and settle phases; folding them here, single-threaded and always in
+    // node order, makes the tenant ledgers bit-identical for any shard or
+    // thread count — and identical to the historical serial path, whose
+    // lock acquisition order was node order too.
     {
       obs::ProfileScope exchange_profile("window.exchange");
       // rrf-hot-path: begin(engine.merge)
       for (std::size_t h = 0; h < host_count; ++h) {
-        NodeState& node = nodes[h];
+        const NodeState& node = nodes[h];
         const std::size_t n = node.slots.size();
         if (n == 0) continue;
-        for (std::size_t t = 0; t < tenant_count; ++t) {
-          tenant_lambda[t] += node.node_lambda[t];
+        digest.slots += n;
+        if (policy.rrf != nullptr) {
+          // IRT's entity g is tenant tenant_ids[g] (ascending, the order
+          // the groups were built in).
+          const std::vector<double>& lambda =
+              node.tenant_result.tenant_level.contribution_lambda;
+          for (std::size_t g = 0; g < node.tenant_ids.size(); ++g) {
+            digest.tenant_lambda[node.tenant_ids[g]] += lambda[g];
+          }
         }
         for (std::size_t i = 0; i < n; ++i) {
           const VmSlot& slot = node.slots[i];
-          tenant_granted[slot.tenant] += node.beta_shares[i];
-          tenant_entitled[slot.tenant] += node.entitlement_shares[i];
-          tenant_contributed[slot.tenant] += node.slot_contributed[i];
-          tenant_gained[slot.tenant] += node.slot_gained[i];
+          tenant_position[slot.tenant] += node.beta_shares[i];
+          tenant_granted[slot.tenant] += node.entitlement_shares[i];
+          digest.tenant_contributed[slot.tenant] += node.slot_contributed[i];
+          digest.tenant_gained[slot.tenant] += node.slot_gained[i];
           const ResourceVector& d_shares = node.slot_demand_shares[i];
-          tenant_demand_shares[slot.tenant] += d_shares;
+          tenant_demand[slot.tenant] += d_shares;
           const double weight = std::max(1e-9, d_shares.sum());
           tenant_score_weighted[slot.tenant] += node.slot_score[i] * weight;
           tenant_score_weight[slot.tenant] += weight;
@@ -957,71 +924,38 @@ SimResult run_simulation(const Scenario& scenario,
     }
 
     for (std::size_t t = 0; t < tenant_count; ++t) {
-      const double score =
+      digest.tenant_position[t] = tenant_position[t].sum();
+      digest.tenant_granted[t] = tenant_granted[t].sum();
+      digest.tenant_demand[t] = tenant_demand[t].sum();
+      digest.tenant_score[t] =
           tenant_score_weight[t] > 0.0
               ? tenant_score_weighted[t] / tenant_score_weight[t]
               : 1.0;
-      result.tenants[t].record_window(tenant_granted[t],
-                                      tenant_demand_shares[t], score);
+      result.tenants[t].record_window(digest.tenant_position[t],
+                                      digest.tenant_demand[t],
+                                      digest.tenant_score[t]);
+    }
+    for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+      double cumulative = 0.0;
+      for (const auto& node : nodes) cumulative += node.phase_seconds[i];
+      digest.phase_seconds[i] = cumulative - phase_prev[i];
+      phase_prev[i] = cumulative;
     }
 
     if (policy.banks_contribution) {
       // Net giving this window = initial shares minus the ledger position
       // (positive when other tenants consumed this tenant's surplus).
       for (std::size_t t = 0; t < tenant_count; ++t) {
-        const double net = tenant_share_sum[t] - tenant_granted[t].sum();
+        const double net = tenant_share_sum[t] - digest.tenant_position[t];
         lt_balance[t] += config.ltrf_alpha * (net - lt_balance[t]);
       }
     }
 
-    if (auditor) {
-      std::vector<double> position(tenant_count, 0.0);
-      std::vector<double> demand(tenant_count, 0.0);
-      for (std::size_t t = 0; t < tenant_count; ++t) {
-        position[t] = tenant_granted[t].sum();
-        demand[t] = tenant_demand_shares[t].sum();
-      }
-      obs::AuditRound round;
-      round.window = w;
-      round.position = position;
-      round.demand = demand;
-      round.contributed = tenant_contributed;
-      round.gained = tenant_gained;
-      round.contribution_lambda = tenant_lambda;
-      round.node_pressure = node_pressure;
-      auditor->observe_round(round);
-    }
+    if (auditor) auditor->observe_round(digest);
 
     if (ops_on) {
-      obs::RoundSummary summary;
-      summary.window = w;
-      summary.time = now;
-      std::vector<double> share_ratio(tenant_count, 0.0);
-      bool any_share = false;
-      summary.tenants.reserve(tenant_count);
-      for (std::size_t t = 0; t < tenant_count; ++t) {
-        obs::TenantRoundStat stat;
-        stat.name = cl.tenants()[t].name;
-        const double initial = tenant_share_sum[t];
-        stat.share = tenant_granted[t].sum() / initial;
-        stat.demand = tenant_demand_shares[t].sum() / initial;
-        stat.granted = tenant_entitled[t].sum() / initial;
-        stat.contributed = tenant_contributed[t];
-        stat.gained = tenant_gained[t];
-        share_ratio[t] = stat.share;
-        any_share = any_share || stat.share > 0.0;
-        summary.tenants.push_back(std::move(stat));
-      }
-      summary.jain = any_share ? jain_index(share_ratio) : 1.0;
-      for (const auto& node : nodes) {
-        summary.slots += node.slots.size();
-      }
-      for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-        double cumulative = 0.0;
-        for (const auto& node : nodes) cumulative += node.phase_seconds[i];
-        summary.phase_seconds[i] = cumulative - ops_phase_prev[i];
-        ops_phase_prev[i] = cumulative;
-      }
+      obs::RoundSummary summary =
+          obs::summarize_round(digest, tenant_names, tenant_share_sum);
       std::span<const obs::AlertTransition> fresh;
       if (auditor) {
         summary.active_alerts = auditor->active_alerts();
@@ -1039,7 +973,7 @@ SimResult run_simulation(const Scenario& scenario,
           alert.tenant = tr.tenant;
           if (tr.tenant >= 0) {
             alert.tenant_name =
-                cl.tenants()[static_cast<std::size_t>(tr.tenant)].name;
+                tenant_names[static_cast<std::size_t>(tr.tenant)];
           }
           alert.window = tr.window;
           alert.value = tr.value;
@@ -1058,36 +992,7 @@ SimResult run_simulation(const Scenario& scenario,
       }
     }
 
-    if (config.recorder != nullptr) {
-      for (std::size_t t = 0; t < tenant_count; ++t) {
-        const double initial = tenant_share_sum[t];
-        const double score =
-            tenant_score_weight[t] > 0.0
-                ? tenant_score_weighted[t] / tenant_score_weight[t]
-                : 1.0;
-        config.recorder->record(
-            w, now, t, tenant_demand_shares[t].sum() / initial,
-            tenant_granted[t].sum() / initial, score);
-      }
-    }
-
-    if (config.observer) {
-      WindowSnapshot snapshot;
-      snapshot.window = w;
-      snapshot.time = now;
-      snapshot.tenant_position.reserve(tenant_count);
-      snapshot.tenant_demand.reserve(tenant_count);
-      snapshot.tenant_score.reserve(tenant_count);
-      for (std::size_t t = 0; t < tenant_count; ++t) {
-        snapshot.tenant_position.push_back(tenant_granted[t].sum());
-        snapshot.tenant_demand.push_back(tenant_demand_shares[t].sum());
-        snapshot.tenant_score.push_back(
-            tenant_score_weight[t] > 0.0
-                ? tenant_score_weighted[t] / tenant_score_weight[t]
-                : 1.0);
-      }
-      config.observer(snapshot);
-    }
+    if (config.observer) config.observer(digest);
   }
 
   for (const auto& node : nodes) {

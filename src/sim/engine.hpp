@@ -16,7 +16,7 @@
 #include "cluster/rebalance.hpp"
 #include "hypervisor/node.hpp"
 #include "obs/audit.hpp"
-#include "obs/timeseries.hpp"
+#include "obs/round.hpp"
 #include "sim/metrics.hpp"
 #include "sim/predictor.hpp"
 #include "sim/scenario.hpp"
@@ -41,17 +41,9 @@ PolicyKind policy_from_string(const std::string& name);
 /// The five schemes the paper's evaluation compares (Section VI-A).
 std::vector<PolicyKind> paper_policies();
 
-/// Per-window snapshot handed to EngineConfig::observer (all vectors are
-/// indexed by tenant).
-struct WindowSnapshot {
-  std::size_t window{0};
-  Seconds time{0.0};
-  /// Ledger position (shares) and demanded shares this window.
-  std::vector<double> tenant_position;
-  std::vector<double> tenant_demand;
-  /// Perf-model score this window.
-  std::vector<double> tenant_score;
-};
+/// What EngineConfig::observer sees each window: the same digest every
+/// other consumer reads (obs/round.hpp).
+using WindowSnapshot = obs::RoundDigest;
 
 /// Live migration / load balancing inside a run (paper Section V's
 /// "load balancing" component, made dynamic).
@@ -107,10 +99,6 @@ struct EngineConfig {
   /// true; it publishes per-round fairness gauges and raises structured
   /// alerts into SimResult::alerts, the registry, the tracer and the log.
   obs::AuditConfig audit;
-  /// Optional per-round per-tenant time-series sink (the Fig. 4/5 demand
-  /// and allocation ratio series plus perf scores).  Not owned; must
-  /// outlive the run.  Recorded regardless of the metrics switch.
-  obs::TimeSeriesRecorder* recorder = nullptr;
   /// Optional flight recorder (obs/flightrec.hpp): the engine appends one
   /// round per window with per-slot demand/forecast/entitlement/actuator
   /// targets plus the IRT/IWA/rebalance provenance.  The caller writes the
@@ -137,7 +125,8 @@ struct EngineConfig {
   obs::IncidentManager* incidents = nullptr;
   /// Optional per-window callback (custom metrics, live dashboards,
   /// convergence studies).  Called on the simulation thread after every
-  /// window; must not throw.
+  /// window with the window's digest, which is only valid during the
+  /// call; must not throw.
   std::function<void(const WindowSnapshot&)> observer;
 };
 

@@ -1,5 +1,8 @@
 #include "sim/metrics.hpp"
 
+#include <iomanip>
+#include <ostream>
+
 #include "common/error.hpp"
 #include "common/stats.hpp"
 
@@ -11,14 +14,13 @@ TenantMetrics::TenantMetrics(std::string name, ResourceVector initial_shares)
   RRF_REQUIRE(initial_total_ > 0.0, "tenant with zero initial shares");
 }
 
-void TenantMetrics::record_window(const ResourceVector& granted_shares,
-                                  const ResourceVector& demanded_shares,
+void TenantMetrics::record_window(double position, double demand,
                                   double perf_score) {
-  granted_total_ += granted_shares.sum();
+  granted_total_ += position;
   perf_total_ += perf_score;
   ++windows_;
-  demand_ratio_.push_back(demanded_shares.sum() / initial_total_);
-  alloc_ratio_.push_back(granted_shares.sum() / initial_total_);
+  demand_ratio_.push_back(demand / initial_total_);
+  alloc_ratio_.push_back(position / initial_total_);
 }
 
 double TenantMetrics::beta() const {
@@ -49,6 +51,23 @@ double SimResult::allocator_load() const {
   if (alloc_invocations == 0 || window <= 0.0) return 0.0;
   return (alloc_seconds_total / static_cast<double>(alloc_invocations)) /
          window;
+}
+
+void write_series_csv(std::ostream& os, const SimResult& result,
+                      const std::vector<double>& (TenantMetrics::*series)()
+                          const) {
+  const std::size_t windows =
+      result.tenants.empty() ? 0 : result.tenants.front().windows();
+  os << "t_seconds";
+  for (const TenantMetrics& tenant : result.tenants) os << ',' << tenant.name();
+  os << '\n' << std::setprecision(6);
+  for (std::size_t w = 0; w < windows; ++w) {
+    os << static_cast<double>(w) * result.window;
+    for (const TenantMetrics& tenant : result.tenants) {
+      os << ',' << (tenant.*series)().at(w);
+    }
+    os << '\n';
+  }
 }
 
 }  // namespace rrf::sim

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -25,10 +26,10 @@ class TenantMetrics {
  public:
   TenantMetrics(std::string name, ResourceVector initial_shares);
 
-  /// Records one window: the tenant's total granted shares, total demanded
-  /// shares and the application's perf score for the window.
-  void record_window(const ResourceVector& granted_shares,
-                     const ResourceVector& demanded_shares, double perf_score);
+  /// Records one window: the tenant's ledger position S'_t(i) and its
+  /// demanded shares (both summed over resource types) and the
+  /// application's perf score for the window.
+  void record_window(double position, double demand, double perf_score);
 
   const std::string& name() const { return name_; }
   std::size_t windows() const { return windows_; }
@@ -100,5 +101,12 @@ struct SimResult {
   /// Mean allocator CPU load: alloc time per invocation / window length.
   double allocator_load() const;
 };
+
+/// The Fig. 4/5 plot shape of one per-tenant series (e.g.
+/// &TenantMetrics::demand_ratio_series): a `t_seconds` column, then one
+/// column per tenant, one row per window, six significant digits.
+void write_series_csv(std::ostream& os, const SimResult& result,
+                      const std::vector<double>& (TenantMetrics::*series)()
+                          const);
 
 }  // namespace rrf::sim

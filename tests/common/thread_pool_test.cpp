@@ -4,8 +4,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace rrf {
@@ -158,6 +161,34 @@ TEST(ThreadPool, GlobalPoolIsAlive) {
 }
 
 namespace {
+/// Runs one parallel_for on `pool` that every worker joins, so every
+/// helper task queued on it before (the queue is FIFO) has been dequeued
+/// when this returns.  Under host load a parallel_for's caller can finish
+/// all chunks before its helpers are dequeued; such a stale helper would
+/// otherwise start later, inside another test's observer window.  Each
+/// participant waits at most 10 s for the others.
+void drain(ThreadPool& pool) {
+  if (pool.thread_count() <= 1) return;  // runs inline, never enqueues
+  const std::size_t participants = pool.thread_count() + 1;  // + caller
+  std::mutex mu;
+  std::set<std::thread::id> seen;
+  const auto all_joined = [&] {
+    std::lock_guard lock(mu);
+    return seen.size() >= participants;
+  };
+  pool.parallel_for(4 * participants, [&](std::size_t) {
+    {
+      std::lock_guard lock(mu);
+      seen.insert(std::this_thread::get_id());
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!all_joined() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+}
+
 /// Counts observer callbacks; durations are only sanity-checked (>= 0).
 class CountingObserver final : public ThreadPoolObserver {
  public:
@@ -204,6 +235,7 @@ TEST(ThreadPool, NestedOnSamePoolRunsInlineWithoutHelperTasks) {
   // set of helper tasks per nested call, flooding the queue — the outer
   // call already owns the pool's parallelism, so the nested call must
   // take the inline serial path and skip the queue entirely.
+  drain(global_pool());  // GlobalPoolIsAlive's helpers must not be counted
   CountingObserver observer;
   ThreadPoolObserver* const previous = thread_pool_observer();
   set_thread_pool_observer(&observer);
@@ -233,6 +265,7 @@ TEST(ThreadPool, NestedOnSamePoolRunsInlineWithoutHelperTasks) {
 }
 
 TEST(ThreadPool, ObserverSeesDispatchedWorkAndUninstallsCleanly) {
+  drain(global_pool());  // GlobalPoolIsAlive's helpers must not be counted
   CountingObserver observer;
   ThreadPoolObserver* const previous = thread_pool_observer();
   set_thread_pool_observer(&observer);

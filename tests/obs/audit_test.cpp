@@ -30,12 +30,13 @@ void feed(FairnessAuditor& auditor, std::size_t window,
           std::vector<double> position, std::vector<double> demand,
           std::vector<double> contributed = {},
           std::vector<double> gained = {}) {
-  AuditRound round;
+  RoundDigest round;
+  round.reset(position.size(), 0);  // flows and lambda default to zero
   round.window = window;
-  round.position = position;
-  round.demand = demand;
-  round.contributed = contributed;
-  round.gained = gained;
+  round.tenant_position = std::move(position);
+  round.tenant_demand = std::move(demand);
+  if (!contributed.empty()) round.tenant_contributed = std::move(contributed);
+  if (!gained.empty()) round.tenant_gained = std::move(gained);
   auditor.observe_round(round);
 }
 
@@ -257,16 +258,12 @@ TEST(ObsAudit, PublishesGaugesAndNodePressure) {
   MetricsRegistry registry;
   FairnessAuditor auditor(quiet_config(), {"a", "b"}, {100.0, 100.0},
                           &registry);
-  AuditRound round;
-  const std::vector<double> position = {50.0, 150.0};
-  const std::vector<double> demand = {100.0, 100.0};
-  const std::vector<double> lambda = {0.25, 0.75};
-  const std::vector<double> pressure = {0.9, 0.4};
-  round.window = 0;
-  round.position = position;
-  round.demand = demand;
-  round.contribution_lambda = lambda;
-  round.node_pressure = pressure;
+  RoundDigest round;
+  round.reset(2, 0);
+  round.tenant_position = {50.0, 150.0};
+  round.tenant_demand = {100.0, 100.0};
+  round.tenant_lambda = {0.25, 0.75};
+  round.node_pressure = {0.9, 0.4};
   auditor.observe_round(round);
 
   const Gauge* beta_a =
@@ -325,11 +322,12 @@ TEST(ObsAudit, RejectsMalformedInputs) {
                PreconditionError);
 
   FairnessAuditor auditor(quiet_config(), {"a"}, {100.0}, &registry);
-  AuditRound round;
-  const std::vector<double> two = {1.0, 2.0};
-  const std::vector<double> one = {1.0};
-  round.position = two;  // size mismatch vs one tenant
-  round.demand = one;
+  RoundDigest round;
+  round.reset(1, 0);
+  round.tenant_position = {1.0, 2.0};  // size mismatch vs one tenant
+  EXPECT_THROW(auditor.observe_round(round), PreconditionError);
+  round.reset(1, 0);
+  round.tenant_lambda.clear();  // every per-tenant field is required
   EXPECT_THROW(auditor.observe_round(round), PreconditionError);
 }
 

@@ -57,7 +57,6 @@ IncidentConfig quick_config(std::string dir = {}) {
   config.open_after_rounds = 2;
   config.resolve_after_quiet = 4;
   config.ring_capacity = 8;
-  config.evidence_window = 8;
   return config;
 }
 

@@ -75,8 +75,11 @@ ScenarioConfig stress_scenario() {
 
 TEST(OpsStress, ConcurrentScrapesDuringARun) {
   MetricsOn guard;
-  const std::string journal_path =
-      ::testing::TempDir() + "/ops_stress_journal.jsonl";
+  // Per-process name: ctest runs this binary whole (tsan label) and by
+  // test case, possibly at the same time.
+  const std::string journal_path = ::testing::TempDir() +
+                                   "/ops_stress_journal_" +
+                                   std::to_string(getpid()) + ".jsonl";
   std::remove(journal_path.c_str());
 
   obs::OpsHub hub;
@@ -141,12 +144,14 @@ TEST(OpsStress, ConcurrentScrapesDuringARun) {
   EXPECT_EQ(data.end->rounds, 120u);
   EXPECT_EQ(data.rounds.back().window + 1, 120u);
   EXPECT_GT(result.fairness_geomean(), 0.0);
+  std::remove(journal_path.c_str());
 }
 
 TEST(OpsNeutrality, AttachingTheOpsPlaneChangesNoAllocation) {
   MetricsOn guard;
-  const std::string journal_path =
-      ::testing::TempDir() + "/ops_neutrality_journal.jsonl";
+  const std::string journal_path = ::testing::TempDir() +
+                                   "/ops_neutrality_journal_" +
+                                   std::to_string(getpid()) + ".jsonl";
 
   auto run = [&](bool with_ops) {
     std::vector<std::vector<double>> positions;
@@ -180,6 +185,7 @@ TEST(OpsNeutrality, AttachingTheOpsPlaneChangesNoAllocation) {
 
   const std::vector<std::vector<double>> plain = run(false);
   const std::vector<std::vector<double>> with_ops = run(true);
+  std::remove(journal_path.c_str());
   ASSERT_EQ(plain.size(), with_ops.size());
   for (std::size_t w = 0; w < plain.size(); ++w) {
     ASSERT_EQ(plain[w].size(), with_ops[w].size());

@@ -148,15 +148,10 @@ TEST(OpsAlerts, DocumentTracksRaiseAndResolve) {
   FairnessAuditor auditor(config, {"a", "b"}, {100.0, 100.0}, &registry);
 
   // Window 0: wildly unequal positions drive Jain below the SLO.
-  const std::vector<double> skewed = {190.0, 10.0};
-  const std::vector<double> demand = {100.0, 100.0};
-  const std::vector<double> zero = {0.0, 0.0};
-  AuditRound round;
-  round.window = 0;
-  round.position = skewed;
-  round.demand = demand;
-  round.contributed = zero;
-  round.gained = zero;
+  RoundDigest round;
+  round.reset(2, 0);
+  round.tenant_position = {190.0, 10.0};
+  round.tenant_demand = {100.0, 100.0};
   auditor.observe_round(round);
 
   json::Value doc = alerts_document(auditor);
@@ -171,8 +166,7 @@ TEST(OpsAlerts, DocumentTracksRaiseAndResolve) {
   EXPECT_DOUBLE_EQ(doc.find("total")->as_number(), 1.0);
 
   // Equal rounds until the cumulative Jain recovers past the hysteresis.
-  const std::vector<double> equal = {100.0, 100.0};
-  round.position = equal;
+  round.tenant_position = {100.0, 100.0};
   for (std::size_t w = 1; w < 200 && auditor.active_alerts() > 0; ++w) {
     round.window = w;
     auditor.observe_round(round);

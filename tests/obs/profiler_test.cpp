@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -207,8 +208,20 @@ TEST(ObsProfiler, PoolObserverCountsTasksAndNamesWorkers) {
     GTEST_SKIP() << "parallel_for falls back to serial without workers";
   }
   // Enough chunky work to force pool dispatch past the serial cutoff.
+  // Under host load the calling thread can drain every chunk before a
+  // worker wakes, leaving the pool nothing to count; so each iteration
+  // waits (bounded) until some iteration has run off the caller.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> ran_on_worker{false};
   std::atomic<std::uint64_t> sink{0};
   global_pool().parallel_for(256, [&](std::size_t i) {
+    if (std::this_thread::get_id() != caller) ran_on_worker.store(true);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!ran_on_worker.load() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
     std::uint64_t h = i + 1;
     for (int r = 0; r < 2000; ++r) h = h * 6364136223846793005ULL + 1;
     sink.fetch_add(h | 1, std::memory_order_relaxed);

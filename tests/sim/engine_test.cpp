@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/exposition.hpp"
+#include "obs/flightrec.hpp"
+#include "obs/journal.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
+#include "sim/flight_replay.hpp"
 #include "sim/synthetic.hpp"
 
 namespace rrf::sim {
@@ -213,6 +219,85 @@ TEST(Engine, ObserverSeesEveryWindow) {
       EXPECT_NEAR(snapshots[w].tenant_position[t] / shares,
                   r.tenants[t].alloc_ratio_series()[w], 1e-9);
     }
+  }
+}
+
+// Every consumer reads the same per-window digest, so their numbers agree
+// with it bit for bit: the journal's ratios, SimResult's series, the
+// auditor's beta gauges and the flight recording's IRT Lambda.
+TEST(Engine, DigestAgreesWithEveryConsumer) {
+  SyntheticConfig cell;
+  cell.nodes = 4;
+  cell.vms_per_node = 8;
+  cell.tenants = 4;
+  cell.seed = 5;
+  const Scenario scenario = make_synthetic_scenario(cell);
+  EngineConfig config;
+  config.policy = PolicyKind::kRrf;
+  config.duration = 30 * config.window;
+  config.use_actuators = false;
+
+  const std::string journal_path =
+      ::testing::TempDir() + "engine_digest_journal.jsonl";
+  obs::TelemetryJournal::Options options;
+  options.path = journal_path;
+  options.policy = "rrf";
+  for (const auto& tenant : scenario.cluster.tenants()) {
+    options.tenants.push_back(tenant.name);
+  }
+  obs::TelemetryJournal journal(options);
+  std::stringstream recording;
+  obs::FlightRecorder recorder(recording);
+  recorder.write_header(make_flight_header(scenario, config));
+  config.journal = &journal;
+  config.flight = &recorder;
+  std::vector<WindowSnapshot> digests;
+  config.observer = [&](const WindowSnapshot& digest) {
+    digests.push_back(digest);
+  };
+
+  const bool metrics_before = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const SimResult result = run_simulation(scenario, config);
+  obs::set_metrics_enabled(metrics_before);
+  journal.finish();
+  recorder.finish();
+
+  const obs::JournalData rounds = obs::JournalData::load_file(journal_path);
+  std::filesystem::remove(journal_path);
+  const obs::FlightRecording flight = obs::FlightRecording::load(recording);
+  const std::size_t tenants = result.tenants.size();
+  ASSERT_EQ(digests.size(), 30u);
+  ASSERT_EQ(rounds.rounds.size(), digests.size());
+  ASSERT_EQ(flight.rounds.size(), digests.size());
+  bool traded = false;
+  for (std::size_t w = 0; w < digests.size(); ++w) {
+    const WindowSnapshot& digest = digests[w];
+    const obs::RoundSummary& round = rounds.rounds[w];
+    ASSERT_EQ(round.tenants.size(), tenants);
+    std::vector<double> lambda(tenants, 0.0);
+    for (const obs::FlightNode& node : flight.rounds[w].nodes) {
+      for (const obs::FlightIrtTenant& irt : node.irt) {
+        lambda[irt.tenant] += irt.lambda;
+      }
+    }
+    for (std::size_t t = 0; t < tenants; ++t) {
+      const double paid = scenario.cluster.tenant_shares(t).sum();
+      EXPECT_EQ(round.tenants[t].share, digest.tenant_position[t] / paid);
+      EXPECT_EQ(round.tenants[t].granted, digest.tenant_granted[t] / paid);
+      EXPECT_EQ(round.tenants[t].demand, digest.tenant_demand[t] / paid);
+      EXPECT_EQ(result.tenants[t].alloc_ratio_series()[w],
+                digest.tenant_position[t] / paid);
+      EXPECT_EQ(digest.tenant_lambda[t], lambda[t]);
+      traded = traded || digest.tenant_lambda[t] > 0.0;
+    }
+  }
+  EXPECT_TRUE(traded);  // the Lambda comparison saw real contributions
+  for (const TenantMetrics& tenant : result.tenants) {
+    const obs::Gauge* beta = obs::metrics().find_gauge(
+        obs::labeled("fairness.tenant_beta", {{"tenant", tenant.name()}}));
+    ASSERT_NE(beta, nullptr);
+    EXPECT_EQ(beta->value(), tenant.beta());
   }
 }
 

@@ -17,7 +17,6 @@
 #include "alloc/entity_io.hpp"
 #include "alloc/flight_capture.hpp"
 #include "cli_util.hpp"
-#include "common/stats.hpp"
 #include "obs/exposition.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/journal.hpp"
@@ -64,20 +63,7 @@ ResourceVector parse_capacity(const std::string& text) {
   std::stringstream ss(text);
   std::string cell;
   while (std::getline(ss, cell, ',')) {
-    double value = 0.0;
-    std::size_t used = 0;
-    try {
-      value = std::stod(cell, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used == 0 || used != cell.size()) {
-      throw DomainError("--capacity: not a number: '" + cell + "'");
-    }
-    if (!std::isfinite(value)) {
-      throw DomainError("--capacity: not a finite number: '" + cell + "'");
-    }
-    values.push_back(value);
+    values.push_back(tools::parse_number<double>("--capacity", cell));
   }
   if (values.empty()) usage(2);
   if (values.size() > ResourceVector::kInlineCapacity) {
@@ -159,24 +145,34 @@ int main(int argc, char** argv) {
   int serve_ops_port = -1;
   double serve_hold = 5.0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(2);
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") usage(0);
-    else if (arg == "--policy") policy_name = next();
-    else if (arg == "--capacity") capacity_text = next();
-    else if (arg == "--record") record_path = next();
-    else if (arg == "--trace") trace_path = next();
-    else if (arg == "--metrics") metrics_path = next();
-    else if (arg == "--profile") profile_path = next();
-    else if (journal.parse_flag(arg, next)) {}
-    else if (arg == "--serve-ops") serve_ops_port = std::stoi(next());
-    else if (arg == "--serve-hold") serve_hold = std::stod(next());
-    else if (input_path.empty()) input_path = arg;
-    else usage(2);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> std::string {
+        if (i + 1 >= argc) usage(2);
+        return argv[++i];
+      };
+      if (arg == "--help" || arg == "-h") usage(0);
+      else if (arg == "--policy") policy_name = next();
+      else if (arg == "--capacity") capacity_text = next();
+      else if (arg == "--record") record_path = next();
+      else if (arg == "--trace") trace_path = next();
+      else if (arg == "--metrics") metrics_path = next();
+      else if (arg == "--profile") profile_path = next();
+      else if (journal.parse_flag(arg, next)) {}
+      else if (arg == "--serve-ops") {
+        serve_ops_port = tools::parse_number<std::uint16_t>(arg, next());
+      } else if (arg == "--serve-hold") {
+        serve_hold = tools::parse_number<double>(arg, next());
+      } else if (input_path.empty()) {
+        input_path = arg;
+      } else {
+        usage(2);
+      }
+    }
+  } catch (const DomainError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   }
   if (capacity_text.empty() || input_path.empty()) usage(2);
   const alloc::Policy& policy = tools::policy_or_exit("rrf_alloc_cli",
@@ -227,33 +223,32 @@ int main(int argc, char** argv) {
       std::cout << "wrote " << record_path << " ("
                 << recorder.bytes_written() << " bytes)\n";
     }
-    // One-shot ops-plane digest of the round: per-entity share/demand
-    // ratios (relative to bought shares) and declared surplus flows.
+    // One-shot ops-plane digest of the round: each entity is a tenant,
+    // its grant is its ledger position, and its declared surplus flows
+    // are the per-type deltas from its bought shares.
     if (journal.enabled() || serve_ops_port >= 0) {
-      obs::RoundSummary summary;
-      summary.slots = entities.size();
-      std::vector<double> share_ratio;
-      share_ratio.reserve(entities.size());
-      for (std::size_t i = 0; i < entities.size(); ++i) {
+      const std::size_t n = entities.size();
+      obs::RoundDigest digest;
+      digest.reset(n, 0);
+      digest.slots = n;
+      std::vector<std::string> names(n);
+      std::vector<double> paid(n);
+      for (std::size_t i = 0; i < n; ++i) {
         const alloc::AllocationEntity& entity = entities[i];
-        obs::TenantRoundStat stat;
-        stat.name = entity.name;
-        const double initial = std::max(1e-12, entity.initial_share.sum());
-        stat.share = result.allocations[i].sum() / initial;
-        stat.granted = stat.share;  // one-shot round: the grant IS the ledger
-        stat.demand = entity.demand.sum() / initial;
+        names[i] = entity.name;
+        paid[i] = std::max(1e-12, entity.initial_share.sum());
+        digest.tenant_position[i] = result.allocations[i].sum();
+        digest.tenant_granted[i] = digest.tenant_position[i];
+        digest.tenant_demand[i] = entity.demand.sum();
         for (std::size_t k = 0; k < entity.initial_share.size(); ++k) {
           const double delta =
               result.allocations[i][k] - entity.initial_share[k];
-          (delta >= 0.0 ? stat.gained : stat.contributed) += std::abs(delta);
+          (delta >= 0.0 ? digest.tenant_gained[i]
+                        : digest.tenant_contributed[i]) += std::abs(delta);
         }
-        share_ratio.push_back(stat.share);
-        summary.tenants.push_back(std::move(stat));
       }
-      const bool any_share =
-          std::any_of(share_ratio.begin(), share_ratio.end(),
-                      [](double s) { return s > 0.0; });
-      summary.jain = any_share ? jain_index(share_ratio) : 1.0;
+      const obs::RoundSummary summary =
+          obs::summarize_round(digest, names, paid);
 
       if (journal.enabled()) {
         obs::TelemetryJournal::Options journal_options =

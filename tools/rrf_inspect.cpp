@@ -8,12 +8,17 @@
 //   rrf_inspect incident validate|summarize|explain <bundle-dir>
 //
 // `replay` re-runs the recording through the deterministic engine (or the
-// one-shot allocation path for "alloc" recordings) and exits non-zero if
-// any allocation diverges.  `diff` compares two recordings round by round
+// one-shot allocation path for "alloc" recordings) and exits 1 if any
+// allocation diverges.  `diff` compares two recordings round by round
 // and reports the first divergence plus per-tenant entitlement deltas.
 // `explain` prints the full decision chain for one round + tenant: demand
 // → prediction → IRT contribution/gain (Algorithm 1 line references) →
 // IWA flows → final entitlement and actuator targets.
+//
+// Exit codes: 0 ok; 1 a real mismatch (replay or diff found differing
+// allocations, or `incident validate` found problems in a bundle that
+// loaded); 2 bad usage or input that could not be loaded (missing,
+// unreadable or malformed file, bad flag value).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_util.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/incident.hpp"
 #include "obs/journal.hpp"
@@ -49,18 +55,21 @@ using namespace rrf;
       "  rrf_inspect journal <telemetry.jsonl> [--tail <n>]\n"
       "      validate and summarize a telemetry journal (rounds, alert\n"
       "      transitions, fairness ranges, clean-shutdown state); --tail\n"
-      "      prints the last <n> round records; exit 1 on any schema\n"
-      "      violation\n\n"
+      "      prints the last <n> round records\n\n"
       "  rrf_inspect incident validate <bundle-dir>\n"
       "      check an incident bundle end to end: manifest schema, every\n"
-      "      listed file present and parseable; exit 1 on any violation\n\n"
+      "      listed file present and parseable; exit 1 when a bundle that\n"
+      "      loaded lists violations\n\n"
       "  rrf_inspect incident summarize <bundle-dir>\n"
       "      one-screen digest: state, severity, detector kinds,\n"
       "      implicated tenants, captured rounds and build provenance\n\n"
       "  rrf_inspect incident explain <bundle-dir>\n"
       "      per-tenant narrative from the captured evidence: which\n"
       "      detectors implicated whom, share vs demand over the\n"
-      "      evidence window, reciprocity flows\n";
+      "      evidence window, reciprocity flows\n\n"
+      "Every subcommand exits 2 when an input cannot be loaded (missing,\n"
+      "unreadable or malformed) or a flag value is bad, so a corrupt\n"
+      "artifact never looks like a mismatch.\n";
   std::exit(code);
 }
 
@@ -119,7 +128,7 @@ int cmd_diff(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--epsilon") {
       if (i + 1 >= args.size()) usage(2);
-      epsilon = std::stod(args[++i]);
+      epsilon = tools::parse_number<double>("--epsilon", args[++i]);
     } else {
       paths.push_back(args[i]);
     }
@@ -142,12 +151,12 @@ int cmd_explain(const std::vector<std::string>& args) {
       return args[++i];
     };
     if (args[i] == "--round") {
-      query.round = std::stoul(next());
+      query.round = tools::parse_number<std::size_t>("--round", next());
       have_round = true;
     } else if (args[i] == "--tenant") {
       query.tenant = next();
     } else if (args[i] == "--node") {
-      query.node = std::stoul(next());
+      query.node = tools::parse_number<std::size_t>("--node", next());
     } else if (path.empty()) {
       path = args[i];
     } else {
@@ -168,7 +177,7 @@ int cmd_journal(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--tail") {
       if (i + 1 >= args.size()) usage(2);
-      tail = std::stoul(args[++i]);
+      tail = tools::parse_number<std::size_t>("--tail", args[++i]);
     } else if (path.empty()) {
       path = args[i];
     } else {
@@ -448,8 +457,10 @@ int main(int argc, char** argv) {
     if (verb == "journal") return cmd_journal(args);
     if (verb == "incident") return cmd_incident(args);
   } catch (const std::exception& e) {
+    // Every load error and bad flag value lands here: exit 2, never the
+    // mismatch code 1.
     std::cerr << "error: " << e.what() << "\n";
-    return 1;
+    return 2;
   }
   std::cerr << "unknown subcommand: " << verb << "\n";
   usage(2);

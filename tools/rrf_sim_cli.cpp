@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "cli_util.hpp"
@@ -180,6 +181,7 @@ wl::WorkloadKind parse_workload(const std::string& name) {
   usage(2);
 }
 
+/// Throws DomainError naming the flag on a malformed numeric value.
 CliOptions parse(int argc, char** argv) {
   CliOptions options;
   auto next = [&](int& i) -> std::string {
@@ -189,36 +191,46 @@ CliOptions parse(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // Reads flag i's value into a numeric option of the same type.
+  auto read = [&](int& i, auto& option) {
+    const std::string flag = argv[i];
+    option = tools::parse_number<std::remove_reference_t<decltype(option)>>(
+        flag, next(i));
+  };
+  auto port = [&](int& i) -> int {
+    const std::string flag = argv[i];
+    return tools::parse_number<std::uint16_t>(flag, next(i));
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") usage(0);
     else if (arg == "--policy") options.policy = next(i);
-    else if (arg == "--alpha") options.alpha = std::stod(next(i));
-    else if (arg == "--hosts") options.hosts = std::stoul(next(i));
+    else if (arg == "--alpha") read(i, options.alpha);
+    else if (arg == "--hosts") read(i, options.hosts);
     else if (arg == "--fill") options.fill = true;
-    else if (arg == "--duration") options.duration = std::stod(next(i));
-    else if (arg == "--window") options.window = std::stod(next(i));
-    else if (arg == "--seed") options.seed = std::stoull(next(i));
+    else if (arg == "--duration") read(i, options.duration);
+    else if (arg == "--window") read(i, options.window);
+    else if (arg == "--seed") read(i, options.seed);
     else if (arg == "--no-actuators") options.actuators = false;
     else if (arg == "--oracle") options.oracle = true;
     else if (arg == "--memory") options.memory = next(i);
     else if (arg == "--replay") options.replays.push_back(next(i));
     else if (arg == "--sliced") options.sliced = true;
-    else if (arg == "--shards") options.shards = std::stoul(next(i));
+    else if (arg == "--shards") read(i, options.shards);
     else if (arg == "--synthetic") options.synthetic = next(i);
     else if (arg == "--csv") options.csv = next(i);
     else if (arg == "--record") options.record_path = next(i);
     else if (arg == "--trace") options.trace_path = next(i);
     else if (arg == "--metrics") options.metrics_path = next(i);
     else if (arg == "--profile") options.profile_path = next(i);
-    else if (arg == "--serve-metrics") options.serve_port = std::stoi(next(i));
-    else if (arg == "--serve-ops") options.serve_ops_port = std::stoi(next(i));
-    else if (arg == "--serve-hold") options.serve_hold = std::stod(next(i));
-    else if (arg == "--stall-deadline") options.stall_deadline = std::stod(next(i));
+    else if (arg == "--serve-metrics") options.serve_port = port(i);
+    else if (arg == "--serve-ops") options.serve_ops_port = port(i);
+    else if (arg == "--serve-hold") read(i, options.serve_hold);
+    else if (arg == "--stall-deadline") read(i, options.stall_deadline);
     else if (options.journal.parse_flag(arg, [&] { return next(i); })) {}
     else if (arg == "--incidents-dir") options.incidents_dir = next(i);
     else if (arg == "--detectors") options.detectors = next(i);
-    else if (arg == "--overcommit") options.overcommit = std::stod(next(i));
+    else if (arg == "--overcommit") read(i, options.overcommit);
     else if (arg == "--workloads") {
       options.workloads.clear();
       std::stringstream ss(next(i));
@@ -263,7 +275,9 @@ sim::SyntheticConfig parse_synthetic(const std::string& spec) {
   std::vector<std::uint64_t> values;
   std::stringstream ss(spec);
   std::string cell;
-  while (std::getline(ss, cell, ',')) values.push_back(std::stoull(cell));
+  while (std::getline(ss, cell, ',')) {
+    values.push_back(tools::parse_number<std::uint64_t>("--synthetic", cell));
+  }
   if (values.size() < 3 || values.size() > 4) {
     std::cerr << "--synthetic wants nodes,vms_per_node,tenants[,seed]\n";
     usage(2);
@@ -419,9 +433,7 @@ void print_alert_summary(const sim::SimResult& result) {
   std::cout << ")\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const CliOptions options = parse(argc, argv);
   const bool serve_ops = options.serve_ops_port >= 0;
   obs::set_tracing_enabled(!options.trace_path.empty());
@@ -600,4 +612,19 @@ int main(int argc, char** argv) {
     server->stop();
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed flag value, or a scenario or engine config the library
+  // rejects (--window 0, --synthetic 0,8,4, --overcommit 0), exits 2.
+  try {
+    return run(argc, argv);
+  } catch (const DomainError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+  } catch (const PreconditionError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+  }
+  return 2;
 }

@@ -30,6 +30,7 @@
 #include <string>
 #include <thread>
 
+#include "cli_util.hpp"
 #include "obs/topview.hpp"
 
 namespace {
@@ -181,29 +182,37 @@ int main(int argc, char** argv) {
   double interval = 1.0;
   std::size_t windows = 60;
   bool once = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(2);
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") usage(0);
-    else if (arg == "--host") host = next();
-    else if (arg == "--port") port = next();
-    else if (arg == "--interval") interval = std::stod(next());
-    else if (arg == "--windows") windows = std::stoul(next());
-    else if (arg == "--once") once = true;
-    else if (!arg.empty() && arg[0] != '-') {
-      const std::size_t colon = arg.find(':');
-      if (colon == std::string::npos) {
-        host = arg;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> std::string {
+        if (i + 1 >= argc) usage(2);
+        return argv[++i];
+      };
+      if (arg == "--help" || arg == "-h") usage(0);
+      else if (arg == "--host") host = next();
+      else if (arg == "--port") port = next();
+      else if (arg == "--interval") {
+        interval = tools::parse_number<double>(arg, next());
+      } else if (arg == "--windows") {
+        windows = tools::parse_number<std::size_t>(arg, next());
+      } else if (arg == "--once") {
+        once = true;
+      } else if (!arg.empty() && arg[0] != '-') {
+        const std::size_t colon = arg.find(':');
+        if (colon == std::string::npos) {
+          host = arg;
+        } else {
+          if (colon > 0) host = arg.substr(0, colon);
+          port = arg.substr(colon + 1);
+        }
       } else {
-        if (colon > 0) host = arg.substr(0, colon);
-        port = arg.substr(colon + 1);
+        usage(2);
       }
-    } else {
-      usage(2);
     }
+  } catch (const DomainError& e) {
+    std::cerr << "rrf_top: " << e.what() << "\n";
+    return 2;
   }
   if (windows == 0) windows = 1;
   const std::string endpoint = host + ":" + port;

@@ -87,9 +87,9 @@ Options parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--seeds") {
-      opt.seeds = static_cast<std::size_t>(std::stoul(need_value(i)));
+      opt.seeds = tools::parse_number<std::size_t>(arg, need_value(i));
     } else if (arg == "--seed-base") {
-      opt.seed_base = std::stoull(need_value(i));
+      opt.seed_base = tools::parse_number<std::uint64_t>(arg, need_value(i));
     } else if (arg == "--policies") {
       std::stringstream ss(need_value(i));
       std::string tok;
@@ -99,7 +99,7 @@ Options parse_args(int argc, char** argv) {
         opt.policies.push_back(tok);
       }
     } else if (arg == "--duration") {
-      opt.duration = std::stod(need_value(i));
+      opt.duration = tools::parse_number<double>(arg, need_value(i));
     } else if (arg == "--out") {
       opt.out_path = need_value(i);
     } else if (arg == "--quiet") {
@@ -450,7 +450,13 @@ void validate_report(const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_args(argc, argv);
+  Options opt;
+  try {
+    opt = parse_args(argc, argv);
+  } catch (const DomainError& e) {
+    std::cerr << "rrf_verify: " << e.what() << "\n";
+    return 2;
+  }
 
   // Audit mode: a contract violation is tallied (and, via the bridge,
   // counted in the metrics registry) instead of aborting, so one bad
