@@ -72,7 +72,6 @@ CellResult run_cell(const HarnessConfig& config, sim::PolicyKind policy,
   engine.use_actuators = config.use_actuators;
   engine.parallel_nodes = parallel;
   engine.shards = shards;
-  engine.audit.enabled = false;
 
   CellResult cell;
   cell.policy = policy;

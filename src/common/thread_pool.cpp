@@ -53,13 +53,13 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::worker_loop(std::size_t worker_index) {
   bool announced = false;
   for (;;) {
-    ThreadPoolObserver* const observer = thread_pool_observer();
-    if (observer != nullptr && !announced) {
-      observer->on_worker_start(worker_index);
-      announced = true;
-    }
+    // Read before the wait only to stamp idle time.  The observer that
+    // hears about the task is re-read after dequeuing, so one uninstalled
+    // while this worker waited is never called.
     std::chrono::steady_clock::time_point idle_from{};
-    if (observer != nullptr) idle_from = std::chrono::steady_clock::now();
+    if (thread_pool_observer() != nullptr) {
+      idle_from = std::chrono::steady_clock::now();
+    }
 
     QueuedTask task;
     std::size_t depth_after = 0;
@@ -78,10 +78,15 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       depth_after = tasks_.size();
     }
 
+    ThreadPoolObserver* const observer = thread_pool_observer();
     if (observer == nullptr) {
       ActivePoolScope in_pool(this);
       task.fn();
       continue;
+    }
+    if (!announced) {
+      observer->on_worker_start(worker_index);
+      announced = true;
     }
     const auto dequeued = std::chrono::steady_clock::now();
     const auto queue_wait =
@@ -89,8 +94,12 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
             ? std::chrono::duration_cast<std::chrono::nanoseconds>(
                   dequeued - task.enqueued)
             : std::chrono::nanoseconds{0};
-    const auto idle = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        dequeued - idle_from);
+    // Zero when the observer was installed while this worker waited.
+    const auto idle =
+        idle_from != std::chrono::steady_clock::time_point{}
+            ? std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  dequeued - idle_from)
+            : std::chrono::nanoseconds{0};
     observer->on_task_start(queue_wait, idle, depth_after);
     {
       ActivePoolScope in_pool(this);

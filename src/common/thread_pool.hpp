@@ -9,7 +9,7 @@
 // on set_profiling_enabled(true)) and every dequeued task reports queue
 // wait, worker idle time, queue depth and execution time; parallel_for
 // reports its chunk/helper fan-out.  With no observer installed the only
-// extra cost per task is one relaxed pointer load — no clock is read.
+// extra cost per task is two pointer loads — no clock is read.
 #pragma once
 
 #include <atomic>
@@ -28,8 +28,9 @@ namespace rrf {
 
 /// Telemetry sink for pool activity.  Callbacks run on worker (or caller)
 /// threads outside the queue lock; implementations must be thread-safe.
-/// Install an immortal instance — uninstalling only swaps the pointer, so
-/// a worker mid-callback must never race a destructor.
+/// Uninstalling swaps the pointer: tasks dequeued afterwards are not
+/// reported, but a task already running still reports its end, so an
+/// observer must outlive every task that started while it was installed.
 class ThreadPoolObserver {
  public:
   virtual ~ThreadPoolObserver() = default;
@@ -50,11 +51,13 @@ namespace detail {
 inline std::atomic<ThreadPoolObserver*> g_thread_pool_observer{nullptr};
 }  // namespace detail
 
+// Release/acquire: a worker that sees the pointer also sees the
+// observer's construction.
 inline void set_thread_pool_observer(ThreadPoolObserver* observer) {
-  detail::g_thread_pool_observer.store(observer, std::memory_order_relaxed);
+  detail::g_thread_pool_observer.store(observer, std::memory_order_release);
 }
 inline ThreadPoolObserver* thread_pool_observer() {
-  return detail::g_thread_pool_observer.load(std::memory_order_relaxed);
+  return detail::g_thread_pool_observer.load(std::memory_order_acquire);
 }
 
 class ThreadPool {

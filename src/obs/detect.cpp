@@ -1,16 +1,20 @@
 #include "obs/detect.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "obs/exposition.hpp"
+#include "obs/trace.hpp"
 
 namespace rrf::obs {
 
 namespace {
 
 constexpr std::array<const char*, kDetectorKindCount> kKindNames = {
-    "jain", "drift", "starvation", "throughput", "changepoint", "complaint"};
+    "jain",        "drift",     "starvation", "throughput",
+    "changepoint", "complaint", "beta_drift", "reciprocity"};
 
 /// The demand-capped entitlement gap: how far the tenant's granted share
 /// trails what she both bought and asked for.  Capping demand at 1.0
@@ -54,12 +58,18 @@ void apply_detector_flag(DetectConfig& config, const std::string& flag) {
       throw DomainError("detect: unknown detector '" + name +
                         "' (expected all, none, or a comma list of: jain, "
                         "drift, starvation, throughput, changepoint, "
-                        "complaint)");
+                        "complaint, beta_drift, reciprocity)");
     }
   }
 }
 
-DetectorBank::DetectorBank(DetectConfig config) : config_(config) {
+DetectorBank::DetectorBank(DetectConfig config, std::vector<std::string> names,
+                           std::vector<double> paid, MetricsRegistry* registry)
+    : config_(config),
+      names_(std::move(names)),
+      paid_(std::move(paid)),
+      tenants_(names_.size()),
+      book_(kDetectorKindCount * (names_.size() + 1)) {
   RRF_REQUIRE(config_.fast_window > 0 &&
                   config_.slow_window >= config_.fast_window,
               "detect: windows need 0 < fast_window <= slow_window");
@@ -68,6 +78,22 @@ DetectorBank::DetectorBank(DetectConfig config) : config_(config) {
               "detect: EWMA weights must be in (0, 1]");
   RRF_REQUIRE(config_.cusum_threshold > 0.0 && config_.throughput_factor > 1.0,
               "detect: thresholds must be positive");
+  RRF_REQUIRE(names_.size() == paid_.size(),
+              "detect: tenant name/share count mismatch");
+  for (const double s : paid_) {
+    RRF_REQUIRE(s > 0.0, "detect: bought shares must be positive");
+  }
+  if (registry != nullptr) {
+    // Pre-registered so a scrape sees every family at zero before the
+    // first raise.
+    alerts_counter_ = &registry->counter("fairness.alerts");
+    for (std::size_t k = 0; k < kDetectorKindCount; ++k) {
+      kind_counters_[k] = &registry->counter(
+          labeled("fairness.alerts", {{"kind", kKindNames[k]}}));
+    }
+    active_gauge_ = &registry->gauge("fairness.alerts_active");
+    active_gauge_->set(0.0);
+  }
 }
 
 void DetectorBank::push_bad(BurnSeries& series, bool bad) const {
@@ -101,33 +127,24 @@ bool DetectorBank::burning(const BurnSeries& series) const {
          slow_fraction(series) >= config_.slow_burn;
 }
 
-std::vector<Detection> DetectorBank::observe_round(
+const std::vector<Detection>& DetectorBank::observe_round(
     const RoundSummary& summary) {
-  if (tenants_.empty() && !summary.tenants.empty()) {
-    tenants_.resize(summary.tenants.size());
-    tenant_names_.reserve(summary.tenants.size());
-    for (const TenantRoundStat& t : summary.tenants) {
-      tenant_names_.push_back(t.name);
-    }
-  }
   RRF_REQUIRE(summary.tenants.size() == tenants_.size(),
-              "detect: tenant population changed mid-run");
+              "detect: summary tenant count differs from the bank's");
   ++rounds_;
   const bool armed = rounds_ > config_.warmup_rounds;
 
-  std::vector<Detection> out;
+  detections_.clear();
   const auto detect = [&](DetectorKind kind, std::int32_t tenant,
                           double value, double threshold) {
     Detection d;
     d.kind = kind;
     d.tenant = tenant;
-    if (tenant >= 0) {
-      d.tenant_name = tenant_names_[static_cast<std::size_t>(tenant)];
-    }
+    if (tenant >= 0) d.tenant_name = names_[static_cast<std::size_t>(tenant)];
     d.window = summary.window;
     d.value = value;
     d.threshold = threshold;
-    out.push_back(std::move(d));
+    detections_.push_back(std::move(d));
   };
 
   // Cluster-wide: Jain burn rate.
@@ -205,7 +222,123 @@ std::vector<Detection> DetectorBank::observe_round(
       detect(DetectorKind::kComplaint, tenant, state.complaint,
              config_.complaint_min);
     }
+
+    // Cumulative β: the mean of the tenant's per-round share ratios.
+    state.share_total += t.share;
+    const double rounds = static_cast<double>(rounds_);
+    const double beta_drift = std::abs(state.share_total / rounds - 1.0);
+    if (armed && enabled(DetectorKind::kBetaDrift) &&
+        beta_drift > config_.beta_drift_max) {
+      detect(DetectorKind::kBetaDrift, tenant, beta_drift,
+             config_.beta_drift_max);
+    }
+
+    // Free riding: mean tenant-funded gain per round (relative to the
+    // bought share) while the cumulative contribution stays near zero.
+    const double paid = paid_[i];
+    const double gain_rate = state.gained_total / (rounds * paid);
+    const bool non_contributor =
+        state.contributed_total < config_.reciprocity_contribution_floor * paid;
+    if (armed && enabled(DetectorKind::kReciprocity) && non_contributor &&
+        gain_rate > config_.reciprocity_gain_max) {
+      detect(DetectorKind::kReciprocity, tenant, gain_rate,
+             config_.reciprocity_gain_max);
+    }
   }
+  update_book(summary.window);
+  return detections_;
+}
+
+void DetectorBank::update_book(std::size_t window) {
+  const std::size_t active_before = active_;
+  for (const Detection& d : detections_) {
+    AlertState& a = alert(d.kind, d.tenant);
+    a.last_seen_round = rounds_;
+    a.value = d.value;
+    a.threshold = d.threshold;
+    if (a.active) continue;
+    a.active = true;
+    ++a.raise_count;
+    a.raised_window = window;
+    ++active_;
+    raised_.push_back(d);
+    transitions_.push_back(AlertTransition{d.kind, d.tenant, window,
+                                           /*raised=*/true, d.value,
+                                           d.threshold});
+    if (alerts_counter_ != nullptr) {
+      alerts_counter_->add(1);
+      kind_counters_[static_cast<std::size_t>(d.kind)]->add(1);
+    }
+    if (tracing_enabled()) {
+      TraceEvent e;
+      e.kind = EventKind::kAlert;
+      e.resource = static_cast<std::int8_t>(d.kind);
+      e.tenant = d.tenant;
+      e.window = static_cast<std::int32_t>(window);
+      e.value = d.value;
+      e.value2 = d.threshold;
+      tracer().record(e);
+    }
+  }
+  if (active_ > 0) {
+    for (std::size_t slot = 0; slot < book_.size(); ++slot) {
+      AlertState& a = book_[slot];
+      if (!a.active || rounds_ - a.last_seen_round < config_.slow_window) {
+        continue;
+      }
+      a.active = false;
+      a.resolved_window = window;
+      --active_;
+      const std::size_t per_kind = names_.size() + 1;
+      transitions_.push_back(AlertTransition{
+          static_cast<DetectorKind>(slot / per_kind),
+          static_cast<std::int32_t>(slot % per_kind) - 1, window,
+          /*raised=*/false, a.value, a.threshold});
+    }
+  }
+  if (active_gauge_ != nullptr && active_ != active_before) {
+    active_gauge_->set(static_cast<double>(active_));
+  }
+}
+
+std::span<const AlertTransition> DetectorBank::transitions_since(
+    std::size_t from) const {
+  if (from >= transitions_.size()) return {};
+  return std::span<const AlertTransition>(transitions_).subspan(from);
+}
+
+json::Value DetectorBank::alerts_document() const {
+  json::Array active;
+  json::Array resolved;
+  std::array<std::size_t, kDetectorKindCount> counts{};
+  const std::size_t per_kind = names_.size() + 1;
+  for (std::size_t slot = 0; slot < book_.size(); ++slot) {
+    const AlertState& a = book_[slot];
+    if (a.raise_count == 0) continue;
+    const std::size_t kind = slot / per_kind;
+    const std::size_t column = slot % per_kind;  // 0 = cluster-wide
+    counts[kind] += a.raise_count;
+    json::Object entry;
+    entry.emplace_back("kind", kKindNames[kind]);
+    entry.emplace_back("tenant", column > 0 ? json::Value(names_[column - 1])
+                                            : json::Value(nullptr));
+    entry.emplace_back("raised_window", a.raised_window);
+    if (!a.active) entry.emplace_back("resolved_window", a.resolved_window);
+    entry.emplace_back("value", a.value);
+    entry.emplace_back("threshold", a.threshold);
+    entry.emplace_back("raise_count", a.raise_count);
+    (a.active ? active : resolved).emplace_back(std::move(entry));
+  }
+  json::Object by_kind;
+  for (std::size_t k = 0; k < kDetectorKindCount; ++k) {
+    by_kind.emplace_back(kKindNames[k], counts[k]);
+  }
+  json::Object out;
+  out.emplace_back("windows", rounds_);
+  out.emplace_back("active", std::move(active));
+  out.emplace_back("resolved", std::move(resolved));
+  out.emplace_back("counts", std::move(by_kind));
+  out.emplace_back("total", raised_.size());
   return out;
 }
 
@@ -215,7 +348,7 @@ json::Value DetectorBank::state_json() const {
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     const TenantState& s = tenants_[i];
     tenants.push_back(json::Object{
-        {"tenant", tenant_names_[i]},
+        {"tenant", names_[i]},
         {"gap_ewma", s.gap_mu},
         {"cusum", s.cusum},
         {"complaint", s.complaint},

@@ -1,43 +1,46 @@
-// Online fairness anomaly detection over the per-round summary feed.
+// Online fairness detection and the run's alert book.
 //
-// The FairnessAuditor (obs/audit.hpp) evaluates per-round SLO rules from
-// the engine's raw ledger; this layer sits one level up, consuming the
-// same RoundSummary digest the `/rounds` endpoint streams, and detects
-// the slow-burn failure modes a single-round threshold misses:
+// The DetectorBank is the run's only rule engine.  The engine builds one
+// per run whenever metrics are on or an ops sink is attached and feeds
+// it each window's RoundSummary; `/alerts`, the journal's alert records,
+// the fairness.alerts counters, the trace, SimResult::alerts and the
+// IncidentManager all read it.  Its detectors follow per-period credit
+// fairness (Zahedi & Freeman) and no-justified-complaints fairness
+// (Dolev et al.):
 //
-//  * multi-window SLO burn-rate detectors — a condition must be bad in
-//    BOTH a fast window (default 5 rounds) and a slow window (default 50
-//    rounds) before it fires, so transient blips never page but a
-//    sustained erosion pages quickly.  Applied to the Jain index, the
-//    per-tenant grant-vs-entitlement gap ("drift"), per-tenant
-//    starvation (demand ≥ entitlement yet granted below half), and round
-//    wall time ("throughput", measured against a slow EWMA baseline);
-//  * EWMA+CUSUM changepoint detection on each tenant's demand-capped
-//    entitlement gap g = max(0, min(demand,1) − granted): an EWMA tracks
-//    the tenant's normal gap, the one-sided CUSUM accumulates
-//    excursions above it and fires when the cumulative drift crosses a
-//    decision threshold (Page's test), draining naturally as the gap
-//    closes;
-//  * a per-tenant "justified complaint" score in the spirit of
-//    no-justified-complaints fairness: the EWMA of the tenant's
-//    entitlement deficit counts only while the tenant is a net
-//    reciprocity contributor (cumulative contributed > gained) — a
-//    tenant who fed the pool and still trails her entitlement is the
-//    anomaly worth paging on; a free rider with the same deficit is not.
+//  * multi-window SLO burn rates — a round must be bad in BOTH a fast
+//    window (default 5 rounds) and a slow window (default 50) before the
+//    detector fires, so blips never page but sustained erosion pages
+//    quickly.  Applied to the Jain index, the per-tenant
+//    grant-vs-entitlement gap ("drift"), starvation (demand ≥
+//    entitlement yet granted below half) and round wall time
+//    ("throughput", against a slow EWMA baseline);
+//  * an EWMA+CUSUM changepoint (Page's test) on each tenant's
+//    demand-capped entitlement gap g = max(0, min(demand,1) − granted);
+//  * a "justified complaint": the EWMA entitlement deficit of a tenant
+//    that is a net reciprocity contributor (cumulative contributed >
+//    gained) — a free rider with the same deficit does not page;
+//  * two cumulative ledger rules: "beta_drift" (the mean of the tenant's
+//    share ratios, its β of paper Section VI-C, drifted away from 1) and
+//    "reciprocity", the complaint's mirror image: a tenant that
+//    contributed next to nothing kept taking tenant-funded surplus.
 //
-// Detections are level-triggered ("this condition holds now"); the
-// IncidentManager (obs/incident.hpp) adds hysteresis, correlation and
-// forensics on top.  The bank is allocation-neutral by construction: it
-// only ever reads RoundSummary values.
+// Detections are level-triggered ("this condition holds now").  The
+// alert book turns them into edges: an alert, one (detector, tenant)
+// pair, raises on the first round its detection holds and resolves once
+// the detection has been absent for a whole slow_window.  The bank only
+// ever reads RoundSummary values, so it cannot alter allocations.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/ops.hpp"
 
 namespace rrf::obs {
@@ -49,16 +52,18 @@ enum class DetectorKind : std::uint8_t {
   kThroughput,  ///< round wall-time burn rate vs. EWMA baseline
   kChangepoint, ///< per-tenant CUSUM on the entitlement gap
   kComplaint,   ///< per-tenant justified-complaint score
+  kBetaDrift,   ///< per-tenant cumulative |β − 1|
+  kReciprocity, ///< per-tenant free riding on tenant-funded surplus
 };
-inline constexpr std::size_t kDetectorKindCount = 6;
+inline constexpr std::size_t kDetectorKindCount = 8;
 /// Stable wire name ("jain", "drift", "starvation", "throughput",
-/// "changepoint", "complaint").
+/// "changepoint", "complaint", "beta_drift", "reciprocity").
 const char* to_string(DetectorKind kind);
 
 struct DetectConfig {
   /// Per-detector enable switches, indexed by DetectorKind.
-  std::array<bool, kDetectorKindCount> enabled{true, true, true,
-                                               true, true, true};
+  std::array<bool, kDetectorKindCount> enabled{true, true, true, true,
+                                               true, true, true, true};
   /// Rounds skipped before any detector fires (engine warm-up).
   std::size_t warmup_rounds = 12;
   /// Burn-rate windows: a condition fires only when the bad-round
@@ -92,6 +97,13 @@ struct DetectConfig {
   /// Justified-complaint score (EWMA entitlement deficit while a net
   /// contributor) above this fires the complaint detector.
   double complaint_min = 0.25;
+  /// Cumulative |β − 1| above this fires beta_drift.
+  double beta_drift_max = 0.30;
+  /// reciprocity fires while the tenant's cumulative contribution stays
+  /// below reciprocity_contribution_floor × S(i) and its mean
+  /// tenant-funded gain per round exceeds reciprocity_gain_max × S(i).
+  double reciprocity_gain_max = 0.10;
+  double reciprocity_contribution_floor = 0.05;
 };
 
 /// Applies an `--detectors` flag value to `config.enabled`: "all",
@@ -109,17 +121,48 @@ struct Detection {
   double threshold{0.0};  ///< the limit it crossed
 };
 
+/// One raise/resolve edge of the alert book, in the order it happened.
+struct AlertTransition {
+  DetectorKind kind{DetectorKind::kJain};
+  std::int32_t tenant{-1};  ///< -1 for cluster-wide detectors
+  std::size_t window{0};
+  bool raised{true};  ///< false = absent for a whole slow_window
+  double value{0.0};  ///< the last detected value
+  double threshold{0.0};
+};
+
 class DetectorBank {
  public:
-  explicit DetectorBank(DetectConfig config);
+  /// `names` and `paid` (each tenant's bought share total S(i) > 0) are
+  /// indexed by tenant; every summary must carry the same tenants.  The
+  /// fairness.alerts counters (pre-registered at zero for every kind) and
+  /// the fairness.alerts_active gauge go to `registry`; nullptr publishes
+  /// none.
+  DetectorBank(DetectConfig config, std::vector<std::string> names,
+               std::vector<double> paid, MetricsRegistry* registry = nullptr);
 
-  /// Evaluates every enabled detector against one round summary and
-  /// returns the detections that hold this round (level-triggered; empty
-  /// most rounds).  Must see a fixed tenant population per run.
-  std::vector<Detection> observe_round(const RoundSummary& summary);
+  /// Evaluates every enabled detector against one round summary, then
+  /// advances the alert book.  Returns the detections that hold this
+  /// round (level-triggered; empty most rounds), valid until the next
+  /// call.
+  const std::vector<Detection>& observe_round(const RoundSummary& summary);
+  /// The last observed round's detections.
+  const std::vector<Detection>& detections() const { return detections_; }
 
-  std::size_t rounds() const { return rounds_; }
-  const DetectConfig& config() const { return config_; }
+  /// Every alert raise, in order, as the detection that raised it.
+  const std::vector<Detection>& raised() const { return raised_; }
+  /// Alerts raised and not yet resolved.
+  std::size_t active_alerts() const { return active_; }
+  /// Every raise/resolve edge so far, in the order it happened.
+  const std::vector<AlertTransition>& transitions() const {
+    return transitions_;
+  }
+  /// Transitions with index >= `from` (a cursor the caller advances).
+  std::span<const AlertTransition> transitions_since(std::size_t from) const;
+  /// The `/alerts` document: active and resolved alerts (raised and
+  /// resolved windows, last value vs. threshold, raise counts), raises
+  /// per kind and in total.
+  json::Value alerts_document() const;
 
   /// Estimator state snapshot for forensic bundles: per-tenant EWMA gap
   /// baseline, CUSUM level, complaint score, cumulative reciprocity
@@ -142,6 +185,17 @@ class DetectorBank {
     double complaint{0.0};  ///< EWMA entitlement deficit
     double contributed_total{0.0};
     double gained_total{0.0};
+    double share_total{0.0};  ///< sum of share ratios; β = mean
+  };
+  /// One (detector, tenant) alert of the book.
+  struct AlertState {
+    bool active{false};
+    std::size_t raise_count{0};
+    std::size_t raised_window{0};
+    std::size_t resolved_window{0};
+    std::size_t last_seen_round{0};  ///< rounds_ when last detected
+    double value{0.0};
+    double threshold{0.0};
   };
 
   void push_bad(BurnSeries& series, bool bad) const;
@@ -151,15 +205,32 @@ class DetectorBank {
   bool enabled(DetectorKind kind) const {
     return config_.enabled[static_cast<std::size_t>(kind)];
   }
+  AlertState& alert(DetectorKind kind, std::int32_t tenant) {
+    return book_[static_cast<std::size_t>(kind) * (names_.size() + 1) +
+                 static_cast<std::size_t>(tenant + 1)];
+  }
+  void update_book(std::size_t window);
 
   DetectConfig config_;
+  std::vector<std::string> names_;
+  std::vector<double> paid_;
   std::size_t rounds_{0};
   std::vector<TenantState> tenants_;
-  std::vector<std::string> tenant_names_;
   BurnSeries jain_;
   BurnSeries throughput_;
   double wall_baseline_{0.0};
   bool wall_baseline_init_{false};
+  std::vector<Detection> detections_;
+
+  /// kDetectorKindCount × (tenants + 1) alerts, kind-major; slot 0 of
+  /// each kind is the cluster-wide alert.
+  std::vector<AlertState> book_;
+  std::size_t active_{0};
+  std::vector<Detection> raised_;
+  std::vector<AlertTransition> transitions_;
+  Counter* alerts_counter_{nullptr};  ///< null when metrics are off
+  std::array<Counter*, kDetectorKindCount> kind_counters_{};
+  Gauge* active_gauge_{nullptr};
 };
 
 }  // namespace rrf::obs

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
@@ -528,12 +529,26 @@ std::string ExpositionServer::respond(const std::string& method,
 
 void ExpositionServer::stream_rounds(int fd, const std::string& target) {
   OpsHub& hub = *config_.ops;
+  // `follow` is 0 or 1 and `n` a plain decimal; anything else is refused
+  // before the stream starts, never read as a default.
   bool follow = true;
-  if (const auto f = query_param(target, "follow")) follow = *f != "0";
   std::size_t max_lines = 0;  // 0 = unlimited
-  if (const auto n = query_param(target, "n")) {
-    max_lines = static_cast<std::size_t>(std::strtoull(n->c_str(), nullptr, 10));
+  const auto f = query_param(target, "follow");
+  const auto n = query_param(target, "n");
+  bool valid = !f.has_value() || *f == "0" || *f == "1";
+  if (valid && n.has_value()) {
+    const char* end = n->data() + n->size();
+    const auto [ptr, ec] = std::from_chars(n->data(), end, max_lines);
+    valid = ec == std::errc() && ptr == end;
   }
+  if (!valid) {
+    send_all(fd, simple_response(400, "Bad Request",
+                                 "text/plain; charset=utf-8",
+                                 "bad /rounds query: n must be a decimal "
+                                 "count, follow 0 or 1\n"));
+    return;
+  }
+  if (f.has_value()) follow = *f == "1";
 
   if (!send_all(fd,
                 "HTTP/1.1 200 OK\r\n"

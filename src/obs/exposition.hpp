@@ -21,8 +21,8 @@
 //      GET /readyz        readiness — 503 once the stall watchdog trips
 //                         (no allocation round within stall_deadline_seconds;
 //                         requires an attached OpsHub, else mirrors /healthz)
-//      GET /alerts        the FairnessAuditor's active + recently-resolved
-//                         alerts as JSON (hysteresis state included)
+//      GET /alerts        the DetectorBank's alert book as JSON: active and
+//                         resolved alerts, raises per kind and in total
 //      GET /rounds        per-round summaries as newline-delimited JSON over
 //                         chunked transfer; follows the run live
 //                         (`?n=K` caps the line count, `?follow=0` sends the

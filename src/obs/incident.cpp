@@ -54,7 +54,7 @@ const char* to_string(IncidentSeverity severity) {
 }
 
 IncidentManager::IncidentManager(IncidentConfig config)
-    : config_(std::move(config)), bank_(config_.detect) {
+    : config_(std::move(config)) {
   RRF_REQUIRE(config_.open_after_rounds > 0 && config_.resolve_after_quiet > 0,
               "incident: hysteresis rounds must be positive");
   RRF_REQUIRE(config_.ring_capacity > 0,
@@ -72,12 +72,6 @@ void IncidentManager::set_metadata(std::string key, std::string value) {
   metadata_.emplace_back(std::move(key), std::move(value));
 }
 
-void IncidentManager::set_alerts_provider(
-    std::function<std::string()> provider) {
-  MutexLock lock(mu_);
-  alerts_provider_ = std::move(provider);
-}
-
 void IncidentManager::set_extra_provider(
     std::string filename, std::function<std::string()> provider) {
   MutexLock lock(mu_);
@@ -92,7 +86,6 @@ void IncidentManager::set_extra_provider(
 
 void IncidentManager::clear_providers() {
   MutexLock lock(mu_);
-  alerts_provider_ = nullptr;
   extras_.clear();
 }
 
@@ -131,11 +124,12 @@ IncidentSeverity IncidentManager::severity_of(const Incident& incident) const {
   return IncidentSeverity::kMinor;
 }
 
-void IncidentManager::observe_round(const RoundSummary& summary) {
+void IncidentManager::observe_round(const RoundSummary& summary,
+                                    const DetectorBank& bank) {
   MutexLock lock(mu_);
   round_ring_.push_back(summary);
   while (round_ring_.size() > config_.ring_capacity) round_ring_.pop_front();
-  const std::vector<Detection> detections = bank_.observe_round(summary);
+  const std::vector<Detection>& detections = bank.detections();
 
   Incident* open = (!incidents_.empty() && incidents_.back().open)
                        ? &incidents_.back()
@@ -189,7 +183,7 @@ void IncidentManager::observe_round(const RoundSummary& summary) {
   pending_streak_ = 0;
   pending_detections_.clear();
   quiet_rounds_ = 0;
-  if (!config_.dir.empty()) write_bundle(incident);
+  if (!config_.dir.empty()) write_bundle(incident, bank);
   IncidentEvent event;
   event.id = incident.id;
   event.opened = true;
@@ -248,7 +242,7 @@ json::Value IncidentManager::incident_to_json(const Incident& incident) const {
   };
 }
 
-json::Value IncidentManager::evidence_json() const {
+json::Value IncidentManager::evidence_json(const DetectorBank& bank) const {
   // Each tenant's series over the round ring, oldest round first.
   const std::deque<RoundSummary>& ring = round_ring_;
   const auto series = [&ring](std::size_t i, double TenantRoundStat::*field) {
@@ -275,12 +269,13 @@ json::Value IncidentManager::evidence_json() const {
   return json::Object{
       {"schema", kEvidenceSchema},
       {"version", kIncidentVersion},
-      {"detectors", bank_.state_json()},
+      {"detectors", bank.state_json()},
       {"tenants", std::move(tenants)},
   };
 }
 
-void IncidentManager::write_bundle(Incident& incident) {
+void IncidentManager::write_bundle(Incident& incident,
+                                   const DetectorBank& bank) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(config_.dir) / incident.id;
   std::error_code ec;
@@ -310,10 +305,9 @@ void IncidentManager::write_bundle(Incident& incident) {
     rounds += '\n';
   }
   write_file("rounds", "rounds.jsonl", rounds);
-  write_file("evidence", "evidence.json", evidence_json().dump(2) + "\n");
-  write_file("alerts", "alerts.json",
-             (alerts_provider_ ? alerts_provider_() : empty_alerts_document()) +
-                 "\n");
+  write_file("evidence", "evidence.json",
+             evidence_json(bank).dump(2) + "\n");
+  write_file("alerts", "alerts.json", bank.alerts_document().dump(2) + "\n");
 
   json::Array sites;
   for (const auto& [site, count] : contract::violation_counts()) {

@@ -1,9 +1,10 @@
 // Incident engine: hysteresis, root-cause correlation and forensic
-// bundles on top of the detector bank (obs/detect.hpp).
+// bundles on top of the engine's detector bank (obs/detect.hpp).
 //
-// The DetectorBank answers "which fairness conditions hold this round";
-// the IncidentManager turns that level-triggered signal into operator
-// workflow:
+// The DetectorBank answers "which fairness conditions hold this round"
+// and keeps the run's alert book (one alert per detector and tenant);
+// the IncidentManager turns the same level-triggered signal into
+// operator workflow:
 //
 //  * hysteresis — a condition must fire for open_after_rounds
 //    consecutive rounds before an incident opens (single-round blips
@@ -19,7 +20,7 @@
 //  * forensics — at open the manager snapshots a self-contained bundle
 //    directory: the recent round ring (rounds.jsonl), the detector
 //    estimator state and the ring's per-tenant series (evidence.json),
-//    the auditor's alert document, contract-audit tallies, a collapsed
+//    the bank's alert book (alerts.json), contract-audit tallies, a collapsed
 //    flamegraph when profiling is live, engine-provided extras (e.g.
 //    per-shard stats) and a schema-versioned incident.json manifest
 //    stamped with build provenance.  `rrf_inspect incident
@@ -28,7 +29,8 @@
 // Threading: observe_round(), providers and finalize() belong to the
 // engine thread; incidents_json()/incident_json() are safe to call from
 // HTTP handler threads concurrently (the /incidents routes).
-// Allocation-neutral: the manager only reads RoundSummary values.
+// Allocation-neutral: the manager only reads RoundSummary values and
+// the bank's detections.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +56,6 @@ struct IncidentConfig {
   /// Bundle root; one subdirectory per incident.  Empty = incidents are
   /// tracked in memory (endpoints, journal) but nothing hits disk.
   std::string dir;
-  DetectConfig detect;
   /// Consecutive firing rounds before an incident opens.
   std::size_t open_after_rounds = 3;
   /// Detection-free rounds before an open incident auto-resolves.
@@ -125,20 +126,19 @@ class IncidentManager {
   IncidentManager(const IncidentManager&) = delete;
   IncidentManager& operator=(const IncidentManager&) = delete;
 
-  /// Feeds one round through the detector bank and advances incident
-  /// state (open/escalate/resolve, bundle snapshots).  Engine thread.
-  void observe_round(const RoundSummary& summary);
+  /// Advances incident state (open/escalate/resolve, bundle snapshots)
+  /// on the detections `bank` just made for `summary`.  Engine thread.
+  void observe_round(const RoundSummary& summary, const DetectorBank& bank);
 
   /// Rewrites the open incident's manifest (if any) so its final state
   /// survives the run ending mid-incident.  Engine thread, at run end.
   void finalize();
 
   // Bundle enrichment, installed by the engine for the duration of a
-  // run.  The alerts provider returns the serialized /alerts document;
-  // each extra provider contributes one named bundle file.  Metadata
-  // key/values land in the manifest (policy, windows, scenario, ...).
+  // run.  Each extra provider contributes one named bundle file.
+  // Metadata key/values land in the manifest (policy, windows,
+  // scenario, ...).
   void set_metadata(std::string key, std::string value);
-  void set_alerts_provider(std::function<std::string()> provider);
   void set_extra_provider(std::string filename,
                           std::function<std::string()> provider);
   void clear_providers();
@@ -157,7 +157,6 @@ class IncidentManager {
   std::size_t opened_total() const;
   std::size_t open_count() const;
   std::vector<Incident> incidents() const;
-  const IncidentConfig& config() const { return config_; }
 
  private:
   // Helpers below run with mu_ held by their public callers; REQUIRES
@@ -167,13 +166,13 @@ class IncidentManager {
   IncidentSeverity severity_of(const Incident& incident) const;
   json::Value incident_to_json(const Incident& incident) const
       REQUIRES(mu_);
-  json::Value evidence_json() const REQUIRES(mu_);
-  void write_bundle(Incident& incident) REQUIRES(mu_);
+  json::Value evidence_json(const DetectorBank& bank) const REQUIRES(mu_);
+  void write_bundle(Incident& incident, const DetectorBank& bank)
+      REQUIRES(mu_);
   void rewrite_manifest(const Incident& incident) const REQUIRES(mu_);
 
   IncidentConfig config_;
   mutable InstrumentedMutex mu_{"incident.manager"};
-  DetectorBank bank_ GUARDED_BY(mu_);
   /// Recent rounds kept as plain structs; serialization to JSON is
   /// deferred to bundle-write time so the per-round steady-state cost is
   /// a struct copy, not a JSON dump (the <2% overhead budget).
@@ -185,7 +184,6 @@ class IncidentManager {
   std::vector<Detection> pending_detections_ GUARDED_BY(mu_);
   std::size_t quiet_rounds_ GUARDED_BY(mu_){0};
   std::vector<std::pair<std::string, std::string>> metadata_ GUARDED_BY(mu_);
-  std::function<std::string()> alerts_provider_ GUARDED_BY(mu_);
   std::vector<std::pair<std::string, std::function<std::string()>>> extras_
       GUARDED_BY(mu_);
 };

@@ -4,8 +4,8 @@
 //
 // Where the flight recorder captures *allocation decisions* for
 // bit-exact replay, the journal captures *operator telemetry* — the same
-// RoundSummary objects the `/rounds` feed streams, plus every
-// FairnessAuditor raise/resolve edge — so a crashed or killed run
+// RoundSummary objects the `/rounds` feed streams, plus every alert
+// raise/resolve edge of the DetectorBank — so a crashed or killed run
 // leaves a forensically useful trail on disk.  The framing follows the
 // flightrec conventions:
 //   line 1    — header: {"schema":"rrf-telemetry","version":1,"kind",
@@ -61,7 +61,7 @@ struct JournalHeader {
 
 /// One persisted alert raise/resolve edge.
 struct JournalAlert {
-  std::string kind;  ///< "jain" | "beta_drift" | "starvation" | "reciprocity"
+  std::string kind;  ///< a DetectorKind wire name ("starvation", ...)
   bool raised{true};
   std::int32_t tenant{-1};  ///< -1 for cluster-wide alerts
   std::string tenant_name;  ///< empty for cluster-wide alerts

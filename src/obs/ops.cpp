@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "obs/audit.hpp"
 
 namespace rrf::obs {
 
@@ -118,38 +117,6 @@ RoundSummary round_summary_from_json(const json::Value& value) {
     stat.gained = num_field(t, "gained", fail);
     out.tenants.push_back(std::move(stat));
   }
-  return out;
-}
-
-json::Value alerts_document(const FairnessAuditor& auditor) {
-  json::Array active;
-  json::Array resolved;
-  for (const AlertStatus& status : auditor.alert_statuses()) {
-    json::Object entry;
-    entry.emplace_back("kind", to_string(status.kind));
-    entry.emplace_back("tenant", status.tenant >= 0
-                                     ? json::Value(status.tenant_name)
-                                     : json::Value(nullptr));
-    entry.emplace_back("raised_window", status.raised_window);
-    if (!status.active) {
-      entry.emplace_back("resolved_window", status.resolved_window);
-    }
-    entry.emplace_back("value", status.value);
-    entry.emplace_back("threshold", status.threshold);
-    entry.emplace_back("raise_count", status.raise_count);
-    (status.active ? active : resolved).emplace_back(std::move(entry));
-  }
-  json::Object counts;
-  for (std::size_t k = 0; k < kAlertKindCount; ++k) {
-    counts.emplace_back(to_string(static_cast<AlertKind>(k)),
-                        auditor.alert_count(static_cast<AlertKind>(k)));
-  }
-  json::Object out;
-  out.emplace_back("windows", auditor.windows());
-  out.emplace_back("active", std::move(active));
-  out.emplace_back("resolved", std::move(resolved));
-  out.emplace_back("counts", std::move(counts));
-  out.emplace_back("total", auditor.alerts().size());
   return out;
 }
 

@@ -5,7 +5,7 @@
 // A RoundSummary is the operator-facing form of one window's RoundDigest
 // (obs/round.hpp): per-tenant share / demand / granted ratios, the
 // tenant-funded contribution and gain flows, the window's Jain index over
-// share ratios, per-phase wall timings and the auditor's alert counts.
+// share ratios, per-phase wall timings and the alert book's counts.
 // The engine builds one per window with summarize_round (only when an
 // OpsHub, TelemetryJournal or IncidentManager is attached, so the
 // disabled path stays allocation-free) and the same JSON object flows to
@@ -39,8 +39,6 @@
 #include "obs/trace.hpp"  // Phase, kPhaseCount
 
 namespace rrf::obs {
-
-class FairnessAuditor;
 
 /// One tenant's slice of a round summary.  Ratios are relative to the
 /// tenant's bought share total S(i); flows are raw shares this window.
@@ -91,11 +89,8 @@ json::Value round_summary_to_json(const RoundSummary& summary);
 /// violations (wrong tag, missing or mistyped fields).
 RoundSummary round_summary_from_json(const json::Value& value);
 
-/// The `/alerts` JSON document for an auditor's current state: active
-/// and recently-resolved alerts with their hysteresis state (raised /
-/// resolved windows, last value vs. threshold, raise counts).
-json::Value alerts_document(const FairnessAuditor& auditor);
-/// The empty document served before any auditor state was published.
+/// The empty `/alerts` document, served before the engine publishes the
+/// detector bank's (DetectorBank::alerts_document in obs/detect.hpp).
 std::string empty_alerts_document();
 
 class OpsHub {

@@ -43,8 +43,8 @@ enum class EventKind : std::uint8_t {
   kMigration,        ///< live migration (node = from, value2 = to,
                      ///  value = GB copied)
   kPhase,            ///< one timed phase (dur_us; phase field says which)
-  kAlert,            ///< fairness SLO alert raised by the auditor
-                     ///  (resource = AlertKind, value = measured,
+  kAlert,            ///< fairness alert raised by the detector bank
+                     ///  (resource = DetectorKind, value = measured,
                      ///  value2 = threshold, tenant = -1 for cluster-wide)
   kContractViolation,  ///< audit-mode contract violation recorded by
                        ///  obs/contract_bridge (value = 1 per violation)

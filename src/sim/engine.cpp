@@ -15,6 +15,7 @@
 #include "common/float_eq.hpp"
 #include "common/thread_pool.hpp"
 #include "hypervisor/node.hpp"
+#include "obs/audit.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/incident.hpp"
 #include "obs/journal.hpp"
@@ -437,18 +438,23 @@ SimResult run_simulation(const Scenario& scenario,
     lt_balance.assign(tenant_count, 0.0);
   }
 
-  // ---- continuous fairness auditing (SLO watchdog) ----
+  // ---- fairness gauges and the one alerting pipeline ----
+  // The auditor publishes gauges; the detector bank is the run's only
+  // rule engine, built when anything consumes its alerts.
   std::unique_ptr<obs::FairnessAuditor> auditor;
-  if (config.audit.enabled && obs::metrics_enabled()) {
-    auditor = std::make_unique<obs::FairnessAuditor>(
-        config.audit, tenant_names, tenant_share_sum);
+  std::unique_ptr<obs::DetectorBank> bank;
+  if (obs::metrics_enabled()) {
+    auditor =
+        std::make_unique<obs::FairnessAuditor>(tenant_names, tenant_share_sum);
   }
-
-  // ---- live ops plane (round summaries + alert transitions) ----
-  const bool ops_on = config.ops != nullptr || config.journal != nullptr ||
-                      config.incidents != nullptr;
-  // Auditor transitions already drained into the journal / alerts doc.
-  std::size_t ops_transition_cursor = 0;
+  if (obs::metrics_enabled() || config.ops != nullptr ||
+      config.journal != nullptr || config.incidents != nullptr) {
+    bank = std::make_unique<obs::DetectorBank>(
+        config.detect, tenant_names, tenant_share_sum,
+        obs::metrics_enabled() ? &obs::metrics() : nullptr);
+  }
+  // Alert transitions already drained into the journal.
+  std::size_t alert_cursor = 0;
   // Incident open/resolve edges already relayed into the journal.
   std::size_t incident_event_cursor = 0;
   const auto relay_incidents = [&]() {
@@ -472,11 +478,6 @@ SimResult run_simulation(const Scenario& scenario,
                                    std::to_string(config.window));
     config.incidents->set_metadata("hosts", std::to_string(host_count));
     config.incidents->set_metadata("tenants", std::to_string(tenant_count));
-    if (auditor) {
-      obs::FairnessAuditor* aud = auditor.get();
-      config.incidents->set_alerts_provider(
-          [aud]() { return obs::alerts_document(*aud).dump(); });
-    }
     if (shard_executor) {
       ShardExecutor* exec = shard_executor.get();
       config.incidents->set_extra_provider("shards.json", [exec]() {
@@ -758,7 +759,8 @@ SimResult run_simulation(const Scenario& scenario,
       // (beta_shares is fully overwritten below; the contributed/gained
       // accumulators must be re-zeroed each round.)
       std::vector<ResourceVector>& beta_shares = node.beta_shares;
-      // Realized reciprocity flows per slot, for the fairness auditor:
+      // Realized reciprocity flows per slot, for the fairness gauges and
+      // the detector bank:
       // shares of this VM's surplus other tenants consumed, and shares it
       // took financed by other tenants' surplus.
       std::fill(node.slot_contributed.begin(), node.slot_contributed.end(),
@@ -953,20 +955,18 @@ SimResult run_simulation(const Scenario& scenario,
 
     if (auditor) auditor->observe_round(digest);
 
-    if (ops_on) {
+    if (bank) {
       obs::RoundSummary summary =
           obs::summarize_round(digest, tenant_names, tenant_share_sum);
-      std::span<const obs::AlertTransition> fresh;
-      if (auditor) {
-        summary.active_alerts = auditor->active_alerts();
-        summary.alerts_total = auditor->alerts().size();
-        fresh = auditor->transitions_since(ops_transition_cursor);
-      }
+      bank->observe_round(summary);
+      summary.active_alerts = bank->active_alerts();
+      summary.alerts_total = bank->raised().size();
       if (config.incidents != nullptr) {
-        config.incidents->observe_round(summary);
+        config.incidents->observe_round(summary, *bank);
       }
       if (config.journal != nullptr) {
-        for (const obs::AlertTransition& tr : fresh) {
+        for (const obs::AlertTransition& tr :
+             bank->transitions_since(alert_cursor)) {
           obs::JournalAlert alert;
           alert.kind = obs::to_string(tr.kind);
           alert.raised = tr.raised;
@@ -983,11 +983,9 @@ SimResult run_simulation(const Scenario& scenario,
         relay_incidents();
         config.journal->record_round(summary);
       }
-      ops_transition_cursor += fresh.size();
+      alert_cursor = bank->transitions().size();
       if (config.ops != nullptr) {
-        if (auditor) {
-          config.ops->set_alerts_json(obs::alerts_document(*auditor).dump());
-        }
+        config.ops->set_alerts_json(bank->alerts_document().dump());
         config.ops->publish_round(summary);
       }
     }
@@ -1018,11 +1016,11 @@ SimResult run_simulation(const Scenario& scenario,
   if (config.incidents != nullptr) {
     config.incidents->finalize();
     relay_incidents();
-    // The providers capture auditor/shard state local to this run; never
-    // leave them dangling on the caller-owned manager.
+    // The providers capture shard state local to this run; never leave
+    // them dangling on the caller-owned manager.
     config.incidents->clear_providers();
   }
-  if (auditor) result.alerts = auditor->alerts();
+  if (bank) result.alerts = bank->raised();
   if (obs::metrics_enabled()) {
     obs::metrics().counter("engine.windows").add(windows);
     obs::metrics().counter("engine.alloc_rounds").add(result.alloc_invocations);

@@ -15,7 +15,7 @@
 #include "alloc/policy.hpp"
 #include "cluster/rebalance.hpp"
 #include "hypervisor/node.hpp"
-#include "obs/audit.hpp"
+#include "obs/detect.hpp"
 #include "obs/round.hpp"
 #include "sim/metrics.hpp"
 #include "sim/predictor.hpp"
@@ -94,11 +94,14 @@ struct EngineConfig {
   /// serially (parallel_nodes == false or a single node).
   std::size_t shards = 0;
   RebalanceConfig rebalance;
-  /// Continuous fairness auditing (SLO watchdog).  The auditor runs while
-  /// metric collection is on (obs::metrics_enabled()) and audit.enabled is
-  /// true; it publishes per-round fairness gauges and raises structured
-  /// alerts into SimResult::alerts, the registry, the tracer and the log.
-  obs::AuditConfig audit;
+  /// The run's detector bank (obs/detect.hpp), the one rule engine
+  /// behind every alert.  The engine builds it while metric collection
+  /// is on (obs::metrics_enabled()) or an ops sink below is attached,
+  /// feeds it each window's RoundSummary, and every raise lands in
+  /// SimResult::alerts, the fairness.alerts counters, the tracer, the
+  /// journal, the hub's /alerts document and the incident engine.
+  /// Detection only reads: it never alters allocations.
+  obs::DetectConfig detect;
   /// Optional flight recorder (obs/flightrec.hpp): the engine appends one
   /// round per window with per-slot demand/forecast/entitlement/actuator
   /// targets plus the IRT/IWA/rebalance provenance.  The caller writes the
@@ -109,19 +112,17 @@ struct EngineConfig {
   /// Optional live ops hub (obs/ops.hpp): the engine publishes one
   /// RoundSummary per window (per-tenant share/demand ratios, reciprocity
   /// flows, Jain, phase timings, alert counts) and refreshes the hub's
-  /// /alerts document from the auditor.  Not owned; nullptr keeps the hot
-  /// path free of summary building.
+  /// /alerts document from the detector bank.  Not owned.
   obs::OpsHub* ops = nullptr;
   /// Optional durable telemetry journal (obs/journal.hpp): the engine
-  /// appends the same round summaries plus every auditor alert
-  /// raise/resolve transition.  Not owned; the caller opens it (header)
-  /// and calls finish() after the run.
+  /// appends the same round summaries plus every alert raise/resolve
+  /// transition.  Not owned; the caller opens it (header) and calls
+  /// finish() after the run.
   obs::TelemetryJournal* journal = nullptr;
   /// Optional incident engine (obs/incident.hpp): the engine feeds it the
-  /// same per-window RoundSummary, installs forensic-bundle providers
-  /// (the auditor's alert document, per-shard stats) and relays incident
-  /// open/resolve transitions into the journal.  Not owned; detection is
-  /// observation-only and never alters allocations.
+  /// same per-window RoundSummary with the bank's detections, installs
+  /// forensic-bundle providers (per-shard stats) and relays incident
+  /// open/resolve transitions into the journal.  Not owned.
   obs::IncidentManager* incidents = nullptr;
   /// Optional per-window callback (custom metrics, live dashboards,
   /// convergence studies).  Called on the simulation thread after every

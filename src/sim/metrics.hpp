@@ -15,7 +15,7 @@
 
 #include "common/resource_vector.hpp"
 #include "common/types.hpp"
-#include "obs/audit.hpp"
+#include "obs/detect.hpp"
 #include "obs/trace.hpp"
 #include "sim/shard.hpp"
 
@@ -83,9 +83,10 @@ struct SimResult {
   std::size_t migrations{0};
   double migrated_gb{0.0};
   Seconds window{0.0};
-  /// Fairness SLO alerts the auditor raised during the run (empty unless
-  /// metrics collection and EngineConfig::audit were both enabled).
-  std::vector<obs::Alert> alerts;
+  /// Every alert the detector bank raised during the run, in order, as
+  /// the detection that raised it (empty unless metrics collection or an
+  /// ops sink was on).
+  std::vector<obs::Detection> alerts;
   /// Per-shard execution telemetry (busy seconds, node/slot counts) when
   /// the run dispatched rounds through a ShardExecutor; empty for serial
   /// runs.  The busy-seconds spread across shards is the load-imbalance

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -295,6 +296,28 @@ TEST(ThreadPool, ObserverSeesDispatchedWorkAndUninstallsCleanly) {
   ThreadPool quiet(2);
   quiet.parallel_for(64, [&](std::size_t) { c.fetch_add(1); });
   EXPECT_EQ(observer.tasks_started.load(), tasks_before);
+}
+
+TEST(ThreadPool, UninstalledObserverIsNeverCalledAgain) {
+  // Regression: a worker read the observer before parking and called it
+  // after waking, so an observer uninstalled (and destroyed) while the
+  // worker slept was still called for the next task.
+  auto observer = std::make_unique<CountingObserver>();
+  ThreadPoolObserver* const previous = thread_pool_observer();
+  set_thread_pool_observer(observer.get());
+  std::atomic<int> c{0};
+  {
+    ThreadPool pool(2);
+    pool.parallel_for(64, [&](std::size_t) { c.fetch_add(1); });
+    // Both workers go back to waiting with the observer installed.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    set_thread_pool_observer(previous);
+    const std::size_t tasks_before = observer->tasks_started.load();
+    pool.parallel_for(64, [&](std::size_t) { c.fetch_add(1); });
+    EXPECT_EQ(observer->tasks_started.load(), tasks_before);
+  }
+  EXPECT_EQ(c.load(), 128);
+  observer.reset();
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // DetectorBank unit tests: flag parsing, burn-rate gating (fast AND
 // slow window), starvation/drift thresholds on the granted ratio, the
 // CUSUM changepoint, the justified-complaint gate and the throughput
-// baseline.
+// baseline.  The ledger rules and the alert book are pinned in
+// audit_test.cpp, the /alerts document in ops_test.cpp.
 #include "obs/detect.hpp"
 
 #include <gtest/gtest.h>
@@ -51,6 +52,11 @@ DetectConfig quick_config() {
   return config;
 }
 
+/// A bank over make_round's two tenants, each of whom bought one share.
+DetectorBank make_bank(DetectConfig config = quick_config()) {
+  return DetectorBank(config, {"victim", "peer"}, {1.0, 1.0});
+}
+
 bool has_kind(const std::vector<Detection>& detections, DetectorKind kind) {
   return std::any_of(detections.begin(), detections.end(),
                      [kind](const Detection& d) { return d.kind == kind; });
@@ -77,7 +83,7 @@ TEST(DetectFlag, UnknownNameThrows) {
 }
 
 TEST(DetectorBank, CleanRoundsProduceNoDetections) {
-  DetectorBank bank(quick_config());
+  DetectorBank bank = make_bank();
   for (std::size_t w = 0; w < 40; ++w) {
     const auto detections = bank.observe_round(make_round(w, 1.0, 1.0));
     EXPECT_TRUE(detections.empty()) << "window " << w;
@@ -85,7 +91,7 @@ TEST(DetectorBank, CleanRoundsProduceNoDetections) {
 }
 
 TEST(DetectorBank, StarvationNeedsTheFullFastWindow) {
-  DetectorBank bank(quick_config());
+  DetectorBank bank = make_bank();
   // Warm up healthy, then starve: granted 0.4 of entitlement, demand 1.
   for (std::size_t w = 0; w < 10; ++w) {
     EXPECT_TRUE(bank.observe_round(make_round(w, 1.0, 1.0)).empty());
@@ -108,7 +114,7 @@ TEST(DetectorBank, StarvationNeedsTheFullFastWindow) {
 }
 
 TEST(DetectorBank, LowDemandTenantsAreNotStarved) {
-  DetectorBank bank(quick_config());
+  DetectorBank bank = make_bank();
   // Granted under half, but the tenant only asks for a third: both the
   // starvation demand bar and the demand-capped drift gap stay quiet.
   for (std::size_t w = 0; w < 30; ++w) {
@@ -121,7 +127,7 @@ TEST(DetectorBank, LowDemandTenantsAreNotStarved) {
 TEST(DetectorBank, WarmupSuppressesEarlyDetections) {
   DetectConfig config = quick_config();
   config.warmup_rounds = 20;
-  DetectorBank bank(config);
+  DetectorBank bank = make_bank(config);
   for (std::size_t w = 0; w < 20; ++w) {
     EXPECT_TRUE(bank.observe_round(make_round(w, 0.1, 1.0)).empty())
         << "window " << w;
@@ -133,7 +139,7 @@ TEST(DetectorBank, ChangepointChargesAStepBeforeTheBaselineAbsorbsIt) {
   DetectConfig config = quick_config();
   // Isolate the CUSUM from the burn-rate detectors.
   apply_detector_flag(config, "changepoint");
-  DetectorBank bank(config);
+  DetectorBank bank = make_bank(config);
   for (std::size_t w = 0; w < 20; ++w) {
     EXPECT_TRUE(bank.observe_round(make_round(w, 1.0, 1.0)).empty());
   }
@@ -156,8 +162,8 @@ TEST(DetectorBank, ComplaintRequiresANetContributor) {
   apply_detector_flag(config, "complaint");
   // Two banks see the same persistent deficit; only the tenant whose
   // cumulative contributed exceeds gained may complain.
-  DetectorBank contributor(config);
-  DetectorBank free_rider(config);
+  DetectorBank contributor = make_bank(config);
+  DetectorBank free_rider = make_bank(config);
   bool contributor_fired = false;
   bool free_rider_fired = false;
   for (std::size_t w = 0; w < 40; ++w) {
@@ -175,7 +181,7 @@ TEST(DetectorBank, ComplaintRequiresANetContributor) {
 TEST(DetectorBank, JainBurnRateFiresOnSustainedImbalance) {
   DetectConfig config = quick_config();
   apply_detector_flag(config, "jain");
-  DetectorBank bank(config);
+  DetectorBank bank = make_bank(config);
   bool fired = false;
   for (std::size_t w = 0; w < 20; ++w) {
     RoundSummary summary = make_round(w, 1.0, 1.0);
@@ -192,7 +198,7 @@ TEST(DetectorBank, ThroughputComparesAgainstTheEwmaBaseline) {
   // enough that rounds stop classifying as bad before the slow-window
   // burn fraction is reached in this short test.
   config.baseline_alpha = 0.01;
-  DetectorBank bank(config);
+  DetectorBank bank = make_bank(config);
   for (std::size_t w = 0; w < 20; ++w) {
     EXPECT_TRUE(bank.observe_round(make_round(w, 1.0, 1.0)).empty());
   }
@@ -208,7 +214,7 @@ TEST(DetectorBank, ThroughputComparesAgainstTheEwmaBaseline) {
 }
 
 TEST(DetectorBank, TenantPopulationChangeIsRejected) {
-  DetectorBank bank(quick_config());
+  DetectorBank bank = make_bank();
   bank.observe_round(make_round(0, 1.0, 1.0));
   RoundSummary shrunk = make_round(1, 1.0, 1.0);
   shrunk.tenants.pop_back();
@@ -216,7 +222,7 @@ TEST(DetectorBank, TenantPopulationChangeIsRejected) {
 }
 
 TEST(DetectorBank, StateJsonCarriesEstimatorState) {
-  DetectorBank bank(quick_config());
+  DetectorBank bank = make_bank();
   // Healthy rounds first so the gap baseline initializes at zero; the
   // step to a 0.5 gap then drives both the EWMA and the CUSUM positive
   // (a bank fed a constant gap from round one inits mu AT the gap and

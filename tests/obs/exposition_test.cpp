@@ -17,6 +17,7 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "obs/detect.hpp"
 #include "obs/incident.hpp"
 #include "obs/ops.hpp"
 
@@ -455,6 +456,35 @@ TEST(ObsExposition, RoundsFollowStreamsRoundsPublishedAfterConnect) {
   server.stop();
 }
 
+TEST(ObsExposition, MalformedRoundsQueryGets400) {
+  OpsHub hub;
+  for (std::size_t w = 0; w < 3; ++w) hub.publish_round(make_round(w));
+  ExpositionServer::Config config;
+  config.ops = &hub;
+  ExpositionServer server(config);
+  server.start();
+
+  // A count that is not a plain decimal, or a follow flag other than 0
+  // or 1, is refused before the stream starts instead of read as a
+  // default (every case here ends even if it were streamed).
+  for (const char* target :
+       {"/rounds?n=abc&follow=0", "/rounds?n=-1&follow=0", "/rounds?n=2x",
+        "/rounds?n=&follow=0", "/rounds?n=2&follow=yes",
+        "/rounds?n=2&follow=2"}) {
+    const std::string response = http_get(server.port(), target);
+    EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos)
+        << target << "\n" << response;
+    EXPECT_EQ(response.find("chunked"), std::string::npos) << target;
+  }
+  // Well-formed queries still stream.
+  const auto lines = [&](const char* target) {
+    return ndjson_lines(body_of(http_get(server.port(), target))).size();
+  };
+  EXPECT_EQ(lines("/rounds?n=2&follow=1"), 2u);
+  EXPECT_EQ(lines("/rounds?follow=0"), 3u);
+  server.stop();
+}
+
 TEST(ObsExposition, StopWhileAFollowerIsConnectedStaysPrompt) {
   OpsHub hub;
   ExpositionServer::Config config;
@@ -498,10 +528,12 @@ TEST(ObsExposition, IncidentRoutesServeTheManagerAndDegradeWithoutOne) {
 
   // Live manager: drive it into one open incident, then fetch both
   // routes.  Small windows so a handful of rounds suffices.
+  DetectConfig detect;
+  detect.warmup_rounds = 2;
+  detect.fast_window = 3;
+  detect.slow_window = 10;
+  DetectorBank bank(detect, {"victim"}, {1.0});
   IncidentConfig incident_config;
-  incident_config.detect.warmup_rounds = 2;
-  incident_config.detect.fast_window = 3;
-  incident_config.detect.slow_window = 10;
   incident_config.open_after_rounds = 2;
   IncidentManager manager(incident_config);
   for (std::size_t w = 0; w < 16; ++w) {
@@ -514,7 +546,8 @@ TEST(ObsExposition, IncidentRoutesServeTheManagerAndDegradeWithoutOne) {
     tenant.demand = 1.0;
     tenant.granted = w < 10 ? 1.0 : 0.4;  // starved from window 10 on
     summary.tenants = {tenant};
-    manager.observe_round(summary);
+    bank.observe_round(summary);
+    manager.observe_round(summary, bank);
   }
   ASSERT_EQ(manager.open_count(), 1u);
 

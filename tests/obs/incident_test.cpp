@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,47 +52,64 @@ RoundSummary make_round(std::size_t window, double granted, double demand) {
 IncidentConfig quick_config(std::string dir = {}) {
   IncidentConfig config;
   config.dir = std::move(dir);
-  config.detect.warmup_rounds = 2;
-  config.detect.fast_window = 3;
-  config.detect.slow_window = 10;
   config.open_after_rounds = 2;
   config.resolve_after_quiet = 4;
   config.ring_capacity = 8;
   return config;
 }
 
-/// Feeds `count` rounds starting at `*window`, advancing it.
-void feed(IncidentManager& manager, std::size_t* window, std::size_t count,
-          double granted, double demand) {
-  for (std::size_t i = 0; i < count; ++i) {
-    manager.observe_round(make_round((*window)++, granted, demand));
-  }
+DetectConfig quick_detect() {
+  DetectConfig config;
+  config.warmup_rounds = 2;
+  config.fast_window = 3;
+  config.slow_window = 10;
+  return config;
 }
 
+/// The engine's per-round order: the bank detects, the manager reads
+/// the bank.
+struct Pipeline {
+  explicit Pipeline(IncidentConfig config = quick_config())
+      : manager(std::move(config)) {}
+
+  /// Feeds `count` rounds, advancing the window.
+  void feed(std::size_t count, double granted, double demand) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const RoundSummary summary = make_round(window++, granted, demand);
+      bank.observe_round(summary);
+      manager.observe_round(summary, bank);
+    }
+  }
+
+  DetectorBank bank{quick_detect(), {"victim", "peer"}, {1.0, 1.0}};
+  IncidentManager manager;
+  std::size_t window = 0;
+};
+
 TEST(IncidentManager, HealthyRunsOpenNothing) {
-  IncidentManager manager(quick_config());
-  std::size_t w = 0;
-  feed(manager, &w, 50, 1.0, 1.0);
+  Pipeline p;
+  IncidentManager& manager = p.manager;
+  p.feed(50, 1.0, 1.0);
   EXPECT_EQ(manager.opened_total(), 0u);
   EXPECT_EQ(manager.open_count(), 0u);
 }
 
 TEST(IncidentManager, OpensAfterTheFiringStreakAndResolvesAfterQuiet) {
-  IncidentManager manager(quick_config());
-  std::size_t w = 0;
-  feed(manager, &w, 10, 1.0, 1.0);
+  Pipeline p;
+  IncidentManager& manager = p.manager;
+  p.feed(10, 1.0, 1.0);
   // Starvation fires once 3 consecutive bad rounds fill the fast
   // window; the incident needs 2 such firing rounds (hysteresis).
-  feed(manager, &w, 3, 0.4, 1.0);
+  p.feed(3, 0.4, 1.0);
   EXPECT_EQ(manager.opened_total(), 0u) << "first firing round must not open";
-  feed(manager, &w, 1, 0.4, 1.0);
+  p.feed(1, 0.4, 1.0);
   ASSERT_EQ(manager.opened_total(), 1u);
   EXPECT_EQ(manager.open_count(), 1u);
   // Healthy again: the incident stays open through the quiet window,
   // then auto-resolves.
-  feed(manager, &w, 3, 1.0, 1.0);
+  p.feed(3, 1.0, 1.0);
   EXPECT_EQ(manager.open_count(), 1u);
-  feed(manager, &w, 2, 1.0, 1.0);
+  p.feed(2, 1.0, 1.0);
   EXPECT_EQ(manager.open_count(), 0u);
   const std::vector<Incident> incidents = manager.incidents();
   ASSERT_EQ(incidents.size(), 1u);
@@ -101,13 +119,13 @@ TEST(IncidentManager, OpensAfterTheFiringStreakAndResolvesAfterQuiet) {
 }
 
 TEST(IncidentManager, ConcurrentDetectionsCorrelateIntoOneIncident) {
-  IncidentManager manager(quick_config());
-  std::size_t w = 0;
-  feed(manager, &w, 10, 1.0, 1.0);
+  Pipeline p;
+  IncidentManager& manager = p.manager;
+  p.feed(10, 1.0, 1.0);
   // granted 0.4 / demand 1.0 trips starvation AND drift (gap 0.6) and,
   // as rounds accumulate, the changepoint and complaint detectors too —
   // all must fold into a single incident.
-  feed(manager, &w, 30, 0.4, 1.0);
+  p.feed(30, 0.4, 1.0);
   EXPECT_EQ(manager.opened_total(), 1u);
   const std::vector<Incident> incidents = manager.incidents();
   ASSERT_EQ(incidents.size(), 1u);
@@ -120,18 +138,18 @@ TEST(IncidentManager, ConcurrentDetectionsCorrelateIntoOneIncident) {
 }
 
 TEST(IncidentManager, EventsFeedDrainsWithACursor) {
-  IncidentManager manager(quick_config());
-  std::size_t w = 0;
+  Pipeline p;
+  IncidentManager& manager = p.manager;
   std::size_t cursor = 0;
-  feed(manager, &w, 14, 1.0, 1.0);
+  p.feed(14, 1.0, 1.0);
   EXPECT_TRUE(manager.events_since(&cursor).empty());
-  feed(manager, &w, 4, 0.4, 1.0);
+  p.feed(4, 0.4, 1.0);
   const std::vector<IncidentEvent> opened = manager.events_since(&cursor);
   ASSERT_EQ(opened.size(), 1u);
   EXPECT_TRUE(opened[0].opened);
   EXPECT_EQ(opened[0].id, "inc-0001");
   EXPECT_TRUE(manager.events_since(&cursor).empty()) << "cursor advanced";
-  feed(manager, &w, 5, 1.0, 1.0);
+  p.feed(5, 1.0, 1.0);
   const std::vector<IncidentEvent> resolved = manager.events_since(&cursor);
   ASSERT_EQ(resolved.size(), 1u);
   EXPECT_FALSE(resolved[0].opened);
@@ -139,14 +157,14 @@ TEST(IncidentManager, EventsFeedDrainsWithACursor) {
 }
 
 TEST(IncidentManager, IncidentsJsonListsAndFetchesById) {
-  IncidentManager manager(quick_config());
-  std::size_t w = 0;
+  Pipeline p;
+  IncidentManager& manager = p.manager;
   const json::Value empty = json::Value::parse(manager.incidents_json());
   EXPECT_DOUBLE_EQ(empty.find("open")->as_number(), 0.0);
   EXPECT_TRUE(empty.find("incidents")->as_array().empty());
 
-  feed(manager, &w, 10, 1.0, 1.0);
-  feed(manager, &w, 4, 0.4, 1.0);
+  p.feed(10, 1.0, 1.0);
+  p.feed(4, 0.4, 1.0);
   const json::Value doc = json::Value::parse(manager.incidents_json());
   EXPECT_DOUBLE_EQ(doc.find("open")->as_number(), 1.0);
   ASSERT_EQ(doc.find("incidents")->as_array().size(), 1u);
@@ -161,16 +179,14 @@ TEST(IncidentManager, IncidentsJsonListsAndFetchesById) {
 
 TEST(IncidentManager, MetadataAndProvidersLandInTheBundle) {
   const std::string dir = fresh_dir("incident_bundle");
-  IncidentManager manager(quick_config(dir));
+  Pipeline p(quick_config(dir));
+  IncidentManager& manager = p.manager;
   manager.set_metadata("policy", "rrf");
-  manager.set_alerts_provider(
-      [] { return std::string(R"({"active":[],"resolved":[],"total":0})"); });
   manager.set_extra_provider("shards.json", [] {
     return std::string(R"({"schema":"rrf-shards","version":1,"shards":[]})");
   });
-  std::size_t w = 0;
-  feed(manager, &w, 10, 1.0, 1.0);
-  feed(manager, &w, 4, 0.4, 1.0);
+  p.feed(10, 1.0, 1.0);
+  p.feed(4, 0.4, 1.0);
   manager.finalize();
 
   const IncidentBundle bundle = IncidentBundle::load_dir(dir + "/inc-0001");
@@ -185,11 +201,24 @@ TEST(IncidentManager, MetadataAndProvidersLandInTheBundle) {
   ASSERT_NE(metadata, nullptr);
   EXPECT_EQ(metadata->find("policy")->as_string(), "rrf");
   bool saw_shards = false;
+  bool saw_alerts = false;
   for (const auto& [name, file] :
        bundle.manifest.find("files")->as_object()) {
     saw_shards = saw_shards || file.as_string() == "shards.json";
+    saw_alerts = saw_alerts || file.as_string() == "alerts.json";
   }
   EXPECT_TRUE(saw_shards);
+  // alerts.json is the bank's alert book at open: the starvation alert.
+  ASSERT_TRUE(saw_alerts);
+  std::ifstream alerts_file(dir + "/inc-0001/alerts.json");
+  std::stringstream alerts_text;
+  alerts_text << alerts_file.rdbuf();
+  const json::Value alerts = json::Value::parse(alerts_text.str());
+  bool starvation = false;
+  for (const json::Value& entry : alerts.find("active")->as_array()) {
+    starvation = starvation || entry.find("kind")->as_string() == "starvation";
+  }
+  EXPECT_TRUE(starvation);
   // Build provenance is stamped.
   EXPECT_NE(bundle.manifest.find("build"), nullptr);
 }
@@ -201,10 +230,10 @@ TEST(IncidentBundle, MissingDirectoryThrows) {
 
 TEST(IncidentBundle, TamperedBundleReportsProblemsWithoutThrowing) {
   const std::string dir = fresh_dir("incident_tampered");
-  IncidentManager manager(quick_config(dir));
-  std::size_t w = 0;
-  feed(manager, &w, 10, 1.0, 1.0);
-  feed(manager, &w, 4, 0.4, 1.0);
+  Pipeline p(quick_config(dir));
+  IncidentManager& manager = p.manager;
+  p.feed(10, 1.0, 1.0);
+  p.feed(4, 0.4, 1.0);
   manager.finalize();
 
   const std::string bundle_dir = dir + "/inc-0001";
@@ -221,13 +250,13 @@ TEST(IncidentManager, RunawayGuardStopsOpeningNewIncidents) {
   IncidentConfig config = quick_config();
   config.max_incidents = 1;
   config.resolve_after_quiet = 2;
-  IncidentManager manager(config);
-  std::size_t w = 0;
-  feed(manager, &w, 10, 1.0, 1.0);
-  feed(manager, &w, 4, 0.4, 1.0);  // opens inc-0001
-  feed(manager, &w, 3, 1.0, 1.0);  // resolves it
+  Pipeline p(config);
+  IncidentManager& manager = p.manager;
+  p.feed(10, 1.0, 1.0);
+  p.feed(4, 0.4, 1.0);  // opens inc-0001
+  p.feed(3, 1.0, 1.0);  // resolves it
   EXPECT_EQ(manager.open_count(), 0u);
-  feed(manager, &w, 10, 0.4, 1.0);  // would open inc-0002
+  p.feed(10, 0.4, 1.0);  // would open inc-0002
   EXPECT_EQ(manager.opened_total(), 1u);
 }
 

@@ -99,7 +99,6 @@ TEST(OpsStress, ConcurrentScrapesDuringARun) {
   config.policy = PolicyKind::kRrf;
   config.duration = 600.0;
   config.window = 5.0;
-  config.audit.log_alerts = false;
   config.ops = &hub;
   config.journal = &journal;
 
@@ -159,7 +158,6 @@ TEST(OpsNeutrality, AttachingTheOpsPlaneChangesNoAllocation) {
     config.policy = PolicyKind::kRrf;
     config.duration = 300.0;
     config.window = 5.0;
-    config.audit.log_alerts = false;
     config.observer = [&positions](const WindowSnapshot& snapshot) {
       positions.push_back(snapshot.tenant_position);
     };

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "obs/audit.hpp"
+#include "obs/detect.hpp"
 
 namespace rrf::obs {
 namespace {
@@ -137,24 +137,20 @@ TEST(OpsAlerts, EmptyDocumentIsValidJson) {
 }
 
 TEST(OpsAlerts, DocumentTracksRaiseAndResolve) {
-  AuditConfig config;
-  config.warmup_windows = 0;
-  config.jain_min = 0.95;
-  config.beta_drift_max = 1e9;  // keep the other rules quiet
-  config.reciprocity_gain_max = 1e9;
-  config.starvation_windows = 1000;
-  config.log_alerts = false;
-  MetricsRegistry registry;
-  FairnessAuditor auditor(config, {"a", "b"}, {100.0, 100.0}, &registry);
+  DetectConfig config;
+  apply_detector_flag(config, "jain");  // keep the other detectors quiet
+  config.warmup_rounds = 0;
+  config.fast_window = 1;
+  config.slow_window = 4;
+  DetectorBank bank(config, {"tpcc-1", "hadoop-2"}, {100.0, 100.0});
 
-  // Window 0: wildly unequal positions drive Jain below the SLO.
-  RoundDigest round;
-  round.reset(2, 0);
-  round.tenant_position = {190.0, 10.0};
-  round.tenant_demand = {100.0, 100.0};
-  auditor.observe_round(round);
+  // Window 0: a Jain index below the SLO.
+  RoundSummary round = sample_summary();
+  round.window = 0;
+  round.jain = 0.5;
+  bank.observe_round(round);
 
-  json::Value doc = alerts_document(auditor);
+  json::Value doc = bank.alerts_document();
   ASSERT_EQ(doc.find("active")->as_array().size(), 1u);
   const json::Value& entry = doc.find("active")->as_array()[0];
   EXPECT_EQ(entry.find("kind")->as_string(), "jain");
@@ -163,16 +159,17 @@ TEST(OpsAlerts, DocumentTracksRaiseAndResolve) {
   EXPECT_LT(entry.find("value")->as_number(),
             entry.find("threshold")->as_number());
   EXPECT_DOUBLE_EQ(doc.find("counts")->find("jain")->as_number(), 1.0);
+  EXPECT_EQ(doc.find("counts")->as_object().size(), kDetectorKindCount);
   EXPECT_DOUBLE_EQ(doc.find("total")->as_number(), 1.0);
 
-  // Equal rounds until the cumulative Jain recovers past the hysteresis.
-  round.tenant_position = {100.0, 100.0};
-  for (std::size_t w = 1; w < 200 && auditor.active_alerts() > 0; ++w) {
+  // Fair rounds until the alert has been quiet for the slow window.
+  round.jain = 1.0;
+  for (std::size_t w = 1; w < 200 && bank.active_alerts() > 0; ++w) {
     round.window = w;
-    auditor.observe_round(round);
+    bank.observe_round(round);
   }
-  ASSERT_EQ(auditor.active_alerts(), 0u);
-  doc = alerts_document(auditor);
+  ASSERT_EQ(bank.active_alerts(), 0u);
+  doc = bank.alerts_document();
   EXPECT_TRUE(doc.find("active")->as_array().empty());
   ASSERT_EQ(doc.find("resolved")->as_array().size(), 1u);
   const json::Value& done = doc.find("resolved")->as_array()[0];
@@ -181,11 +178,11 @@ TEST(OpsAlerts, DocumentTracksRaiseAndResolve) {
             done.find("raised_window")->as_number());
 
   // The transition log saw exactly one raise edge and one resolve edge.
-  ASSERT_EQ(auditor.transitions().size(), 2u);
-  EXPECT_TRUE(auditor.transitions()[0].raised);
-  EXPECT_FALSE(auditor.transitions()[1].raised);
-  EXPECT_EQ(auditor.transitions_since(1).size(), 1u);
-  EXPECT_EQ(auditor.transitions_since(2).size(), 0u);
+  ASSERT_EQ(bank.transitions().size(), 2u);
+  EXPECT_TRUE(bank.transitions()[0].raised);
+  EXPECT_FALSE(bank.transitions()[1].raised);
+  EXPECT_EQ(bank.transitions_since(1).size(), 1u);
+  EXPECT_EQ(bank.transitions_since(2).size(), 0u);
 }
 
 TEST(OpsHubTest, PublishesLinesInOrder) {

@@ -47,7 +47,6 @@ TEST(FlightReplay, PinnedRrfCellReplaysBitIdentically) {
   config.policy = sim::PolicyKind::kRrf;
   config.window = 5.0;
   config.duration = 25.0;
-  config.audit.enabled = false;
 
   const obs::FlightRecording recording = record_run(scenario, config);
   ASSERT_EQ(recording.rounds.size(), 5u);
@@ -67,7 +66,6 @@ TEST(FlightReplay, EveryPolicyReplaysBitIdentically) {
     config.policy = policy.kind;
     config.window = 5.0;
     config.duration = 20.0;
-    config.audit.enabled = false;
 
     const obs::FlightRecording recording = record_run(scenario, config);
     const sim::ReplayResult replay = sim::replay_recording(recording);
@@ -85,7 +83,6 @@ TEST(FlightReplay, ActuatorTargetsAndMigrationsSurviveTheRoundTrip) {
   config.use_actuators = true;
   config.rebalance.enabled = true;
   config.rebalance.every_windows = 2;
-  config.audit.enabled = false;
 
   const obs::FlightRecording recording = record_run(scenario, config);
   bool saw_actuator = false;
@@ -116,7 +113,6 @@ TEST(FlightReplay, RecorderAttachmentDoesNotPerturbAllocations) {
     config.window = 5.0;
     config.duration = 30.0;
     config.parallel_nodes = false;  // deterministic aggregation order
-    config.audit.enabled = false;
     std::vector<double> out;
     config.observer = [&](const sim::WindowSnapshot& snapshot) {
       out.insert(out.end(), snapshot.tenant_position.begin(),
@@ -147,7 +143,6 @@ TEST(FlightReplay, TruncatedRecordingsAreRefused) {
   config.policy = sim::PolicyKind::kRrf;
   config.window = 5.0;
   config.duration = 20.0;
-  config.audit.enabled = false;
 
   obs::FlightRecording recording = record_run(scenario, config);
   ASSERT_GE(recording.rounds.size(), 3u);
@@ -204,7 +199,6 @@ TEST(FlightReplay, ExplainRendersTheSimDecisionChain) {
   config.policy = sim::PolicyKind::kRrf;
   config.window = 5.0;
   config.duration = 20.0;
-  config.audit.enabled = false;
 
   const obs::FlightRecording recording = record_run(scenario, config);
   obs::ExplainQuery query;

@@ -168,7 +168,6 @@ void capture_engine(std::vector<std::string>* lines) {
       config.duration = 30.0;
       config.use_actuators = actuators;
       config.parallel_nodes = false;  // deterministic aggregation order
-      config.audit.enabled = false;
       const std::string tag = sim::to_string(policy) +
                               (actuators ? "+hv" : "+raw");
       config.observer = [&](const sim::WindowSnapshot& snapshot) {
@@ -239,7 +238,6 @@ TEST(GoldenAlloc, EngineCaptureIsIdenticalWithRecordingEnabled) {
     config.duration = 30.0;
     config.use_actuators = true;
     config.parallel_nodes = false;
-    config.audit.enabled = false;
     std::vector<std::string> lines;
     config.observer = [&](const sim::WindowSnapshot& snapshot) {
       for (std::size_t t = 0; t < snapshot.tenant_position.size(); ++t) {
@@ -288,7 +286,6 @@ TEST(GoldenAlloc, EngineCaptureIsIdenticalWithProfilingEnabled) {
     config.duration = 30.0;
     config.use_actuators = true;
     config.parallel_nodes = false;
-    config.audit.enabled = false;
     std::vector<std::string> lines;
     config.observer = [&](const sim::WindowSnapshot& snapshot) {
       for (std::size_t t = 0; t < snapshot.tenant_position.size(); ++t) {

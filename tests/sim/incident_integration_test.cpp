@@ -36,7 +36,6 @@ EngineConfig engine_config() {
   config.policy = PolicyKind::kRrf;
   config.duration = 1000.0;  // 200 rounds at window 5
   config.window = 5.0;
-  config.audit.log_alerts = false;
   return config;
 }
 

@@ -1,17 +1,11 @@
 // Shared CLI plumbing for the rrf_* tools.
 //
-// rrf_sim_cli and rrf_alloc_cli expose the same telemetry-journal flags;
-// this header keeps their spelling, parsing and defaults in one place so
-// the two tools can never drift apart (`--journal` meaning bytes in one
-// and a path in the other).  Both tools already use a `next()` closure to
-// consume flag values, so parse_flag() takes any nullary callable.  Every
-// tool that takes a policy name checks it with policy_or_exit(), and
-// reads every numeric flag value with parse_number().
+// Every tool that takes a policy name checks it with policy_or_exit(),
+// and reads every numeric flag value with parse_number().
 #pragma once
 
 #include <charconv>
 #include <cmath>
-#include <cstddef>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -20,7 +14,6 @@
 
 #include "alloc/policy.hpp"
 #include "common/error.hpp"
-#include "obs/journal.hpp"
 
 namespace rrf::tools {
 
@@ -60,46 +53,5 @@ T parse_number(std::string_view flag, const std::string& text) {
   }
   return value;
 }
-
-/// Help text for the shared journal flags (same indentation as the rest
-/// of each tool's usage block).
-inline constexpr const char* kJournalFlagsHelp =
-    "  --journal <path>    append a schema-v1 telemetry journal (JSONL);\n"
-    "                      inspect with rrf_inspect journal\n"
-    "  --journal-retention <bytes>  bound journal disk use via two-segment\n"
-    "                      rotation (default 0 = unbounded)\n";
-
-/// The journal flags shared by rrf_sim_cli and rrf_alloc_cli.
-struct JournalCliOptions {
-  std::string path;           ///< --journal (empty = journaling off)
-  std::size_t retention = 0;  ///< --journal-retention bytes (0 = unbounded)
-
-  bool enabled() const { return !path.empty(); }
-
-  /// Consumes `arg` when it is one of the journal flags, pulling its
-  /// value from `next` (a nullary callable yielding the following argv
-  /// token).  Returns false — nothing consumed — for any other flag.
-  template <typename Next>
-  bool parse_flag(const std::string& arg, Next&& next) {
-    if (arg == "--journal") {
-      path = next();
-      return true;
-    }
-    if (arg == "--journal-retention") {
-      retention = parse_number<std::size_t>("--journal-retention", next());
-      return true;
-    }
-    return false;
-  }
-
-  /// Writer options with the shared fields filled in; the caller sets
-  /// kind, policy and the tenant list.
-  obs::TelemetryJournal::Options writer_options() const {
-    obs::TelemetryJournal::Options options;
-    options.path = path;
-    options.max_bytes = retention;
-    return options;
-  }
-};
 
 }  // namespace rrf::tools

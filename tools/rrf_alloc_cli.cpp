@@ -4,24 +4,17 @@
 //   cat entities.csv | rrf_alloc_cli --policy wmmf --capacity 2000,2000 -
 //
 // CSV format: name,share_0,...,demand_0,...  (see alloc/entity_io.hpp).
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
-#include <thread>
 
 #include "alloc/entity_io.hpp"
 #include "alloc/flight_capture.hpp"
 #include "cli_util.hpp"
 #include "obs/exposition.hpp"
 #include "obs/flightrec.hpp"
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/ops.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 
@@ -46,11 +39,6 @@ using namespace rrf;
       "  --profile <path>  attach the hierarchical profiler to the round;\n"
       "                    Chrome trace JSON if the path ends in .json,\n"
       "                    collapsed-stack flamegraph text otherwise\n"
-      << tools::kJournalFlagsHelp <<
-      "  --serve-ops <p>   serve the ops plane (/metrics, /healthz,\n"
-      "                    /readyz, /alerts, /rounds, /profile) on port\n"
-      "                    <p> after the round (0 = ephemeral)\n"
-      "  --serve-hold <s>  keep the ops server up <s> seconds (default 5)\n"
       "  <csv>       entity file, or '-' for stdin\n";
   std::exit(code);
 }
@@ -141,9 +129,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string metrics_path;
   std::string profile_path;
-  tools::JournalCliOptions journal;
-  int serve_ops_port = -1;
-  double serve_hold = 5.0;
 
   try {
     for (int i = 1; i < argc; ++i) {
@@ -159,12 +144,7 @@ int main(int argc, char** argv) {
       else if (arg == "--trace") trace_path = next();
       else if (arg == "--metrics") metrics_path = next();
       else if (arg == "--profile") profile_path = next();
-      else if (journal.parse_flag(arg, next)) {}
-      else if (arg == "--serve-ops") {
-        serve_ops_port = tools::parse_number<std::uint16_t>(arg, next());
-      } else if (arg == "--serve-hold") {
-        serve_hold = tools::parse_number<double>(arg, next());
-      } else if (input_path.empty()) {
+      else if (input_path.empty()) {
         input_path = arg;
       } else {
         usage(2);
@@ -198,7 +178,7 @@ int main(int argc, char** argv) {
   }
 
   obs::set_tracing_enabled(!trace_path.empty());
-  obs::set_metrics_enabled(!metrics_path.empty() || serve_ops_port >= 0);
+  obs::set_metrics_enabled(!metrics_path.empty());
   obs::set_profiling_enabled(!profile_path.empty());
   if (obs::profiling_enabled()) obs::set_thread_name("main");
 
@@ -222,62 +202,6 @@ int main(int argc, char** argv) {
       recorder.write_recording(recording);
       std::cout << "wrote " << record_path << " ("
                 << recorder.bytes_written() << " bytes)\n";
-    }
-    // One-shot ops-plane digest of the round: each entity is a tenant,
-    // its grant is its ledger position, and its declared surplus flows
-    // are the per-type deltas from its bought shares.
-    if (journal.enabled() || serve_ops_port >= 0) {
-      const std::size_t n = entities.size();
-      obs::RoundDigest digest;
-      digest.reset(n, 0);
-      digest.slots = n;
-      std::vector<std::string> names(n);
-      std::vector<double> paid(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const alloc::AllocationEntity& entity = entities[i];
-        names[i] = entity.name;
-        paid[i] = std::max(1e-12, entity.initial_share.sum());
-        digest.tenant_position[i] = result.allocations[i].sum();
-        digest.tenant_granted[i] = digest.tenant_position[i];
-        digest.tenant_demand[i] = entity.demand.sum();
-        for (std::size_t k = 0; k < entity.initial_share.size(); ++k) {
-          const double delta =
-              result.allocations[i][k] - entity.initial_share[k];
-          (delta >= 0.0 ? digest.tenant_gained[i]
-                        : digest.tenant_contributed[i]) += std::abs(delta);
-        }
-      }
-      const obs::RoundSummary summary =
-          obs::summarize_round(digest, names, paid);
-
-      if (journal.enabled()) {
-        obs::TelemetryJournal::Options journal_options =
-            journal.writer_options();
-        journal_options.kind = "alloc";
-        journal_options.policy = policy_name;
-        for (const alloc::AllocationEntity& entity : entities) {
-          journal_options.tenants.push_back(entity.name);
-        }
-        obs::TelemetryJournal writer(std::move(journal_options));
-        writer.record_round(summary);
-        writer.finish();
-        std::cout << "wrote " << journal.path << " ("
-                  << writer.bytes_written() << " bytes)\n";
-      }
-      if (serve_ops_port >= 0) {
-        obs::OpsHub hub;
-        hub.publish_round(summary);
-        obs::ExpositionServer::Config server_config;
-        server_config.port = static_cast<std::uint16_t>(serve_ops_port);
-        server_config.ops = &hub;
-        obs::ExpositionServer server(server_config);
-        server.start();
-        std::cout << "holding ops plane open for " << serve_hold
-                  << "s (port " << server.port() << ")\n";
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(serve_hold));
-        server.stop();
-      }
     }
     write_observability_outputs(trace_path, metrics_path, profile_path);
   } catch (const std::exception& e) {

@@ -25,7 +25,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/experiments.hpp"
-#include "obs/audit.hpp"
+#include "obs/detect.hpp"
 #include "obs/exposition.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/incident.hpp"
@@ -70,23 +70,24 @@ struct CliOptions {
   std::string profile_path;
   /// Flight-recorder output (JSONL); empty = recording off.
   std::string record_path;
-  /// Live Prometheus exposition: port to serve /metrics on (-1 = off,
-  /// 0 = ephemeral).
-  int serve_port = -1;
-  /// Full ops plane (adds /rounds, /alerts, /readyz watchdog, /profile);
-  /// takes precedence over --serve-metrics when both are given.
+  /// Ops-plane port (/metrics, /rounds, /alerts, /readyz watchdog,
+  /// /profile, ...): -1 = off, 0 = ephemeral.
   int serve_ops_port = -1;
   /// Seconds to keep serving after the runs finish (CI scrapes / demos).
   double serve_hold = 0.0;
   /// /readyz stall watchdog deadline in seconds (0 disables).
   double stall_deadline = 60.0;
-  /// Telemetry journal flags (shared with rrf_alloc_cli, cli_util.hpp).
-  tools::JournalCliOptions journal;
+  /// Telemetry journal path (empty = journaling off) and its two-segment
+  /// rotation bound in bytes (0 = unbounded).
+  std::string journal_path;
+  std::size_t journal_retention = 0;
   /// Incident bundle root (--incidents-dir); enables the incident engine.
   std::string incidents_dir;
-  /// Detector selection ("all", "none" or a comma list); non-empty also
-  /// enables the incident engine (in-memory when no --incidents-dir).
+  /// Detector selection ("all", "none" or a comma list) for the run's
+  /// detector bank; non-empty also enables the incident engine
+  /// (in-memory when no --incidents-dir).
   std::string detectors;
+  obs::DetectConfig detect;
   /// Synthetic-scenario provisioning multiplier (--overcommit); > 1 sells
   /// more capacity than the hosts have, the seeded starvation scenario.
   double overcommit = 1.0;
@@ -137,23 +138,23 @@ struct CliOptions {
       "                      writes Chrome trace JSON if the path ends in\n"
       "                      .json, collapsed-stack flamegraph text\n"
       "                      otherwise.  Also feeds profile.* gauges into\n"
-      "                      --metrics / --serve-metrics output.\n"
-      "  --serve-metrics <p> serve the live registry over HTTP on port <p>\n"
-      "                      (0 picks an ephemeral port): GET /metrics is\n"
-      "                      Prometheus text format, /metrics.json the JSON\n"
-      "                      snapshot.  Implies metric collection and the\n"
-      "                      fairness auditor.\n"
-      "  --serve-ops <p>     serve the full ops plane on port <p> (0 picks\n"
-      "                      an ephemeral port): /metrics, /metrics.json,\n"
-      "                      /healthz, /readyz (stall watchdog), /alerts,\n"
-      "                      /rounds (streaming NDJSON round feed; follow\n"
-      "                      it live with curl or rrf_top) and /profile.\n"
-      "                      Implies metric collection and the auditor.\n"
+      "                      --metrics / --serve-ops output.\n"
+      "  --serve-ops <p>     serve the ops plane on port <p> (0 picks an\n"
+      "                      ephemeral port): /metrics (Prometheus text),\n"
+      "                      /metrics.json, /healthz, /readyz (stall\n"
+      "                      watchdog), /alerts, /rounds (streaming NDJSON\n"
+      "                      round feed; follow it live with curl or\n"
+      "                      rrf_top), /incidents and /profile.  Implies\n"
+      "                      metric collection.\n"
       "  --serve-hold <s>    keep serving <s> seconds after the runs finish\n"
-      "                      (default 0; use with --serve-metrics/ops)\n"
+      "                      (default 0)\n"
       "  --stall-deadline <s> /readyz answers 503 when no round completes\n"
       "                      within <s> seconds (default 60; 0 disables)\n"
-      << tools::kJournalFlagsHelp <<
+      "  --journal <path>    append a schema-v1 telemetry journal (JSONL):\n"
+      "                      round summaries, alert and incident\n"
+      "                      transitions; inspect with rrf_inspect journal\n"
+      "  --journal-retention <bytes>  bound journal disk use via two-segment\n"
+      "                      rotation (default 0 = unbounded)\n"
       "  --incidents-dir <d> enable the incident engine (multi-window SLO\n"
       "                      burn-rate + changepoint detectors over the\n"
       "                      round feed) and write one forensic bundle\n"
@@ -162,8 +163,9 @@ struct CliOptions {
       "                      only)\n"
       "  --detectors <list>  detector selection: all, none, or a comma\n"
       "                      list of jain,drift,starvation,throughput,\n"
-      "                      changepoint,complaint.  Implies the incident\n"
-      "                      engine (in memory when no --incidents-dir)\n"
+      "                      changepoint,complaint,beta_drift,reciprocity\n"
+      "                      (default all).  Implies the incident engine\n"
+      "                      (in memory when no --incidents-dir)\n"
       "  --overcommit <f>    synthetic scenarios only: provision each VM\n"
       "                      <f>x its honest share (default 1.0); > 1\n"
       "                      oversells capacity so saturated demand\n"
@@ -223,11 +225,11 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--trace") options.trace_path = next(i);
     else if (arg == "--metrics") options.metrics_path = next(i);
     else if (arg == "--profile") options.profile_path = next(i);
-    else if (arg == "--serve-metrics") options.serve_port = port(i);
     else if (arg == "--serve-ops") options.serve_ops_port = port(i);
     else if (arg == "--serve-hold") read(i, options.serve_hold);
     else if (arg == "--stall-deadline") read(i, options.stall_deadline);
-    else if (options.journal.parse_flag(arg, [&] { return next(i); })) {}
+    else if (arg == "--journal") options.journal_path = next(i);
+    else if (arg == "--journal-retention") read(i, options.journal_retention);
     else if (arg == "--incidents-dir") options.incidents_dir = next(i);
     else if (arg == "--detectors") options.detectors = next(i);
     else if (arg == "--overcommit") read(i, options.overcommit);
@@ -254,9 +256,12 @@ CliOptions parse(int argc, char** argv) {
     std::cerr << "--record captures one run; pick a single --policy\n";
     usage(2);
   }
-  if (options.journal.enabled() && options.policy == "all") {
+  if (!options.journal_path.empty() && options.policy == "all") {
     std::cerr << "--journal captures one run; pick a single --policy\n";
     usage(2);
+  }
+  if (!options.detectors.empty()) {
+    obs::apply_detector_flag(options.detect, options.detectors);
   }
   if ((!options.incidents_dir.empty() || !options.detectors.empty()) &&
       options.policy == "all") {
@@ -297,14 +302,6 @@ std::unique_ptr<obs::IncidentManager> make_incident_manager(
   }
   obs::IncidentConfig config;
   config.dir = options.incidents_dir;
-  if (!options.detectors.empty()) {
-    try {
-      obs::apply_detector_flag(config.detect, options.detectors);
-    } catch (const DomainError& e) {
-      std::cerr << e.what() << "\n";
-      usage(2);
-    }
-  }
   return std::make_unique<obs::IncidentManager>(config);
 }
 
@@ -338,6 +335,7 @@ sim::EngineConfig engine_config(const CliOptions& options) {
   engine.use_predictor = !options.oracle;
   engine.use_sliced_scheduler = options.sliced;
   engine.shards = options.shards;
+  engine.detect = options.detect;
   if (options.memory == "balloon") {
     engine.memory_backend = hv::MemoryBackend::kBalloon;
   } else if (options.memory == "hotplug") {
@@ -417,17 +415,17 @@ void print_alert_summary(const sim::SimResult& result) {
     std::cout << "fairness alerts: none\n";
     return;
   }
-  std::array<std::size_t, obs::kAlertKindCount> by_kind{};
-  for (const obs::Alert& alert : result.alerts) {
+  std::array<std::size_t, obs::kDetectorKindCount> by_kind{};
+  for (const obs::Detection& alert : result.alerts) {
     ++by_kind[static_cast<std::size_t>(alert.kind)];
   }
   std::cout << "fairness alerts: " << result.alerts.size() << " (";
   bool first = true;
-  for (std::size_t k = 0; k < obs::kAlertKindCount; ++k) {
+  for (std::size_t k = 0; k < obs::kDetectorKindCount; ++k) {
     if (by_kind[k] == 0) continue;
     if (!first) std::cout << ", ";
     first = false;
-    std::cout << obs::to_string(static_cast<obs::AlertKind>(k)) << "="
+    std::cout << obs::to_string(static_cast<obs::DetectorKind>(k)) << "="
               << by_kind[k];
   }
   std::cout << ")\n";
@@ -437,10 +435,7 @@ int run(int argc, char** argv) {
   const CliOptions options = parse(argc, argv);
   const bool serve_ops = options.serve_ops_port >= 0;
   obs::set_tracing_enabled(!options.trace_path.empty());
-  // Journaling needs the auditor (alert transitions), which needs metrics.
-  obs::set_metrics_enabled(!options.metrics_path.empty() ||
-                           options.serve_port >= 0 || serve_ops ||
-                           options.journal.enabled());
+  obs::set_metrics_enabled(!options.metrics_path.empty() || serve_ops);
   obs::set_profiling_enabled(!options.profile_path.empty());
   if (obs::profiling_enabled()) obs::set_thread_name("main");
 
@@ -451,10 +446,9 @@ int run(int argc, char** argv) {
       make_incident_manager(options);
 
   std::unique_ptr<obs::ExpositionServer> server;
-  if (options.serve_port >= 0 || serve_ops) {
+  if (serve_ops) {
     obs::ExpositionServer::Config server_config;
-    server_config.port = static_cast<std::uint16_t>(
-        serve_ops ? options.serve_ops_port : options.serve_port);
+    server_config.port = static_cast<std::uint16_t>(options.serve_ops_port);
     server_config.ops = hub.get();
     server_config.incidents = incidents.get();
     server_config.stall_deadline_seconds = options.stall_deadline;
@@ -524,9 +518,10 @@ int run(int argc, char** argv) {
   }
 
   std::unique_ptr<obs::TelemetryJournal> journal;
-  if (options.journal.enabled()) {
-    obs::TelemetryJournal::Options journal_options =
-        options.journal.writer_options();
+  if (!options.journal_path.empty()) {
+    obs::TelemetryJournal::Options journal_options;
+    journal_options.path = options.journal_path;
+    journal_options.max_bytes = options.journal_retention;
     journal_options.kind = "sim";
     journal_options.policy = options.policy;
     for (const auto& tenant : scenario.cluster.tenants()) {
@@ -567,7 +562,10 @@ int run(int argc, char** argv) {
               << TextTable::pct(result.mean_utilization[1])
               << "; allocator load "
               << TextTable::pct(result.allocator_load(), 4) << "\n";
-    if (obs::metrics_enabled()) print_alert_summary(result);
+    // The engine's detector bank ran for any of these consumers.
+    if (obs::metrics_enabled() || hub || journal || incidents) {
+      print_alert_summary(result);
+    }
     std::cout << "\n";
   }
 
@@ -586,7 +584,7 @@ int run(int argc, char** argv) {
   }
   if (journal) {
     journal->finish();
-    std::cout << "wrote " << options.journal.path << " ("
+    std::cout << "wrote " << options.journal_path << " ("
               << journal->rounds_recorded() << " rounds, "
               << journal->alerts_recorded() << " alert transitions, "
               << journal->incidents_recorded() << " incident transitions, "
@@ -604,8 +602,10 @@ int run(int argc, char** argv) {
   write_observability_outputs(options);
   if (server) {
     if (options.serve_hold > 0.0) {
-      std::cout << "holding /metrics open for " << options.serve_hold
-                << "s (port " << server->port() << ")\n";
+      // Flushed: a scraper commonly stops the process during the hold,
+      // and the run's summary must already be on disk by then.
+      std::cout << "holding the ops plane open for " << options.serve_hold
+                << "s (port " << server->port() << ")" << std::endl;
       std::this_thread::sleep_for(
           std::chrono::duration<double>(options.serve_hold));
     }

@@ -5,8 +5,8 @@
 //
 // Follows the `/rounds` NDJSON stream on a reader thread and renders a
 // refreshing view: per-tenant share bars (S'/S with demand), a Jain and
-// max-share-drift sparkline over the last N windows, the auditor's
-// active alerts (from `/alerts`), open incidents (from `/incidents`),
+// max-share-drift sparkline over the last N windows, the active
+// alerts (from `/alerts`), open incidents (from `/incidents`),
 // allocation throughput, and the top self-time profile sites (from
 // `/profile`, when profiling is on).  Parsing and rendering live in
 // obs/topview.{hpp,cpp} (tested directly); this file is sockets + loop.
