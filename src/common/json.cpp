@@ -1,8 +1,11 @@
 #include "common/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <istream>
+#include <ostream>
+#include <system_error>
 
 #include "common/error.hpp"
 
@@ -21,33 +24,19 @@ void append_number(std::string& out, double d) {
     out += "null";
     return;
   }
+  char buf[32];
+  std::to_chars_result printed{};
   // Integral values within the exactly-representable range print as plain
-  // integers: %g would render e.g. 30.0 as "3e+01" at low precision and
-  // 1e15 as "1e+15", neither of which reads (or diffs) like the integer
-  // counters and window counts these usually are.
-  // (-0.0 keeps the %g path so the sign survives the round-trip.)
+  // integers: the shortest form of 1e15 is "1e+15", which does not read
+  // (or diff) like the integer counters and window counts these usually
+  // are.  (-0.0 takes the shortest path so the sign survives.)
   if (d == std::floor(d) && std::fabs(d) <= 9007199254740992.0 &&
       !(d == 0.0 && std::signbit(d))) {  // determinism-lint: allow(float-eq)
-    char ibuf[32];
-    std::snprintf(ibuf, sizeof(ibuf), "%lld",
-                  static_cast<long long>(d));
-    out += ibuf;
-    return;
+    printed = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d));
+  } else {
+    printed = std::to_chars(buf, buf + sizeof(buf), d);  // shortest round-trip
   }
-  // Round-trip decimal form for a double in at most three probes: 15
-  // significant digits suffice for most values, 17 for every double.  (A
-  // 1..17 probe loop finds marginally shorter strings but costs ~6x more
-  // snprintf/strtod calls, which dominates flight-recorder serialization.)
-  char buf[32];
-  for (const int precision : {15, 16}) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
-    if (std::strtod(buf, nullptr) == d) {
-      out += buf;
-      return;
-    }
-  }
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  out += buf;
+  out.append(buf, printed.ptr);
 }
 
 void dump_value(const Value& v, std::string& out, int indent, int depth);
@@ -301,8 +290,15 @@ class Parser {
       }
       if (digits() == 0) fail("bad number exponent");
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    return std::strtod(token.c_str(), nullptr);
+    double value = 0.0;
+    const auto [end, ec] =
+        std::from_chars(text_.data() + start, text_.data() + pos_, value);
+    if (ec == std::errc::result_out_of_range) {
+      pos_ = start;
+      fail("number out of range");
+    }
+    if (ec != std::errc() || end != text_.data() + pos_) fail("bad number");
+    return value;
   }
 
   std::string_view text_;
@@ -441,6 +437,36 @@ const Array& array_field(const Value& object, const char* key, Fail fail) {
   const Value& v = field(object, key, fail);
   if (!v.is_array()) raise_type(fail, key, "an array");
   return v.as_array();
+}
+
+std::size_t write_line(std::ostream& out, const Value& value, Fail fail) {
+  const std::string line = value.dump();
+  out.write(line.data(), static_cast<std::streamsize>(line.size()));
+  out.put('\n');
+  out.flush();
+  if (!out) raise(fail, "write failed");
+  return line.size() + 1;
+}
+
+bool read_lines(std::istream& in, Fail fail, bool allow_cut_tail,
+                const std::function<void(std::size_t, const Value&)>& on_line) {
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.empty()) continue;
+    Value value;
+    try {
+      value = Value::parse(line);
+    } catch (const DomainError& e) {
+      if (allow_cut_tail && in.peek() == std::char_traits<char>::eof()) {
+        return true;
+      }
+      raise(fail, "line " + std::to_string(line_no) + ": " + e.what());
+    }
+    on_line(line_no, value);
+  }
+  return false;
 }
 
 }  // namespace rrf::json

@@ -1,13 +1,18 @@
-// Minimal JSON document model: an ordered-object value tree with a
-// writer (dump) and a strict recursive-descent parser.
+// The one JSON text codec: an ordered-object value tree with a writer
+// (dump) and a strict recursive-descent parser, plus the JSON Lines
+// ("JSONL", one value per line) record writer and reader that the flight
+// recorder and the telemetry journal share.
 //
-// Used by the macro-benchmark harness to emit BENCH_rrf.json and by the
-// tests / CI tooling to schema-check it.  Object keys keep insertion
-// order so emitted reports diff cleanly across runs.
+// Numbers print with std::to_chars (shortest round-trip, locale-free) and
+// parse with std::from_chars, so every finite double survives a dump/parse
+// cycle bit for bit.  Object keys keep insertion order so emitted reports
+// diff cleanly across runs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -59,7 +64,9 @@ class Value {
   std::string dump(int indent = 0) const;
 
   /// Strict parse of a complete document (trailing garbage is an error).
-  /// Throws DomainError with a byte offset on malformed input.
+  /// Throws DomainError with a byte offset on malformed input, including
+  /// a number no double can hold: "number out of range" covers overflow
+  /// (1e999) and underflow to zero (1e-400).
   static Value parse(std::string_view text);
 
  private:
@@ -86,5 +93,18 @@ const std::string& str_field(const Value& object, const char* key,
                              Fail fail);
 bool bool_field(const Value& object, const char* key, Fail fail);
 const Array& array_field(const Value& object, const char* key, Fail fail);
+
+/// Writes `value` as one compact JSON Lines record (dump + '\n') and
+/// flushes it.  Calls `fail("write failed")` when the stream is bad
+/// afterwards (a full disk, a closed pipe).  Returns the bytes written.
+std::size_t write_line(std::ostream& out, const Value& value, Fail fail);
+
+/// Reads a JSON Lines stream, calling `on_line(line_no, value)` for each
+/// non-empty line (numbered from 1).  A line that is not JSON calls
+/// `fail("line N: json parse error ...")`, except that with
+/// `allow_cut_tail` a non-JSON *last* line (the mark of a writer killed
+/// mid-record) is skipped.  Returns true when it skipped such a line.
+bool read_lines(std::istream& in, Fail fail, bool allow_cut_tail,
+                const std::function<void(std::size_t, const Value&)>& on_line);
 
 }  // namespace rrf::json

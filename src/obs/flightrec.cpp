@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <istream>
-#include <ostream>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -78,11 +76,8 @@ std::vector<double> doubles_from_json(const json::Value& value,
   return out;
 }
 
-std::string shortest(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+/// The round-trip text of `v`, exactly as a recording holds it.
+std::string shortest(double v) { return json::Value(v).dump(); }
 
 }  // namespace
 
@@ -374,36 +369,29 @@ FlightRound flight_round_from_json(const json::Value& value) {
 
 FlightRecording FlightRecording::load(std::istream& in) {
   FlightRecording recording;
-  std::string line;
   bool have_header = false;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    json::Value value;
-    try {
-      value = json::Value::parse(line);
-    } catch (const DomainError& e) {
-      fail("line " + std::to_string(line_no) + ": " + e.what());
-    }
-    if (!have_header) {
-      recording.header = flight_header_from_json(value);
-      have_header = true;
-      continue;
-    }
-    if (recording.trailer.has_value()) {
-      fail("line " + std::to_string(line_no) + ": data after the trailer");
-    }
-    if (const json::Value* t = value.find("trailer")) {
-      FlightTrailer trailer;
-      trailer.rounds = size_field(*t, "rounds", fail);
-      trailer.dropped = size_field(*t, "dropped", fail);
-      trailer.bytes = size_field(*t, "bytes", fail);
-      recording.trailer = trailer;
-      continue;
-    }
-    recording.rounds.push_back(flight_round_from_json(value));
-  }
+  json::read_lines(
+      in, fail, /*allow_cut_tail=*/false,
+      [&](std::size_t line_no, const json::Value& value) {
+        if (!have_header) {
+          recording.header = flight_header_from_json(value);
+          have_header = true;
+          return;
+        }
+        if (recording.trailer.has_value()) {
+          fail("line " + std::to_string(line_no) +
+               ": data after the trailer");
+        }
+        if (const json::Value* t = value.find("trailer")) {
+          FlightTrailer trailer;
+          trailer.rounds = size_field(*t, "rounds", fail);
+          trailer.dropped = size_field(*t, "dropped", fail);
+          trailer.bytes = size_field(*t, "bytes", fail);
+          recording.trailer = trailer;
+          return;
+        }
+        recording.rounds.push_back(flight_round_from_json(value));
+      });
   if (!have_header) fail("empty recording (no header line)");
   if (recording.trailer.has_value() &&
       recording.trailer->rounds != recording.rounds.size()) {
@@ -424,19 +412,13 @@ FlightRecording FlightRecording::load_file(const std::string& path) {
 // FlightRecorder
 // ---------------------------------------------------------------------------
 
-FlightRecorder::FlightRecorder(std::ostream& out)
-    : FlightRecorder(out, Options()) {}
-
-FlightRecorder::FlightRecorder(std::ostream& out, Options options)
-    : out_(out), options_(options) {
-  buffer_.reserve(std::min<std::size_t>(options_.flush_bytes + 4096, 1 << 20));
-}
+FlightRecorder::FlightRecorder(std::ostream& out) : out_(out) {}
 
 FlightRecorder::~FlightRecorder() {
   try {
     finish();
   } catch (...) {
-    // Destructors must not throw; a failed final flush surfaces through
+    // Destructors must not throw; a failed final write surfaces through
     // the stream's state, which callers own.
   }
 }
@@ -444,27 +426,20 @@ FlightRecorder::~FlightRecorder() {
 void FlightRecorder::write_header(const FlightHeader& header) {
   RRF_REQUIRE(!header_written_, "flightrec: header written twice");
   const auto start = std::chrono::steady_clock::now();
-  buffer_line(flight_header_to_json(header).dump() + "\n");
+  bytes_written_ +=
+      json::write_line(out_, flight_header_to_json(header), fail);
   header_written_ = true;
   record_seconds_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 }
 
-bool FlightRecorder::record_round(const FlightRound& round) {
+void FlightRecorder::record_round(const FlightRound& round) {
   RRF_REQUIRE(header_written_, "flightrec: record_round before write_header");
   RRF_REQUIRE(!finished_, "flightrec: record_round after finish");
   const auto start = std::chrono::steady_clock::now();
-  std::string line = flight_round_to_json(round).dump() + "\n";
-  bool recorded = true;
-  if (options_.max_bytes > 0 &&
-      bytes_written_ + buffer_.size() + line.size() > options_.max_bytes) {
-    ++rounds_dropped_;
-    recorded = false;
-  } else {
-    buffer_line(std::move(line));
-    ++rounds_recorded_;
-  }
+  bytes_written_ += json::write_line(out_, flight_round_to_json(round), fail);
+  ++rounds_recorded_;
   const double dt =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -473,9 +448,7 @@ bool FlightRecorder::record_round(const FlightRound& round) {
     static Histogram& record_time = metrics().histogram(
         "flightrec.record_seconds", default_seconds_bounds());
     record_time.observe(dt);
-    if (!recorded) metrics().counter("flightrec.rounds_dropped").add();
   }
-  return recorded;
 }
 
 void FlightRecorder::finish() {
@@ -486,15 +459,13 @@ void FlightRecorder::finish() {
   finished_ = true;
   json::Object trailer;
   trailer.emplace_back("rounds", rounds_recorded_);
-  trailer.emplace_back("dropped", rounds_dropped_);
+  trailer.emplace_back("dropped", 0);
   // The byte count covers everything *before* the trailer line, so a
   // reader can cross-check the payload it received.
-  trailer.emplace_back("bytes", bytes_written_ + buffer_.size());
+  trailer.emplace_back("bytes", bytes_written_);
   json::Object line;
   line.emplace_back("trailer", std::move(trailer));
-  buffer_line(json::Value(std::move(line)).dump() + "\n");
-  flush_buffer();
-  out_.flush();
+  bytes_written_ += json::write_line(out_, json::Value(std::move(line)), fail);
   publish_metrics();
 }
 
@@ -502,18 +473,6 @@ void FlightRecorder::write_recording(const FlightRecording& recording) {
   write_header(recording.header);
   for (const FlightRound& round : recording.rounds) record_round(round);
   finish();
-}
-
-void FlightRecorder::buffer_line(std::string line) {
-  buffer_ += line;
-  if (buffer_.size() >= options_.flush_bytes) flush_buffer();
-}
-
-void FlightRecorder::flush_buffer() {
-  if (buffer_.empty()) return;
-  out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-  bytes_written_ += buffer_.size();
-  buffer_.clear();
 }
 
 void FlightRecorder::publish_metrics() {

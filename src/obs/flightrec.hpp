@@ -10,20 +10,21 @@
 //               forecast / entitlement / actuator targets, the IRT
 //               contribution-lambda breakdown and per-type redistribution,
 //               the IWA flows, and any migrations planned that round;
-//   last line — an optional trailer with round/byte/drop accounting.
+//   last line — a trailer with the round and byte counts, written by
+//               finish().  Its schema-v1 "dropped" count is always 0 here;
+//               files that report drops still load.
 //
-// Because common/json serializes doubles in shortest-round-trip form
-// (json.cpp::append_number verifies strtod(dump(d)) == d), a recording is
+// Because common/json serializes doubles in shortest round-trip form
+// (std::to_chars) and parses them with std::from_chars, a recording is
 // *bit-exact*: reloading it and re-running the deterministic engine on the
 // reconstructed scenario reproduces identical allocations, which
 // tools/rrf_inspect's `replay` verb verifies round by round.
 //
-// FlightRecorder buffers serialized lines and flushes in large writes so
-// recording stays off the allocation critical path; with an optional byte
-// budget it degrades by *dropping whole rounds* (counted in the trailer)
-// rather than corrupting the stream.  Overhead is exported through the
-// metrics registry (flightrec.bytes_written / rounds / rounds_dropped and
-// the flightrec.record_seconds histogram).
+// FlightRecorder writes and flushes each line as it is recorded, so a
+// killed run keeps every complete round, and a failed write (a full disk)
+// throws instead of being reported as done.  Overhead is exported through
+// the metrics registry (flightrec.bytes_written / rounds and the
+// flightrec.record_seconds histogram).
 #pragma once
 
 #include <cstddef>
@@ -141,7 +142,7 @@ struct FlightRound {
 
 struct FlightTrailer {
   std::size_t rounds{0};
-  std::size_t dropped{0};
+  std::size_t dropped{0};  ///< nonzero only in files from older builds
   std::uint64_t bytes{0};
 };
 
@@ -163,53 +164,39 @@ json::Value flight_round_to_json(const FlightRound& round);
 FlightHeader flight_header_from_json(const json::Value& value);
 FlightRound flight_round_from_json(const json::Value& value);
 
-/// Streams a recording as JSONL with bounded buffering.
+/// Streams a recording as JSONL, one flushed line per record.
 class FlightRecorder {
  public:
-  struct Options {
-    /// Buffered bytes before the recorder flushes to the stream.
-    std::size_t flush_bytes = 256 * 1024;
-    /// Total byte budget (0 = unbounded).  Once header + recorded rounds
-    /// would exceed it, further rounds are dropped (and counted).
-    std::size_t max_bytes = 0;
-  };
-
   /// `out` is not owned and must outlive the recorder.
   explicit FlightRecorder(std::ostream& out);
-  FlightRecorder(std::ostream& out, Options options);
   ~FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Must be called once, before the first record_round().
+  /// Must be called once, before the first record_round().  Each write
+  /// throws DomainError ("flightrec: write failed") when the stream fails.
   void write_header(const FlightHeader& header);
-  /// Serializes and buffers one round; returns false when the byte budget
-  /// dropped it.  Single-producer: call from one thread at a time.
-  bool record_round(const FlightRound& round);
-  /// Flushes the buffer and appends the trailer line.  Idempotent; called
-  /// by the destructor if the caller forgot.
+  /// Serializes and writes one round.  Single-producer: call from one
+  /// thread at a time.
+  void record_round(const FlightRound& round);
+  /// Appends the trailer line.  Idempotent; called by the destructor if
+  /// the caller forgot.
   void finish();
 
   std::uint64_t bytes_written() const { return bytes_written_; }
   std::size_t rounds_recorded() const { return rounds_recorded_; }
-  std::size_t rounds_dropped() const { return rounds_dropped_; }
-  /// Wall seconds spent serializing + buffering (the recorder's overhead).
+  /// Wall seconds spent serializing + writing (the recorder's overhead).
   double record_seconds() const { return record_seconds_; }
 
   /// Convenience: header + every round + trailer in one call.
   void write_recording(const FlightRecording& recording);
 
  private:
-  void buffer_line(std::string line);
-  void flush_buffer();
   void publish_metrics();
 
   std::ostream& out_;
-  Options options_;
-  std::string buffer_;
   std::uint64_t bytes_written_{0};
   std::size_t rounds_recorded_{0};
-  std::size_t rounds_dropped_{0};
   double record_seconds_{0.0};
   bool header_written_{false};
   bool finished_{false};

@@ -1,7 +1,8 @@
 #include "obs/journal.hpp"
 
-#include <cmath>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <iterator>
 #include <utility>
 
@@ -163,55 +164,44 @@ Segment load_segment(const std::string& path) {
   std::ifstream in(path);
   if (!in) fail("cannot open " + path);
   Segment seg;
-  std::string line;
   bool have_header = false;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    json::Value value;
-    try {
-      value = json::Value::parse(line);
-    } catch (const DomainError& e) {
-      if (in.peek() == std::char_traits<char>::eof()) {
-        seg.truncated_tail = true;
-        break;
-      }
-      fail(path + " line " + std::to_string(line_no) + ": " + e.what());
-    }
-    try {
-      if (!have_header) {
-        seg.header = journal_header_from_json(value);
-        have_header = true;
-        continue;
-      }
-      if (seg.end.has_value()) {
-        fail("record after the end record");
-      }
-      if (!value.is_object()) fail("record is not an object");
-      const std::string tag = str_field(value, "t", fail);
-      if (tag == "round") {
-        seg.rounds.push_back(round_summary_from_json(value));
-      } else if (tag == "alert") {
-        seg.alerts.push_back(journal_alert_from_json(value));
-      } else if (tag == "incident") {
-        seg.incidents.push_back(journal_incident_from_json(value));
-      } else if (tag == "end") {
-        JournalEnd end;
-        end.rounds = size_field(value, "rounds", fail);
-        end.alerts = size_field(value, "alerts", fail);
-        // Additive: end records written before incidents existed lack it.
-        if (value.find("incidents") != nullptr) {
-          end.incidents = size_field(value, "incidents", fail);
+  seg.truncated_tail = json::read_lines(
+      in, fail, /*allow_cut_tail=*/true,
+      [&](std::size_t line_no, const json::Value& value) {
+        try {
+          if (!have_header) {
+            seg.header = journal_header_from_json(value);
+            have_header = true;
+            return;
+          }
+          if (seg.end.has_value()) {
+            fail("record after the end record");
+          }
+          if (!value.is_object()) fail("record is not an object");
+          const std::string tag = str_field(value, "t", fail);
+          if (tag == "round") {
+            seg.rounds.push_back(round_summary_from_json(value));
+          } else if (tag == "alert") {
+            seg.alerts.push_back(journal_alert_from_json(value));
+          } else if (tag == "incident") {
+            seg.incidents.push_back(journal_incident_from_json(value));
+          } else if (tag == "end") {
+            JournalEnd end;
+            end.rounds = size_field(value, "rounds", fail);
+            end.alerts = size_field(value, "alerts", fail);
+            // Additive: end records written before incidents existed
+            // lack it.
+            if (value.find("incidents") != nullptr) {
+              end.incidents = size_field(value, "incidents", fail);
+            }
+            seg.end = end;
+          } else {
+            fail("unknown record tag '" + tag + "'");
+          }
+        } catch (const DomainError& e) {
+          fail(path + " line " + std::to_string(line_no) + ": " + e.what());
         }
-        seg.end = end;
-      } else {
-        fail("unknown record tag '" + tag + "'");
-      }
-    } catch (const DomainError& e) {
-      fail(path + " line " + std::to_string(line_no) + ": " + e.what());
-    }
-  }
+      });
   if (!have_header) fail(path + ": empty journal (no header line)");
   return seg;
 }
@@ -323,20 +313,20 @@ void TelemetryJournal::open_segment() {
   if (!out_) fail("cannot open " + options_.path);
   segment_bytes_ = 0;
   JournalHeader header;
-  header.kind = options_.kind;
+  header.kind = "sim";
   header.policy = options_.policy;
   header.tenants = options_.tenants;
   header.segment = segment_;
   header.continued = segment_ > 0;
   header.build = common::build_info_json();
-  write_line(journal_header_to_json(header).dump());
+  append(journal_header_to_json(header));
 }
 
-void TelemetryJournal::write_line(const std::string& line) {
-  out_ << line << '\n';
-  out_.flush();  // durability beats throughput: lose at most one line
-  segment_bytes_ += line.size() + 1;
-  bytes_written_ += line.size() + 1;
+void TelemetryJournal::append(const json::Value& record) {
+  // Flushed per record: durability beats throughput, lose at most one line.
+  const std::size_t bytes = json::write_line(out_, record, fail);
+  segment_bytes_ += bytes;
+  bytes_written_ += bytes;
 }
 
 void TelemetryJournal::maybe_rotate() {
@@ -344,8 +334,14 @@ void TelemetryJournal::maybe_rotate() {
   if (segment_bytes_ <= options_.max_bytes / 2) return;
   out_.close();
   // rename() is atomic on POSIX: a crash mid-rotation leaves either the
-  // old layout or the new one, never a half file.
-  std::rename(options_.path.c_str(), rotated_path(options_.path).c_str());
+  // old layout or the new one, never a half file.  When it fails, the
+  // active segment still holds the history; reopening it would truncate
+  // that history, so stop instead.
+  const std::string rotated = rotated_path(options_.path);
+  if (std::rename(options_.path.c_str(), rotated.c_str()) != 0) {
+    fail("cannot rotate " + options_.path + " to " + rotated + ": " +
+         std::strerror(errno));
+  }
   ++segment_;
   open_segment();
 }
@@ -354,7 +350,7 @@ void TelemetryJournal::record_round(const RoundSummary& summary) {
   MutexLock lock(mu_);
   if (finished_) fail("record_round after finish");
   maybe_rotate();
-  write_line(round_summary_to_json(summary).dump());
+  append(round_summary_to_json(summary));
   ++rounds_;
 }
 
@@ -362,7 +358,7 @@ void TelemetryJournal::record_alert(const JournalAlert& alert) {
   MutexLock lock(mu_);
   if (finished_) fail("record_alert after finish");
   maybe_rotate();
-  write_line(journal_alert_to_json(alert).dump());
+  append(journal_alert_to_json(alert));
   ++alerts_;
 }
 
@@ -370,7 +366,7 @@ void TelemetryJournal::record_incident(const JournalIncident& incident) {
   MutexLock lock(mu_);
   if (finished_) fail("record_incident after finish");
   maybe_rotate();
-  write_line(journal_incident_to_json(incident).dump());
+  append(journal_incident_to_json(incident));
   ++incidents_;
 }
 
@@ -387,7 +383,7 @@ void TelemetryJournal::finish_locked() {
   end.emplace_back("rounds", rounds_);
   end.emplace_back("alerts", alerts_);
   end.emplace_back("incidents", incidents_);
-  write_line(json::Value(std::move(end)).dump());
+  append(json::Value(std::move(end)));
   out_.close();
 }
 

@@ -49,7 +49,9 @@ inline constexpr const char* kJournalSchemaName = "rrf-telemetry";
 
 struct JournalHeader {
   int version{kJournalSchemaVersion};
-  std::string kind;    ///< "sim" (engine run) or "alloc" (one-shot round)
+  /// "sim" (this build writes only engine runs); older files may say
+  /// "alloc" (one-shot round) and still load.
+  std::string kind;
   std::string policy;  ///< sharing policy name
   std::vector<std::string> tenants;
   std::size_t segment{0};  ///< rotation generation (0 = first)
@@ -124,7 +126,6 @@ class TelemetryJournal {
     /// Approximate total disk budget across both segments (0 =
     /// unbounded, no rotation).  Rotation triggers at max_bytes/2.
     std::size_t max_bytes = 0;
-    std::string kind = "sim";
     std::string policy;
     std::vector<std::string> tenants;
   };
@@ -137,11 +138,13 @@ class TelemetryJournal {
   TelemetryJournal(const TelemetryJournal&) = delete;
   TelemetryJournal& operator=(const TelemetryJournal&) = delete;
 
-  /// Appends one record and flushes it to the OS.  The engine thread is
-  /// the only steady-state producer, but the writer is mutex-guarded so
-  /// a shutdown path finishing from another thread is safe — and the
-  /// "journal.writer" site shows up in the mutex contention metrics if
-  /// anything ever does contend.
+  /// Appends one record and flushes it to the OS.  Throws DomainError
+  /// when the write fails ("write failed") or when rotation cannot rename
+  /// the active segment (naming both paths; the active segment keeps its
+  /// records).  The engine thread is the only steady-state producer, but
+  /// the writer is mutex-guarded so a shutdown path finishing from another
+  /// thread is safe — and the "journal.writer" site shows up in the mutex
+  /// contention metrics if anything ever does contend.
   void record_round(const RoundSummary& summary);
   void record_alert(const JournalAlert& alert);
   void record_incident(const JournalIncident& incident);
@@ -157,7 +160,7 @@ class TelemetryJournal {
   std::uint64_t bytes_written() const;
 
  private:
-  void write_line(const std::string& line) REQUIRES(mu_);
+  void append(const json::Value& record) REQUIRES(mu_);
   void open_segment() REQUIRES(mu_);
   void maybe_rotate() REQUIRES(mu_);
   void finish_locked() REQUIRES(mu_);

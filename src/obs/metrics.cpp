@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace rrf::obs {
 
@@ -25,14 +26,9 @@ void atomic_max(std::atomic<double>& target, double v) {
   }
 }
 
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
+/// One number as common/json prints it: shortest round-trip, null when
+/// not finite (the min and max of an empty histogram are +-inf).
+std::string num(double v) { return json::Value(v).dump(); }
 
 }  // namespace
 
@@ -217,38 +213,35 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   os << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, c] : counters_) {
-    os << (first ? "\n    " : ",\n    ");
-    write_json_string(os, name);
-    os << ": " << c->value();
+    os << (first ? "\n    " : ",\n    ") << json::escape(name) << ": "
+       << json::Value(c->value()).dump();
     first = false;
   }
   os << "\n  },\n  \"gauges\": {";
   first = true;
   for (const auto& [name, g] : gauges_) {
-    os << (first ? "\n    " : ",\n    ");
-    write_json_string(os, name);
-    os << ": " << g->value();
+    os << (first ? "\n    " : ",\n    ") << json::escape(name) << ": "
+       << num(g->value());
     first = false;
   }
   os << "\n  },\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms_) {
-    os << (first ? "\n    " : ",\n    ");
-    write_json_string(os, name);
-    os << ": {\"count\": " << h->count() << ", \"sum\": " << h->sum()
-       << ", \"min\": " << h->min() << ", \"max\": " << h->max()
-       << ", \"mean\": " << h->mean()
-       << ", \"p50\": " << h->quantile(0.5)
-       << ", \"p95\": " << h->quantile(0.95)
-       << ", \"p99\": " << h->quantile(0.99) << ", \"bounds\": [";
+    os << (first ? "\n    " : ",\n    ") << json::escape(name)
+       << ": {\"count\": " << json::Value(h->count()).dump()
+       << ", \"sum\": " << num(h->sum()) << ", \"min\": " << num(h->min())
+       << ", \"max\": " << num(h->max()) << ", \"mean\": " << num(h->mean())
+       << ", \"p50\": " << num(h->quantile(0.5))
+       << ", \"p95\": " << num(h->quantile(0.95))
+       << ", \"p99\": " << num(h->quantile(0.99)) << ", \"bounds\": [";
     const auto& bounds = h->bounds();
     for (std::size_t i = 0; i < bounds.size(); ++i) {
-      os << (i ? ", " : "") << bounds[i];
+      os << (i ? ", " : "") << num(bounds[i]);
     }
     os << "], \"buckets\": [";
     const auto counts = h->bucket_counts();
     for (std::size_t i = 0; i < counts.size(); ++i) {
-      os << (i ? ", " : "") << counts[i];
+      os << (i ? ", " : "") << json::Value(counts[i]).dump();
     }
     os << "]}";
     first = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -15,6 +16,7 @@
 #include <utility>
 
 #include "common/instrumented_mutex.hpp"
+#include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/exposition.hpp"
 
@@ -369,16 +371,6 @@ void flatten_merge(const std::vector<MergeNode>& pool,
   }
 }
 
-std::string json_escape_min(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 std::int32_t os_thread_id() {
@@ -553,8 +545,8 @@ void write_chrome_profile(std::ostream& os,
   };
   for (const ThreadProfile& thread : snapshot.threads) {
     emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-         std::to_string(thread.tid) + ",\"args\":{\"name\":\"" +
-         json_escape_min(thread.name) + "\"}}");
+         std::to_string(thread.tid) +
+         ",\"args\":{\"name\":" + json::escape(thread.name) + "}}");
     // Synthetic timeline: children laid out sequentially inside their
     // parent's interval, roots back to back (totals, not wall layout).
     std::vector<double> start_us(thread.nodes.size(), 0.0);
@@ -572,18 +564,17 @@ void write_chrome_profile(std::ostream& os,
         cursor_us[p] += total_us;
       }
       cursor_us[i] = start_us[i];
-      char buf[256];
+      char buf[192];
       std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"%s\",\"cat\":\"profile\",\"ph\":\"X\","
+                    ",\"cat\":\"profile\",\"ph\":\"X\","
                     "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,"
                     "\"args\":{\"calls\":%llu,\"self_us\":%.3f,"
                     "\"bytes\":%llu}}",
-                    json_escape_min(n.site).c_str(), start_us[i], total_us,
-                    thread.tid,
+                    start_us[i], total_us, thread.tid,
                     static_cast<unsigned long long>(n.calls),
                     n.self_seconds * 1e6,
                     static_cast<unsigned long long>(n.bytes));
-      emit(buf);
+      emit("{\"name\":" + json::escape(n.site) + buf);
     }
   }
   os << "\n]}\n";

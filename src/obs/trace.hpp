@@ -5,9 +5,10 @@
 // simulation run degrades gracefully: once the ring is full the oldest
 // events are overwritten and `dropped()` says how many were lost.
 //
-// Events can be exported two ways:
-//  * JSONL — one self-describing JSON object per line; round-trips through
-//    read_jsonl() for offline analysis;
+// Events can be exported two ways, both printed through common/json (full
+// round-trip precision for timestamps and values):
+//  * JSONL — one self-describing JSON object per line for offline
+//    analysis;
 //  * Chrome trace format — a {"traceEvents": [...]} document that loads
 //    directly into chrome://tracing / Perfetto: phase timings render as
 //    duration slices (one track per node), everything else as instants.
@@ -22,8 +23,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "common/instrumented_mutex.hpp"
@@ -52,7 +51,6 @@ enum class EventKind : std::uint8_t {
 
 /// Stable wire name ("irt_trade", "iwa_adjust", ...).
 const char* to_string(EventKind kind);
-std::optional<EventKind> event_kind_from_string(std::string_view name);
 
 /// The allocation round's four phases, in execution order.
 enum class Phase : std::uint8_t { kPredict, kAllocate, kActuate, kSettle };
@@ -95,8 +93,6 @@ class EventTracer {
 
   void write_jsonl(std::ostream& os) const;
   void write_chrome_trace(std::ostream& os) const;
-  /// Parses write_jsonl() output (unknown lines are skipped).
-  static std::vector<TraceEvent> read_jsonl(std::istream& is);
 
  private:
   const std::size_t capacity_;

@@ -85,10 +85,15 @@ struct NodeState {
   std::size_t alloc_invocations{0};
 
   // ---- allocation scaffolding (valid while slot membership unchanged) ----
-  /// Sum of the slots' initial shares (the pool the policy arbitrates).
+  /// Sum of the slots' initial shares, capped per type at the host's
+  /// capacity (the pool the policy arbitrates).
   ResourceVector pool{kDefaultResourceCount};
   /// pricing.shares_for(host capacity), fixed per host.
   ResourceVector capacity_shares{kDefaultResourceCount};
+  /// Per slot, the part of its initial share the host can back: on a
+  /// type sold beyond capacity the initial share times capacity / sold,
+  /// else the initial share itself.  Every policy level allocates over it.
+  std::vector<ResourceVector> backed_share;
   /// Flat policies view every VM as one entity (demand refreshed per
   /// round; initial share and weight are membership-static).
   std::vector<alloc::AllocationEntity> flat_entities;
@@ -140,20 +145,27 @@ void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
   node.pool = ResourceVector(kDefaultResourceCount);
   for (const VmSlot& slot : node.slots) node.pool += slot.initial_share;
   node.capacity_shares = pricing.shares_for(host_capacity);
-  // The arbitrated pool is the sold shares, capped at what the host can
-  // physically back: an oversold node cannot grant shares it does not
-  // have, so its tenants contend for the capacity-backed pool and their
-  // share-vs-entitlement ratios drop below 1.  When sold <= capacity —
+  // An oversold node cannot grant shares it does not have: per oversold
+  // type the pool is capped at capacity and every slot's share is scaled
+  // by capacity / sold, so its tenants contend for what the host backs
+  // and their granted ratios drop below 1.  When sold <= capacity —
   // every placed paper scenario and any synthetic fill*overcommit <= 1 —
-  // the cap is a no-op and allocation is bit-identical.
+  // nothing is scaled and allocation is bit-identical.
+  node.backed_share.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    node.backed_share[i] = node.slots[i].initial_share;
+  }
   for (std::size_t k = 0; k < node.pool.size(); ++k) {
-    node.pool[k] = std::min(node.pool[k], node.capacity_shares[k]);
+    if (node.pool[k] <= node.capacity_shares[k]) continue;
+    const double backed = node.capacity_shares[k] / node.pool[k];
+    for (ResourceVector& share : node.backed_share) share[k] *= backed;
+    node.pool[k] = node.capacity_shares[k];
   }
 
   node.flat_entities.assign(n, alloc::AllocationEntity());
   for (std::size_t i = 0; i < n; ++i) {
-    node.flat_entities[i].initial_share = node.slots[i].initial_share;
-    node.flat_entities[i].weight = node.slots[i].initial_share.sum();
+    node.flat_entities[i].initial_share = node.backed_share[i];
+    node.flat_entities[i].weight = node.backed_share[i].sum();
   }
 
   node.tenant_ids.clear();
@@ -172,7 +184,7 @@ void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
     const auto g =
         static_cast<std::size_t>(it - node.tenant_ids.begin());
     alloc::AllocationEntity e;
-    e.initial_share = node.slots[i].initial_share;
+    e.initial_share = node.backed_share[i];
     node.slot_group[i] = {g, node.groups[g].vms.size()};
     node.groups[g].vms.push_back(std::move(e));
   }
@@ -209,9 +221,7 @@ void allocate_entitlements(const alloc::Policy& policy, NodeState& node,
   // rrf-hot-path: begin(engine.allocate)
 
   if (policy.level == alloc::PolicyLevel::kStatic) {
-    for (std::size_t i = 0; i < n; ++i) {
-      node.entitlement_shares[i] = node.slots[i].initial_share;
-    }
+    node.entitlement_shares = node.backed_share;
     return;
   }
 

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -60,8 +64,9 @@ TEST(Json, IntegralValuesDumpAsPlainIntegers) {
   EXPECT_EQ(json::Value(1e15).dump(), "1000000000000000");
   EXPECT_EQ(json::Value(9007199254740992.0).dump(), "9007199254740992");
   EXPECT_EQ(json::Value(0.0).dump(), "0");
-  // Above 2^53 integers are not exactly representable; the round-trip
-  // %g path takes over.  Non-integral and signed-zero values keep it too.
+  // Above 2^53 integers are not exactly representable; the shortest
+  // round-trip path takes over.  Non-integral and signed-zero values take
+  // it too.
   EXPECT_EQ(json::Value(1e16).dump(), "1e+16");
   EXPECT_EQ(json::Value(0.5).dump(), "0.5");
   EXPECT_EQ(json::Value(-0.0).dump(), "-0");
@@ -108,6 +113,25 @@ TEST(Json, RejectsMalformedInput) {
   }
 }
 
+TEST(Json, RejectsOutOfRangeNumbers) {
+  // A number no double can hold is a load error, not inf or 0.
+  for (const char* bad : {"1e999", "-1e999", "1e-400", "[1, 1e999]"}) {
+    try {
+      json::Value::parse(bad);
+      FAIL() << bad << " was accepted";
+    } catch (const DomainError& e) {
+      EXPECT_NE(std::string(e.what()).find("number out of range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The extremes that do fit still parse, subnormals included.
+  EXPECT_EQ(json::Value::parse("1.7976931348623157e308").as_number(),
+            std::numeric_limits<double>::max());
+  EXPECT_EQ(json::Value::parse("4.9406564584124654e-324").as_number(),
+            std::numeric_limits<double>::denorm_min());
+}
+
 TEST(Json, TypedAccessorsCheckTypes) {
   const json::Value v = json::Value::parse("[1]");
   EXPECT_THROW(v.as_object(), DomainError);
@@ -140,6 +164,54 @@ TEST(Json, FieldReadersCheckPresenceTypeAndRange) {
     FAIL() << "no throw";
   } catch (const DomainError& e) {
     EXPECT_STREQ(e.what(), "loader: missing field 'missing'");
+  }
+}
+
+TEST(Json, WriteLineWritesOneRecordAndFailsOnABadStream) {
+  std::ostringstream out;
+  const json::Value record = json::Object{{"a", 1}};
+  EXPECT_EQ(json::write_line(out, record, loader_fail), 8u);
+  EXPECT_EQ(out.str(), "{\"a\":1}\n");
+
+  out.setstate(std::ios::badbit);
+  try {
+    json::write_line(out, record, loader_fail);
+    FAIL() << "a write to a bad stream was reported as done";
+  } catch (const DomainError& e) {
+    EXPECT_STREQ(e.what(), "loader: write failed");
+  }
+}
+
+TEST(Json, ReadLinesSkipsOnlyACutLastLine) {
+  const auto read = [](const std::string& text, bool allow_cut_tail,
+                       std::vector<std::size_t>* line_nos) {
+    std::istringstream in(text);
+    return json::read_lines(in, loader_fail, allow_cut_tail,
+                            [&](std::size_t line_no, const json::Value&) {
+                              line_nos->push_back(line_no);
+                            });
+  };
+  std::vector<std::size_t> seen;
+  EXPECT_FALSE(read("{}\n\n[1]\n", false, &seen));
+  EXPECT_EQ(seen, (std::vector<std::size_t>{1, 3}));
+
+  seen.clear();
+  EXPECT_TRUE(read("{}\n{\"cut", true, &seen));
+  EXPECT_EQ(seen, (std::vector<std::size_t>{1}));
+
+  // A cut tail is an error when not allowed, and a bad line before the
+  // last one always is.
+  for (const auto& [text, allow] :
+       {std::pair<std::string, bool>{"{}\n{\"cut", false},
+        std::pair<std::string, bool>{"{}\n{\"cut\n{}\n", true}}) {
+    try {
+      read(text, allow, &seen);
+      FAIL() << text;
+    } catch (const DomainError& e) {
+      EXPECT_NE(std::string(e.what()).find("loader: line 2: json parse error"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -81,12 +81,11 @@ TEST(Flightrec, RecorderStreamRoundTripsBitExact) {
   {
     FlightRecorder recorder(out);
     recorder.write_header(make_header());
-    EXPECT_TRUE(recorder.record_round(make_round(0)));
-    EXPECT_TRUE(recorder.record_round(make_round(1)));
+    recorder.record_round(make_round(0));
+    recorder.record_round(make_round(1));
     recorder.finish();
     EXPECT_EQ(recorder.rounds_recorded(), 2u);
-    EXPECT_EQ(recorder.rounds_dropped(), 0u);
-    EXPECT_GT(recorder.bytes_written(), 0u);
+    EXPECT_EQ(recorder.bytes_written(), out.str().size());
   }
 
   std::istringstream in(out.str());
@@ -132,6 +131,13 @@ TEST(Flightrec, RecorderStreamRoundTripsBitExact) {
     recorder.write_recording(recording);
   }
   EXPECT_EQ(out.str(), out2.str());
+
+  // Trailers from older builds could report rounds dropped to a byte
+  // budget; they still load.
+  std::string older = out.str();
+  older.replace(older.find("\"dropped\":0"), 11, "\"dropped\":3");
+  std::istringstream older_in(older);
+  EXPECT_EQ(FlightRecording::load(older_in).trailer->dropped, 3u);
 }
 
 TEST(Flightrec, LoadRejectsSchemaViolations) {
@@ -203,36 +209,6 @@ TEST(Flightrec, LoadRejectsMoreResourceTypesThanTheLimit) {
     EXPECT_NE(what.find("pricing"), std::string::npos) << what;
     EXPECT_NE(what.find("limit of 4"), std::string::npos) << what;
   }
-}
-
-TEST(Flightrec, ByteBudgetDropsWholeRoundsAndCountsThem) {
-  std::ostringstream unbounded;
-  {
-    FlightRecorder recorder(unbounded);
-    recorder.write_header(make_header());
-    recorder.record_round(make_round(0));
-    recorder.finish();
-  }
-  // Room for the header and one round but not two.
-  FlightRecorder::Options options;
-  options.max_bytes = unbounded.str().size();
-
-  std::ostringstream out;
-  FlightRecorder recorder(out, options);
-  recorder.write_header(make_header());
-  EXPECT_TRUE(recorder.record_round(make_round(0)));
-  EXPECT_FALSE(recorder.record_round(make_round(1)));
-  EXPECT_FALSE(recorder.record_round(make_round(2)));
-  recorder.finish();
-  EXPECT_EQ(recorder.rounds_recorded(), 1u);
-  EXPECT_EQ(recorder.rounds_dropped(), 2u);
-
-  // The truncated stream still parses, and the trailer reports the drops.
-  std::istringstream in(out.str());
-  const FlightRecording recording = FlightRecording::load(in);
-  ASSERT_EQ(recording.rounds.size(), 1u);
-  ASSERT_TRUE(recording.trailer.has_value());
-  EXPECT_EQ(recording.trailer->dropped, 2u);
 }
 
 TEST(Flightrec, DiffReportsFirstDivergenceAndTenantDeltas) {

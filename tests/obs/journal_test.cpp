@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -27,7 +28,6 @@ TelemetryJournal::Options options_for(const std::string& path,
   TelemetryJournal::Options options;
   options.path = path;
   options.max_bytes = max_bytes;
-  options.kind = "sim";
   options.policy = "rrf";
   options.tenants = {"tpcc-1", "hadoop-2"};
   return options;
@@ -181,6 +181,36 @@ TEST(JournalTest, KillInsideTheRotationWindowStillLoads) {
   EXPECT_GE(data.rounds.size(), 1u);
   ASSERT_EQ(data.notes.size(), 1u);
   EXPECT_NE(data.notes[0].find("killed mid-rotation"), std::string::npos);
+}
+
+TEST(JournalTest, FailedRotationThrowsAndKeepsTheActiveSegment) {
+  // A non-empty directory at `<path>.1` makes every rename onto it fail.
+  const std::string path = temp_path("journal_rotation_blocked.jsonl");
+  const std::filesystem::path blocker = path + ".1";
+  std::filesystem::remove_all(blocker);
+  std::filesystem::create_directories(blocker / "occupied");
+  std::size_t written = 0;
+  {
+    TelemetryJournal journal(options_for(path, 4096));
+    try {
+      for (std::size_t w = 0; w < 64; ++w, ++written) {
+        journal.record_round(round_at(w));
+      }
+      FAIL() << "rotation onto a directory was not reported";
+    } catch (const DomainError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("cannot rotate " + path + " to " + path + ".1"),
+                std::string::npos)
+          << what;
+    }
+  }
+  std::filesystem::remove_all(blocker);
+  // Nothing was truncated: the active segment holds every round written.
+  const JournalData data = JournalData::load_file(path);
+  ASSERT_GT(written, 0u);
+  EXPECT_EQ(data.rounds.size(), written);
+  EXPECT_EQ(data.rounds.back().window, written - 1);
+  EXPECT_FALSE(data.header.continued);
 }
 
 TEST(JournalTest, MidFileCorruptionThrows) {

@@ -85,7 +85,6 @@ TEST(OpsStress, ConcurrentScrapesDuringARun) {
   obs::OpsHub hub;
   obs::TelemetryJournal::Options journal_options;
   journal_options.path = journal_path;
-  journal_options.kind = "sim";
   journal_options.policy = "rrf";
   obs::TelemetryJournal journal(std::move(journal_options));
 

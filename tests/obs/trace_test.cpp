@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/phase.hpp"
 #include "obs/profiler.hpp"
@@ -23,6 +26,28 @@ TraceEvent make_event(EventKind kind, std::int32_t window) {
   e.value = 4.5;
   e.value2 = -1.25;
   return e;
+}
+
+/// write_jsonl() output, one parsed object per line.
+std::vector<json::Value> jsonl_lines(const EventTracer& tracer_) {
+  std::stringstream buffer;
+  tracer_.write_jsonl(buffer);
+  std::vector<json::Value> lines;
+  std::string line;
+  while (std::getline(buffer, line)) lines.push_back(json::Value::parse(line));
+  return lines;
+}
+
+double num(const json::Value& line, const char* key) {
+  const json::Value* v = line.find(key);
+  EXPECT_NE(v, nullptr) << key;
+  return v != nullptr ? v->as_number() : -999.0;
+}
+
+std::string kind_of(const json::Value& line) {
+  const json::Value* v = line.find("kind");
+  EXPECT_NE(v, nullptr);
+  return v != nullptr ? v->as_string() : std::string();
 }
 
 TEST(ObsTrace, EventsComeBackOldestFirstWithStampedTimes) {
@@ -66,16 +91,14 @@ TEST(ObsTrace, JsonlExportAfterWrapHoldsExactlyTheSurvivors) {
   EXPECT_EQ(tracer_.recorded(), 21u);
   EXPECT_EQ(tracer_.dropped(), 13u);
 
-  std::stringstream buffer;
-  tracer_.write_jsonl(buffer);
-  const auto parsed = EventTracer::read_jsonl(buffer);
+  const auto parsed = jsonl_lines(tracer_);
   ASSERT_EQ(parsed.size(), 8u);
   for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i].kind, EventKind::kIrtTrade);
-    EXPECT_EQ(parsed[i].window, static_cast<std::int32_t>(13 + i));
-    EXPECT_DOUBLE_EQ(parsed[i].value, 4.5);
+    EXPECT_EQ(kind_of(parsed[i]), "irt_trade");
+    EXPECT_EQ(num(parsed[i], "window"), static_cast<double>(13 + i));
+    EXPECT_EQ(num(parsed[i], "value"), 4.5);
     if (i > 0) {
-      EXPECT_GE(parsed[i].ts_us, parsed[i - 1].ts_us);
+      EXPECT_GE(num(parsed[i], "ts_us"), num(parsed[i - 1], "ts_us"));
     }
   }
 
@@ -83,12 +106,10 @@ TEST(ObsTrace, JsonlExportAfterWrapHoldsExactlyTheSurvivors) {
   for (int i = 21; i < 30; ++i) {
     tracer_.record(make_event(EventKind::kIwaAdjust, i));
   }
-  std::stringstream buffer2;
-  tracer_.write_jsonl(buffer2);
-  const auto parsed2 = EventTracer::read_jsonl(buffer2);
+  const auto parsed2 = jsonl_lines(tracer_);
   ASSERT_EQ(parsed2.size(), 8u);
-  EXPECT_EQ(parsed2.front().window, 22);
-  EXPECT_EQ(parsed2.back().window, 29);
+  EXPECT_EQ(num(parsed2.front(), "window"), 22.0);
+  EXPECT_EQ(num(parsed2.back(), "window"), 29.0);
 }
 
 TEST(ObsTrace, ClearEmptiesTheRing) {
@@ -125,37 +146,46 @@ TEST(ObsTrace, JsonlRoundTripsEveryField) {
   tracer_.record(phase_event);
   tracer_.record(make_event(EventKind::kBalloonTransfer, 9));
 
-  std::stringstream buffer;
-  tracer_.write_jsonl(buffer);
-  const auto parsed = EventTracer::read_jsonl(buffer);
+  const auto parsed = jsonl_lines(tracer_);
   ASSERT_EQ(parsed.size(), 2u);
 
-  EXPECT_EQ(parsed[0].kind, EventKind::kPhase);
-  EXPECT_EQ(parsed[0].phase, static_cast<std::int8_t>(Phase::kAllocate));
-  EXPECT_DOUBLE_EQ(parsed[0].dur_us, 123.5);
-  EXPECT_EQ(parsed[0].node, 7);
-  EXPECT_EQ(parsed[0].window, 42);
+  EXPECT_EQ(kind_of(parsed[0]), "phase");
+  EXPECT_EQ(num(parsed[0], "phase"), static_cast<double>(Phase::kAllocate));
+  EXPECT_EQ(num(parsed[0], "dur_us"), 123.5);
+  EXPECT_EQ(num(parsed[0], "node"), 7.0);
+  EXPECT_EQ(num(parsed[0], "window"), 42.0);
   // record() stamps the recording thread's OS id and it round-trips.
-  EXPECT_EQ(parsed[0].tid, os_thread_id());
+  EXPECT_EQ(num(parsed[0], "tid"), static_cast<double>(os_thread_id()));
 
-  EXPECT_EQ(parsed[1].kind, EventKind::kBalloonTransfer);
-  EXPECT_EQ(parsed[1].tenant, 2);
-  EXPECT_EQ(parsed[1].vm, 3);
-  EXPECT_EQ(parsed[1].window, 9);
-  EXPECT_EQ(parsed[1].resource, 0);
-  EXPECT_DOUBLE_EQ(parsed[1].value, 4.5);
-  EXPECT_DOUBLE_EQ(parsed[1].value2, -1.25);
+  EXPECT_EQ(kind_of(parsed[1]), "balloon_transfer");
+  EXPECT_EQ(num(parsed[1], "tenant"), 2.0);
+  EXPECT_EQ(num(parsed[1], "vm"), 3.0);
+  EXPECT_EQ(num(parsed[1], "window"), 9.0);
+  EXPECT_EQ(num(parsed[1], "resource"), 0.0);
+  EXPECT_EQ(num(parsed[1], "phase"), -1.0);
+  EXPECT_EQ(num(parsed[1], "value"), 4.5);
+  EXPECT_EQ(num(parsed[1], "value2"), -1.25);
 }
 
-TEST(ObsTrace, ReadJsonlSkipsUnknownLines) {
-  std::stringstream buffer;
-  buffer << "not json\n"
-         << "{\"kind\":\"no_such_event\",\"ts_us\":1}\n"
-         << "{\"kind\":\"irt_trade\",\"ts_us\":5,\"value\":2}\n";
-  const auto parsed = EventTracer::read_jsonl(buffer);
+TEST(ObsTrace, JsonlAndChromeKeepFullPrecision) {
+  // Phases last a few microseconds, so a timestamp past the first second
+  // needs more than 6 significant digits.
+  EventTracer tracer_(4);
+  TraceEvent e = make_event(EventKind::kIrtTrade, 1);
+  e.ts_us = 1234567.891;
+  e.value = 0.1234567891;
+  tracer_.record(e);
+
+  const auto parsed = jsonl_lines(tracer_);
   ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].kind, EventKind::kIrtTrade);
-  EXPECT_DOUBLE_EQ(parsed[0].value, 2.0);
+  EXPECT_EQ(num(parsed[0], "ts_us"), 1234567.891);
+  EXPECT_EQ(num(parsed[0], "value"), 0.1234567891);
+
+  std::ostringstream chrome;
+  tracer_.write_chrome_trace(chrome);
+  EXPECT_NE(chrome.str().find("\"ts\":1234567.891"), std::string::npos)
+      << chrome.str();
+  EXPECT_NO_THROW(json::Value::parse(chrome.str()));
 }
 
 TEST(ObsTrace, ChromeTraceRendersPhasesAsSlicesAndEventsAsInstants) {
@@ -188,16 +218,25 @@ TEST(ObsTrace, ChromeTraceRendersPhasesAsSlicesAndEventsAsInstants) {
 }
 
 TEST(ObsTrace, EventKindNamesRoundTrip) {
-  for (const EventKind kind :
-       {EventKind::kAllocRoundBegin, EventKind::kAllocRoundEnd,
-        EventKind::kIrtTrade, EventKind::kIwaAdjust,
-        EventKind::kBalloonTarget, EventKind::kBalloonTransfer,
-        EventKind::kMigration, EventKind::kPhase}) {
-    const auto parsed = event_kind_from_string(to_string(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
+  // Every kind exports under its own wire name, so a reader can map each
+  // JSONL line back to exactly one kind.
+  const std::vector<EventKind> kinds = {
+      EventKind::kAllocRoundBegin, EventKind::kAllocRoundEnd,
+      EventKind::kIrtTrade,        EventKind::kIwaAdjust,
+      EventKind::kBalloonTarget,   EventKind::kBalloonTransfer,
+      EventKind::kMigration,       EventKind::kPhase,
+      EventKind::kAlert,           EventKind::kContractViolation};
+  EventTracer tracer_(16);
+  for (const EventKind kind : kinds) tracer_.record(make_event(kind, 0));
+  const auto parsed = jsonl_lines(tracer_);
+  ASSERT_EQ(parsed.size(), kinds.size());
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    EXPECT_EQ(kind_of(parsed[i]), to_string(kinds[i]));
+    EXPECT_NE(kind_of(parsed[i]), "unknown");
+    names.insert(kind_of(parsed[i]));
   }
-  EXPECT_FALSE(event_kind_from_string("bogus").has_value());
+  EXPECT_EQ(names.size(), kinds.size());
 }
 
 TEST(ObsTrace, PhaseScopeRecordsDurationEventAndHistogram) {

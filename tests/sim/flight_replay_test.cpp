@@ -146,7 +146,8 @@ TEST(FlightReplay, TruncatedRecordingsAreRefused) {
 
   obs::FlightRecording recording = record_run(scenario, config);
   ASSERT_GE(recording.rounds.size(), 3u);
-  // Dropping a middle round (as a byte budget would) breaks contiguity.
+  // A missing middle round (recordings that report dropped rounds still
+  // load) breaks contiguity.
   recording.rounds.erase(recording.rounds.begin() + 1);
   recording.trailer.reset();
   EXPECT_THROW(sim::replay_recording(recording), DomainError);

@@ -522,7 +522,6 @@ int run(int argc, char** argv) {
     obs::TelemetryJournal::Options journal_options;
     journal_options.path = options.journal_path;
     journal_options.max_bytes = options.journal_retention;
-    journal_options.kind = "sim";
     journal_options.policy = options.policy;
     for (const auto& tenant : scenario.cluster.tenants()) {
       journal_options.tenants.push_back(tenant.name);
@@ -575,12 +574,7 @@ int run(int argc, char** argv) {
               << recorder->rounds_recorded() << " rounds, "
               << recorder->bytes_written() << " bytes, "
               << TextTable::num(recorder->record_seconds() * 1e3, 2)
-              << " ms record time";
-    if (recorder->rounds_dropped() > 0) {
-      std::cout << ", " << recorder->rounds_dropped()
-                << " rounds dropped to byte budget";
-    }
-    std::cout << ")\n";
+              << " ms record time)\n";
   }
   if (journal) {
     journal->finish();

@@ -279,31 +279,44 @@ std::string record_engine_run(const sim::Scenario& scenario,
 /// target, in shortest-round-trip double form).
 void run_engine_determinism(const Options& opt,
                             std::vector<CheckResult>& out) {
-  // A couple of cluster shapes; sweeping seeds varies the demand phases.
+  // Two cluster shapes; sweeping seeds varies the demand phases.  The
+  // second sells 2.5x each host's capacity: every policy must still stay
+  // inside the host (the engine.node_capacity_safe contract).
+  struct Cell {
+    std::size_t nodes, vms_per_node, tenants;
+    double overcommit;
+  };
+  const Cell cells[] = {{3, 6, 3, 1.0}, {4, 8, 4, 2.5}};
   for (const alloc::Policy& policy : alloc::policies()) {
     if (!wants(opt, policy.name)) continue;
     CheckResult r{"engine.determinism", std::string(policy.name), true, ""};
     std::size_t runs = 0;
     for (std::size_t s = 0; s < opt.seeds && r.pass; ++s) {
-      sim::SyntheticConfig syn;
-      syn.nodes = 3;
-      syn.vms_per_node = 6;
-      syn.tenants = 3;
-      syn.seed = opt.seed_base + s;
-      const sim::Scenario scenario = sim::make_synthetic_scenario(syn);
+      for (const Cell& cell : cells) {
+        sim::SyntheticConfig syn;
+        syn.nodes = cell.nodes;
+        syn.vms_per_node = cell.vms_per_node;
+        syn.tenants = cell.tenants;
+        syn.overcommit = cell.overcommit;
+        syn.seed = opt.seed_base + s;
+        const sim::Scenario scenario = sim::make_synthetic_scenario(syn);
 
-      sim::EngineConfig config;
-      config.policy = policy.kind;
-      config.duration = opt.duration;
-      config.parallel_nodes = true;
-      const std::string first = record_engine_run(scenario, config);
-      const std::string second = record_engine_run(scenario, config);
-      ++runs;
-      if (first != second) {
-        r.pass = false;
-        r.detail =
-            "seed " + std::to_string(syn.seed) + ": flight recordings of " +
-            std::to_string(first.size()) + " bytes differ between runs";
+        sim::EngineConfig config;
+        config.policy = policy.kind;
+        config.duration = opt.duration;
+        config.parallel_nodes = true;
+        const std::string first = record_engine_run(scenario, config);
+        const std::string second = record_engine_run(scenario, config);
+        ++runs;
+        if (first != second) {
+          r.pass = false;
+          r.detail = "seed " + std::to_string(syn.seed) + ", overcommit " +
+                     json::Value(cell.overcommit).dump() +
+                     ": flight recordings of " +
+                     std::to_string(first.size()) +
+                     " bytes differ between runs";
+          break;
+        }
       }
     }
     if (r.pass) {
