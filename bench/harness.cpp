@@ -12,7 +12,6 @@
 #include "common/build_info.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/profiler.hpp"
 #include "sim/synthetic.hpp"
 
@@ -76,17 +75,6 @@ CellResult run_cell(const HarnessConfig& config, sim::PolicyKind policy,
   CellResult cell;
   cell.policy = policy;
   cell.point = point;
-  // Record the shard count the run effectively used: 0 marks a serial
-  // measurement; a parallel run with auto sharding resolves to the
-  // engine's auto formula so report readers never see an ambiguous 0.
-  if (parallel && point.nodes > 1) {
-    cell.shards =
-        shards > 0
-            ? shards
-            : std::min(point.nodes,
-                       std::max<std::size_t>(1, global_pool().thread_count()) *
-                           4);
-  }
   cell.windows = config.windows;
   cell.trials = config.trials;
 
@@ -119,6 +107,11 @@ CellResult run_cell(const HarnessConfig& config, sim::PolicyKind policy,
     const double trial_wall =
         std::chrono::duration<double>(Clock::now() - trial_start).count();
     if (!measured) continue;
+    // The cell's shard key: 0 for a serial run, the requested count, or
+    // the count auto sharding chose (never an ambiguous auto 0).
+    cell.shards = result.shards.empty() ? 0
+                  : shards > 0          ? shards
+                                        : result.shards.size();
     cell.total_wall_seconds += trial_wall;
     invocations += result.alloc_invocations;
     for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {

@@ -11,6 +11,10 @@ With a single report and --floor, the relative comparison is skipped and
 only the absolute floor gate runs — the mode CI's scale-smoke uses,
 where no same-machine baseline report exists.
 
+Two reports must have been profiled the same way (config.profile) and,
+when both carry build.build_type, built the same way; otherwise the tool
+exits 2 naming both values.
+
 Cells are matched by (policy, nodes, vms_per_node, tenants, shards);
 reports that predate the shard axis match as shards == 0 (serial).  A
 cell regresses when current > baseline * (1 + threshold).
@@ -211,6 +215,29 @@ def print_attribution(base_doc, cur_doc, worst_key, scale):
               f"({worst[3]:+.4f}s self)")
 
 
+def incomparable(base_doc, cur_doc):
+    """Why two reports cannot be compared, or None.
+
+    A profiled run is 10-45% slower per cell, and build types differ by
+    more than any gate threshold, so either mismatch would read as a
+    regression (or hide one).  A report without config.profile predates
+    profiling and was not profiled; build.build_type is checked only when
+    both reports carry it.
+    """
+    base_profile = base_doc.get("config", {}).get("profile", False)
+    cur_profile = cur_doc.get("config", {}).get("profile", False)
+    if base_profile != cur_profile:
+        return (f"config.profile differs: baseline {base_profile!r}, "
+                f"current {cur_profile!r}")
+    base_type = (base_doc.get("build") or {}).get("build_type")
+    cur_type = (cur_doc.get("build") or {}).get("build_type")
+    if base_type is not None and cur_type is not None \
+            and base_type != cur_type:
+        return (f"build.build_type differs: baseline {base_type!r}, "
+                f"current {cur_type!r}")
+    return None
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -254,6 +281,11 @@ def main():
 
     base_doc = load_report(args.baseline)
     cur_doc = load_report(args.current)
+    reason = incomparable(base_doc, cur_doc)
+    if reason:
+        print(f"error: refusing to compare {args.baseline} with "
+              f"{args.current}: {reason}", file=sys.stderr)
+        return 2
     base_abs = index_cells(base_doc["results"], args.metric)
     cur_abs = index_cells(cur_doc["results"], args.metric)
     base, cur = base_abs, cur_abs

@@ -65,18 +65,11 @@ obs::FlightRecording capture_alloc_round(
     node.slots.push_back(std::move(slot));
   }
   if (prov.has_irt) {
+    // Entity order is tenant order in a one-shot capture: the hook's
+    // entity indices are already the tenant ids.
     node.has_irt = true;
-    node.irt_types = prov.irt_types;
-    node.irt.reserve(prov.irt_lambda.size());
-    for (std::size_t i = 0; i < prov.irt_lambda.size(); ++i) {
-      obs::FlightIrtTenant t;
-      t.tenant = i;  // entity order == tenant order in one-shot capture
-      t.lambda = prov.irt_lambda[i];
-      t.share = prov.irt_share[i];
-      t.demand = prov.irt_demand[i];
-      t.grant = prov.irt_grant[i];
-      node.irt.push_back(std::move(t));
-    }
+    node.irt = std::move(prov.irt);
+    node.irt_types = std::move(prov.irt_types);
   }
   round.nodes.push_back(std::move(node));
   recording.rounds.push_back(std::move(round));

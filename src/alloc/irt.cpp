@@ -470,16 +470,13 @@ void IrtAllocator::allocate_impl(const ResourceVector& capacity,
 
   if (obs::ProvenanceRound* sink = obs::provenance_sink()) {
     sink->has_irt = true;
-    sink->irt_lambda = lambda;
-    sink->irt_share.clear();
-    sink->irt_demand.clear();
-    sink->irt_share.reserve(m);
-    sink->irt_demand.reserve(m);
-    for (const AllocationEntity& e : entities) {
-      sink->irt_share.push_back(e.initial_share);
-      sink->irt_demand.push_back(e.demand);
+    sink->irt.clear();
+    sink->irt.reserve(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      sink->irt.push_back(obs::FlightIrtTenant{
+          i, lambda[i], entities[i].initial_share, entities[i].demand,
+          result.allocations[i]});
     }
-    sink->irt_grant = result.allocations;
   }
 
   if (contract::armed()) {

@@ -205,11 +205,11 @@ ResourceVector iwa_distribute_into(const ResourceVector& tenant_total,
 
   if (obs::ProvenanceRound* sink = obs::provenance_sink()) {
     // One entry per call; the caller (hierarchical RRF) invokes this in
-    // group order, so entry order identifies the tenant.
-    obs::ProvenanceIwa captured;
-    captured.vm_grant.assign(allocations.begin(), allocations.end());
-    captured.headroom = headroom;
-    sink->iwa.push_back(std::move(captured));
+    // group order, so the entry index identifies the tenant.
+    sink->iwa.push_back(obs::FlightIwa{
+        sink->iwa.size(),
+        std::vector<ResourceVector>(allocations.begin(), allocations.end()),
+        headroom});
   }
   return headroom;
 }

@@ -155,7 +155,7 @@ RebalancePlan plan_rebalance(
     sink->migrations.clear();
     sink->migrations.reserve(plan.migrations.size());
     for (const Migration& m : plan.migrations) {
-      sink->migrations.push_back(obs::ProvenanceMigration{
+      sink->migrations.push_back(obs::FlightMigration{
           vms[m.vm_index].tenant, vms[m.vm_index].vm, m.from, m.to,
           m.cost_gb});
     }

@@ -98,21 +98,7 @@ struct FlightSlot {
   double banked{0.0};
 };
 
-/// Tenant-level IRT view on one node (entities in ascending-tenant order).
-struct FlightIrtTenant {
-  std::size_t tenant{0};
-  double lambda{0.0};
-  ResourceVector share{0.0, 0.0};
-  ResourceVector demand{0.0, 0.0};
-  ResourceVector grant{0.0, 0.0};
-};
-
-struct FlightIwa {
-  std::size_t tenant{0};
-  std::vector<ResourceVector> vm_grant;
-  ResourceVector headroom{0.0, 0.0};
-};
-
+/// One node's round; its IRT/IWA records (obs/provenance.hpp) hold tenant ids.
 struct FlightNode {
   std::size_t node{0};
   std::vector<FlightSlot> slots;
@@ -120,14 +106,6 @@ struct FlightNode {
   std::vector<FlightIrtTenant> irt;
   std::vector<ProvenanceIrtType> irt_types;
   std::vector<FlightIwa> iwa;
-};
-
-struct FlightMigration {
-  std::size_t tenant{0};
-  std::size_t vm{0};
-  std::size_t from{0};
-  std::size_t to{0};
-  double cost_gb{0.0};
 };
 
 struct FlightRound {

@@ -8,6 +8,8 @@
 
 #include "common/build_info.hpp"
 #include "common/error.hpp"
+#include "obs/detect.hpp"
+#include "obs/incident.hpp"
 
 namespace rrf::obs {
 
@@ -354,7 +356,12 @@ void TelemetryJournal::record_round(const RoundSummary& summary) {
   ++rounds_;
 }
 
-void TelemetryJournal::record_alert(const JournalAlert& alert) {
+void TelemetryJournal::record_alert(const AlertTransition& transition,
+                                    const std::string& tenant_name) {
+  const JournalAlert alert{to_string(transition.kind), transition.raised,
+                           transition.tenant,           tenant_name,
+                           transition.window,           transition.value,
+                           transition.threshold};
   MutexLock lock(mu_);
   if (finished_) fail("record_alert after finish");
   maybe_rotate();
@@ -362,7 +369,10 @@ void TelemetryJournal::record_alert(const JournalAlert& alert) {
   ++alerts_;
 }
 
-void TelemetryJournal::record_incident(const JournalIncident& incident) {
+void TelemetryJournal::record_incident(const IncidentEvent& event) {
+  const JournalIncident incident{event.id,    event.opened,
+                                 event.window, to_string(event.severity),
+                                 event.kinds,  event.dir};
   MutexLock lock(mu_);
   if (finished_) fail("record_incident after finish");
   maybe_rotate();

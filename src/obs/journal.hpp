@@ -42,6 +42,9 @@
 
 namespace rrf::obs {
 
+struct AlertTransition;  // obs/detect.hpp
+struct IncidentEvent;    // obs/incident.hpp
+
 /// Journal format version this build reads and writes.
 inline constexpr int kJournalSchemaVersion = 1;
 /// Value of the header's "schema" tag.
@@ -61,7 +64,7 @@ struct JournalHeader {
   json::Value build;
 };
 
-/// One persisted alert raise/resolve edge.
+/// One persisted alert raise/resolve edge (a bank AlertTransition).
 struct JournalAlert {
   std::string kind;  ///< a DetectorKind wire name ("starvation", ...)
   bool raised{true};
@@ -72,7 +75,7 @@ struct JournalAlert {
   double threshold{0.0};
 };
 
-/// One persisted incident open/resolve edge (obs/incident.hpp).
+/// One persisted incident open/resolve edge (an IncidentEvent).
 struct JournalIncident {
   std::string id;      ///< "inc-0001"
   bool opened{true};   ///< false = resolved
@@ -146,8 +149,10 @@ class TelemetryJournal {
   /// thread is safe — and the "journal.writer" site shows up in the mutex
   /// contention metrics if anything ever does contend.
   void record_round(const RoundSummary& summary);
-  void record_alert(const JournalAlert& alert);
-  void record_incident(const JournalIncident& incident);
+  /// `tenant_name` is empty for a cluster-wide alert.
+  void record_alert(const AlertTransition& transition,
+                    const std::string& tenant_name);
+  void record_incident(const IncidentEvent& event);
 
   /// Writes the end record and closes the file.  Idempotent; called by
   /// the destructor if the caller forgot.

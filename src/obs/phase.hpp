@@ -3,8 +3,9 @@
 //
 // A PhaseScope measures wall time from construction to stop()/destruction.
 // The elapsed seconds are always added to the optional accumulator (this is
-// how the engine keeps SimResult's per-phase totals and the legacy
-// alloc_seconds metric without a second timer), and additionally:
+// how the engine keeps each node's per-window phase seconds, and through
+// them SimResult's per-phase totals, without a second timer), and
+// additionally:
 //  * observed into the `phase.<name>.seconds` histogram when metrics are
 //    enabled;
 //  * recorded as a kPhase duration event when tracing is enabled (these

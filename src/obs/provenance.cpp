@@ -6,20 +6,6 @@ namespace {
 thread_local ProvenanceRound* g_sink = nullptr;
 }  // namespace
 
-void ProvenanceRound::clear() {
-  has_irt = false;
-  irt_lambda.clear();
-  irt_share.clear();
-  irt_demand.clear();
-  irt_grant.clear();
-  irt_types.clear();
-  iwa.clear();
-  has_rebalance = false;
-  pressure_before.clear();
-  pressure_after.clear();
-  migrations.clear();
-}
-
 ProvenanceRound* provenance_sink() { return g_sink; }
 
 ProvenanceScope::ProvenanceScope(ProvenanceRound* round)

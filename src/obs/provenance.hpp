@@ -14,8 +14,8 @@
 // allocation-free and branch-predictable.
 //
 // The flight recorder (obs/flightrec.hpp) is the main consumer: the
-// simulation engine installs a sink per node per round and serializes the
-// captured round into the recording.
+// simulation engine installs a sink per node per round and moves the
+// captured records into the recording.
 #pragma once
 
 #include <cstddef>
@@ -37,14 +37,26 @@ struct ProvenanceIrtType {
   double redistributed{0.0};
 };
 
-/// One tenant's IWA distribution (Algorithm 2), in IRT entity order.
-struct ProvenanceIwa {
+/// One IRT entity's Algorithm-1 view.  The hook writes the entity index
+/// into `tenant`; the caller remaps it to a tenant id.
+struct FlightIrtTenant {
+  std::size_t tenant{0};
+  double lambda{0.0};  ///< Lambda(i): clamped contribution + banked credit
+  ResourceVector share{0.0, 0.0};   ///< S(i) the search started from
+  ResourceVector demand{0.0, 0.0};  ///< D(i) it arbitrated
+  ResourceVector grant{0.0, 0.0};   ///< S'(i) it produced
+};
+
+/// One tenant's IWA distribution (Algorithm 2).  The hook writes the call
+/// index (the group, in RRF's call order) into `tenant`, as above.
+struct FlightIwa {
+  std::size_t tenant{0};
   std::vector<ResourceVector> vm_grant;  ///< per VM, in group order
   ResourceVector headroom{0.0, 0.0};     ///< undistributable per type
 };
 
 /// One planned live migration, resolved to tenant/VM identity.
-struct ProvenanceMigration {
+struct FlightMigration {
   std::size_t tenant{0};
   std::size_t vm{0};
   std::size_t from{0};
@@ -56,26 +68,23 @@ struct ProvenanceMigration {
 /// planning pass.  Every section is optional: the IRT fields fill only
 /// when an IRT-family policy ran, the IWA list only when hierarchical
 /// distribution ran, the rebalance fields only under plan_rebalance().
+/// The flight recorder stores the same leaf records, moved, not copied.
 struct ProvenanceRound {
   // ---- IRT (Algorithm 1), entity order of the caller ----
   bool has_irt{false};
-  /// Lambda(i): clamped contribution + banked credit (l.1-8).
-  std::vector<double> irt_lambda;
-  std::vector<ResourceVector> irt_share;   ///< S(i) the search started from
-  std::vector<ResourceVector> irt_demand;  ///< D(i) it arbitrated
-  std::vector<ResourceVector> irt_grant;   ///< S'(i) it produced
+  std::vector<FlightIrtTenant> irt;
   std::vector<ProvenanceIrtType> irt_types;
 
   // ---- IWA (Algorithm 2), one entry per iwa_distribute call ----
-  std::vector<ProvenanceIwa> iwa;
+  std::vector<FlightIwa> iwa;
 
   // ---- rebalance planning ----
   bool has_rebalance{false};
   std::vector<double> pressure_before;
   std::vector<double> pressure_after;
-  std::vector<ProvenanceMigration> migrations;
+  std::vector<FlightMigration> migrations;
 
-  void clear();
+  void clear() { *this = ProvenanceRound(); }
 };
 
 /// The sink installed on this thread, or nullptr (the common case).

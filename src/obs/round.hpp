@@ -46,11 +46,11 @@ struct RoundDigest {
   std::vector<double> node_pressure;
   /// VM slots allocated this window.
   std::size_t slots{0};
-  /// Wall seconds per phase, summed over nodes, for this window alone.
+  /// Wall seconds per phase for this window, summed over nodes in node order.
   std::array<double, kPhaseCount> phase_seconds{};
 
-  /// Sizes every vector for the run and zeroes it and the slot count;
-  /// keeps capacity.
+  /// Sizes every vector for the run and zeroes it, the slot count and
+  /// the phase seconds; keeps capacity.
   void reset(std::size_t tenants, std::size_t nodes) {
     for (std::vector<double>* v :
          {&tenant_position, &tenant_demand, &tenant_score, &tenant_granted,
@@ -59,6 +59,7 @@ struct RoundDigest {
     }
     node_pressure.assign(nodes, 0.0);
     slots = 0;
+    phase_seconds.fill(0.0);
   }
 };
 

@@ -49,7 +49,7 @@ using WindowSnapshot = obs::RoundDigest;
 /// "load balancing" component, made dynamic).
 struct RebalanceConfig {
   bool enabled = false;
-  /// Epoch length: a rebalancing decision every N allocation windows.
+  /// Epoch length: a rebalancing decision every N >= 1 allocation windows.
   std::size_t every_windows = 60;
   cluster::RebalanceOptions options;
   /// A migrated VM runs degraded for this many windows (pre-copy rounds
@@ -87,8 +87,8 @@ struct EngineConfig {
   /// Run nodes in parallel on the global thread pool.
   bool parallel_nodes = true;
   /// Shard count for the parallel node round (sim/shard.hpp).  0 = auto:
-  /// a small multiple of the pool width, capped at the node count.  Any
-  /// value yields bit-identical allocations and ledgers — the global
+  /// a small multiple of the pool width.  Any count is capped at the node
+  /// count and yields bit-identical allocations and ledgers — the global
   /// exchange merges per-node results in canonical node order — so this
   /// only tunes load balance, never results.  Ignored when the round runs
   /// serially (parallel_nodes == false or a single node).

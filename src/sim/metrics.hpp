@@ -67,12 +67,11 @@ struct SimResult {
   std::vector<TenantMetrics> tenants;
   /// Mean fraction of node capacity actually used, per resource type.
   ResourceVector mean_utilization{0.0, 0.0};
-  /// Wall time spent inside the allocation algorithm (overhead metric).
-  /// Equals phase_seconds[obs::Phase::kAllocate].
-  double alloc_seconds_total{0.0};
+  /// Node rounds run: one per window per node hosting a VM that window.
   std::size_t alloc_invocations{0};
-  /// Wall time per round phase (predict/allocate/actuate/settle), summed
-  /// over all nodes and windows — filled by the engine's PhaseScopes.
+  /// Wall time per round phase (predict/allocate/actuate/settle): the sum,
+  /// in window order, of every window digest's phase_seconds.  kAllocate
+  /// is the time inside the allocation algorithm (the overhead metric).
   std::array<double, obs::kPhaseCount> phase_seconds{};
   /// phase_seconds[phase], by enum for readability.
   double phase_total(obs::Phase phase) const {
@@ -99,7 +98,7 @@ struct SimResult {
   double fairness_geomean() const;
   /// Geometric mean of per-tenant normalized performance (same guards).
   double perf_geomean() const;
-  /// Mean allocator CPU load: alloc time per invocation / window length.
+  /// Mean allocator CPU load: kAllocate time per node round / window length.
   double allocator_load() const;
 };
 

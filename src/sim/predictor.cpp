@@ -24,6 +24,7 @@ DemandPredictor::DemandPredictor(std::size_t resource_types,
     RRF_REQUIRE(config.min_period >= 2, "min_period must be >= 2");
     RRF_REQUIRE(config.history >= 4 * config.min_period,
                 "history too short for the period search");
+    RRF_REQUIRE(config.redetect_every >= 1, "redetect_every must be >= 1");
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/instrumented_mutex.hpp"
+#include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
@@ -95,6 +96,20 @@ void ShardExecutor::publish_metrics() const {
         .gauge(obs::labeled("engine.shard_slots", {{"shard", label}}))
         .set(static_cast<double>(stats.slots));
   }
+}
+
+std::string ShardExecutor::document() const {
+  json::Array shards;
+  for (const ShardStats& stats : stats_) {
+    shards.push_back(json::Object{{"shard", stats.shard},
+                                  {"nodes", plan_.range(stats.shard).size()},
+                                  {"rounds", stats.rounds},
+                                  {"busy_seconds", stats.busy_seconds}});
+  }
+  return json::Value(json::Object{{"schema", "rrf-shards"},
+                                  {"version", 1},
+                                  {"shards", std::move(shards)}})
+      .dump();
 }
 
 }  // namespace rrf::sim

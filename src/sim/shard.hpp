@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <string>
 #include <vector>
 
 namespace rrf::sim {
@@ -92,6 +93,10 @@ class ShardExecutor {
   /// (labeled by shard index) into the metrics registry; a no-op while
   /// metric collection is off.
   void publish_metrics() const;
+
+  /// The `rrf-shards` v1 document an incident bundle stores as
+  /// shards.json: per shard its node count, rounds and busy seconds.
+  std::string document() const;
 
  private:
   ShardPlan plan_;

@@ -254,12 +254,12 @@ TEST(Flightrec, ProvenanceScopeInstallsAndRestoresTheSink) {
 
   // Entering a scope clears any state left from a previous round.
   outer.has_irt = true;
-  outer.irt_lambda = {1.0, 2.0};
-  outer.iwa.push_back(ProvenanceIwa{});
+  outer.irt.emplace_back();
+  outer.iwa.push_back(FlightIwa{});
   {
     ProvenanceScope scope(&outer);
     EXPECT_FALSE(outer.has_irt);
-    EXPECT_TRUE(outer.irt_lambda.empty());
+    EXPECT_TRUE(outer.irt.empty());
     EXPECT_TRUE(outer.iwa.empty());
   }
 }

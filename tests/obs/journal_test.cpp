@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/detect.hpp"
+#include "obs/incident.hpp"
 
 namespace rrf::obs {
 namespace {
@@ -59,14 +61,25 @@ JournalAlert alert_at(std::size_t window, bool raised) {
   return alert;
 }
 
+AlertTransition transition_at(std::size_t window, bool raised) {
+  AlertTransition transition;
+  transition.kind = DetectorKind::kStarvation;
+  transition.tenant = 1;
+  transition.window = window;
+  transition.raised = raised;
+  transition.value = 0.4;
+  transition.threshold = 0.5;
+  return transition;
+}
+
 TEST(JournalTest, WriteLoadRoundTrip) {
   const std::string path = temp_path("journal_roundtrip.jsonl");
   {
     TelemetryJournal journal(options_for(path));
     journal.record_round(round_at(0));
-    journal.record_alert(alert_at(1, true));
+    journal.record_alert(transition_at(1, true), "hadoop-2");
     journal.record_round(round_at(1));
-    journal.record_alert(alert_at(5, false));
+    journal.record_alert(transition_at(5, false), "hadoop-2");
     journal.finish();
     EXPECT_EQ(journal.rounds_recorded(), 2u);
     EXPECT_EQ(journal.alerts_recorded(), 2u);
@@ -86,6 +99,12 @@ TEST(JournalTest, WriteLoadRoundTrip) {
   EXPECT_TRUE(data.alerts[0].raised);
   EXPECT_FALSE(data.alerts[1].raised);
   EXPECT_EQ(data.alerts[0].tenant_name, "hadoop-2");
+  // The journal writes the bank's transition as the loader reads it.
+  EXPECT_EQ(data.alerts[0].kind, "starvation");
+  EXPECT_EQ(data.alerts[0].tenant, 1);
+  EXPECT_EQ(data.alerts[0].window, 1u);
+  EXPECT_EQ(data.alerts[0].value, 0.4);
+  EXPECT_EQ(data.alerts[0].threshold, 0.5);
   ASSERT_TRUE(data.end.has_value());
   EXPECT_EQ(data.end->rounds, 2u);
   EXPECT_EQ(data.end->alerts, 2u);
@@ -310,14 +329,26 @@ TEST(JournalTest, IncidentJsonRoundTrip) {
   EXPECT_EQ(out.dir, in.dir);
 }
 
+IncidentEvent event_at(std::size_t window, bool opened) {
+  IncidentEvent event;
+  event.id = "inc-0001";
+  event.opened = opened;
+  event.window = window;
+  event.severity =
+      opened ? IncidentSeverity::kMajor : IncidentSeverity::kCritical;
+  event.kinds = {"starvation", "drift"};
+  event.dir = "/var/run/rrf/incidents/inc-0001";
+  return event;
+}
+
 TEST(JournalTest, IncidentRecordsPersistAndCountInTheEndRecord) {
   const std::string path = temp_path("journal_incidents.jsonl");
   {
     TelemetryJournal journal(options_for(path));
     journal.record_round(round_at(0));
-    journal.record_incident(incident_at(12, true));
+    journal.record_incident(event_at(12, true));
     journal.record_round(round_at(1));
-    journal.record_incident(incident_at(40, false));
+    journal.record_incident(event_at(40, false));
     journal.finish();
     EXPECT_EQ(journal.incidents_recorded(), 2u);
   }

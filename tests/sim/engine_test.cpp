@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -293,6 +294,22 @@ TEST(Engine, DigestAgreesWithEveryConsumer) {
     }
   }
   EXPECT_TRUE(traded);  // the Lambda comparison saw real contributions
+  // Phase time is kept once: the run totals are the window digests'
+  // sums, in window order, bit for bit; every non-empty node runs one
+  // round per window.
+  for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
+    double total = 0.0;
+    for (const WindowSnapshot& digest : digests) {
+      total += digest.phase_seconds[p];
+    }
+    EXPECT_EQ(total, result.phase_seconds[p]) << "phase " << p;
+  }
+  ASSERT_TRUE(scenario.unplaced.empty());
+  std::set<std::size_t> busy_nodes;
+  for (const std::vector<std::size_t>& hosts : scenario.host_of) {
+    busy_nodes.insert(hosts.begin(), hosts.end());
+  }
+  EXPECT_EQ(result.alloc_invocations, digests.size() * busy_nodes.size());
   for (const TenantMetrics& tenant : result.tenants) {
     const obs::Gauge* beta = obs::metrics().find_gauge(
         obs::labeled("fairness.tenant_beta", {{"tenant", tenant.name()}}));
@@ -318,6 +335,11 @@ TEST(Engine, ValidatesConfig) {
   EngineConfig bad = fast_engine(PolicyKind::kRrf);
   bad.window = 0.0;
   EXPECT_THROW(run_simulation(s, bad), PreconditionError);
+  // A zero rebalance epoch would divide by zero in the window loop.
+  EngineConfig zero_epoch = fast_engine(PolicyKind::kRrf);
+  zero_epoch.rebalance.enabled = true;
+  zero_epoch.rebalance.every_windows = 0;
+  EXPECT_THROW(run_simulation(s, zero_epoch), PreconditionError);
 }
 
 /// Heap bytes the profiler attributed to the node-round phase frames

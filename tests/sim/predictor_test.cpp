@@ -217,6 +217,10 @@ TEST(PeriodicPredictor, ValidatesConfig) {
   short_history.history = 8;
   short_history.min_period = 8;
   EXPECT_THROW(DemandPredictor(2, short_history), PreconditionError);
+  PredictorConfig never_redetect;
+  never_redetect.enable_periodicity = true;
+  never_redetect.redetect_every = 0;
+  EXPECT_THROW(DemandPredictor(2, never_redetect), PreconditionError);
 }
 
 TEST(Predictor, ValidatesInput) {

@@ -26,7 +26,8 @@
 namespace rrf::sim {
 namespace {
 
-// 13 is prime: none of these divide it, and 16 > 13 leaves empty shards.
+// 13 is prime: none of these divide it, and 16 > 13 is capped at the
+// host count.
 constexpr std::size_t kShardCounts[] = {1, 2, 3, 7, 16};
 
 std::size_t stress_iters() {
@@ -166,6 +167,20 @@ TEST(ShardDeterminismEdge, NodeWithoutSlotsIsMergedAsANoop) {
     EXPECT_EQ(record_rounds(scenario, config), serial)
         << "shards=" << shards;
   }
+}
+
+TEST(ShardDeterminismEdge, ShardCountIsCappedAtTheHostCount) {
+  // A million shards on 13 nodes runs 13: one per node, same rounds.
+  const Scenario scenario = test_scenario();
+  EngineConfig config = base_config("rrf");
+  config.parallel_nodes = false;
+  const std::string serial = record_rounds(scenario, config);
+  config.parallel_nodes = true;
+  config.shards = 1'000'000;
+  EXPECT_EQ(record_rounds(scenario, config), serial);
+  const SimResult result = run_simulation(scenario, config);
+  ASSERT_EQ(result.shards.size(), 13u);
+  for (const ShardStats& stats : result.shards) EXPECT_EQ(stats.nodes, 1u);
 }
 
 TEST(ShardDeterminismStress, RepeatedShardedRunsStayByteIdentical) {

@@ -76,10 +76,7 @@ void write_observability_outputs(const std::string& trace_path,
       obs::publish_profile_metrics(obs::metrics(), snapshot);
     }
     std::ofstream out(profile_path);
-    if (!out) {
-      std::cerr << "cannot open " << profile_path << " for writing\n";
-      std::exit(1);
-    }
+    if (!out) throw DomainError("cannot open " + profile_path + " for writing");
     if (ends_with(profile_path, ".json")) {
       obs::write_chrome_profile(out, snapshot);
     } else {
@@ -90,10 +87,7 @@ void write_observability_outputs(const std::string& trace_path,
   }
   if (!trace_path.empty()) {
     std::ofstream out(trace_path);
-    if (!out) {
-      std::cerr << "cannot open " << trace_path << " for writing\n";
-      std::exit(1);
-    }
+    if (!out) throw DomainError("cannot open " + trace_path + " for writing");
     if (ends_with(trace_path, ".jsonl")) {
       obs::tracer().write_jsonl(out);
     } else {
@@ -104,10 +98,7 @@ void write_observability_outputs(const std::string& trace_path,
   }
   if (!metrics_path.empty()) {
     std::ofstream out(metrics_path);
-    if (!out) {
-      std::cerr << "cannot open " << metrics_path << " for writing\n";
-      std::exit(1);
-    }
+    if (!out) throw DomainError("cannot open " + metrics_path + " for writing");
     if (ends_with(metrics_path, ".csv")) {
       obs::metrics().write_csv(out);
     } else if (ends_with(metrics_path, ".prom")) {
@@ -195,8 +186,7 @@ int main(int argc, char** argv) {
           alloc::capture_alloc_round(policy_name, capacity, entities);
       std::ofstream out(record_path);
       if (!out) {
-        std::cerr << "cannot open " << record_path << " for writing\n";
-        return 1;
+        throw DomainError("cannot open " + record_path + " for writing");
       }
       obs::FlightRecorder recorder(out);
       recorder.write_recording(recording);
@@ -205,8 +195,9 @@ int main(int argc, char** argv) {
     }
     write_observability_outputs(trace_path, metrics_path, profile_path);
   } catch (const std::exception& e) {
+    // A failed write (full disk, unwritable path) exits 2, like any tool.
     std::cerr << "error: " << e.what() << "\n";
-    return 1;
+    return 2;
   }
   return 0;
 }
