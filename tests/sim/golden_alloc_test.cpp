@@ -146,8 +146,72 @@ void capture_allocators(std::vector<std::string>* lines) {
   }
 }
 
+/// One RRF run's per-window tenant lines plus its utilization and
+/// migration count, tagged `tag`.
+void capture_run(const sim::Scenario& scenario, sim::EngineConfig config,
+                 const std::string& tag, std::vector<std::string>* lines) {
+  config.policy = sim::PolicyKind::kRrf;
+  config.window = 5.0;
+  config.parallel_nodes = false;
+  config.observer = [&](const sim::WindowSnapshot& snapshot) {
+    for (std::size_t t = 0; t < snapshot.tenant_position.size(); ++t) {
+      lines->push_back("engine " + tag + " w" +
+                       std::to_string(snapshot.window) + " t" +
+                       std::to_string(t) + " pos " +
+                       hex(snapshot.tenant_position[t]) + " dem " +
+                       hex(snapshot.tenant_demand[t]) + " score " +
+                       hex(snapshot.tenant_score[t]));
+    }
+  };
+  const sim::SimResult result = sim::run_simulation(scenario, config);
+  lines->push_back("engine " + tag + " util " +
+                   hex_vector(result.mean_utilization) + " migrations " +
+                   std::to_string(result.migrations));
+  if (config.rebalance.enabled) {
+    EXPECT_GT(result.migrations, 0u) << tag << " moved no VM";
+  }
+}
+
+/// The engine paths the policy sweep below leaves out: live migration
+/// (predictor state and demand EMA travel with the slot) and the
+/// periodicity search (history ring, detection and the seasonal blend).
+void capture_engine_paths(std::vector<std::string>* lines) {
+  // First-fit packs the big tenants onto host 0, so the planner moves VMs
+  // at its first epoch boundaries.
+  sim::ScenarioConfig skewed;
+  skewed.workloads = {wl::WorkloadKind::kRubbos, wl::WorkloadKind::kHadoop,
+                      wl::WorkloadKind::kTpcc,   wl::WorkloadKind::kKernelBuild,
+                      wl::WorkloadKind::kTpcc,   wl::WorkloadKind::kKernelBuild};
+  skewed.hosts = 2;
+  skewed.seed = 42;
+  skewed.placement = cluster::PlacementPolicy::kFirstFit;
+  sim::EngineConfig migrate;
+  migrate.duration = 200.0;  // 40 windows, epochs at 12, 24 and 36
+  migrate.rebalance.enabled = true;
+  migrate.rebalance.every_windows = 12;
+  capture_run(sim::build_scenario(skewed), migrate, "rrf+rebalance", lines);
+
+  // The synthetic demand cycles every 120 s (24 windows).  A 48-window
+  // history searches lags 8..24 every 8 observations from the 32nd on,
+  // and wraps before the run ends.
+  sim::SyntheticConfig syn;
+  syn.nodes = 3;
+  syn.vms_per_node = 5;
+  syn.tenants = 4;
+  syn.seed = 77;
+  sim::EngineConfig periodic;
+  periodic.duration = 400.0;  // 80 windows
+  periodic.predictor.enable_periodicity = true;
+  periodic.predictor.history = 48;
+  periodic.predictor.min_period = 8;
+  periodic.predictor.redetect_every = 8;
+  capture_run(sim::make_synthetic_scenario(syn), periodic, "rrf+periodic",
+              lines);
+}
+
 /// Engine-level capture: per-window tenant positions for every policy,
-/// with and without hypervisor actuation (serial node order).
+/// with and without hypervisor actuation (serial node order), then the
+/// migration and periodicity runs.
 void capture_engine(std::vector<std::string>* lines) {
   sim::SyntheticConfig syn;
   syn.nodes = 3;
@@ -185,6 +249,7 @@ void capture_engine(std::vector<std::string>* lines) {
                        hex_vector(result.mean_utilization));
     }
   }
+  capture_engine_paths(lines);
 }
 
 std::vector<std::string> capture_all() {
