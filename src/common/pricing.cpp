@@ -18,21 +18,6 @@ PricingModel PricingModel::example_default() {
   return PricingModel({100.0, 200.0});
 }
 
-ResourceVector PricingModel::shares_for(const ResourceVector& capacity) const {
-  ResourceVector out = capacity;
-  return out.hadamard(unit_prices_);
-}
-
-ResourceVector PricingModel::capacity_for(const ResourceVector& shares) const {
-  RRF_REQUIRE(shares.size() == unit_prices_.size(),
-              "share vector arity mismatch");
-  ResourceVector out(shares.size());
-  for (std::size_t k = 0; k < shares.size(); ++k) {
-    out[k] = shares[k] / unit_prices_[k];
-  }
-  return out;
-}
-
 Share PricingModel::value_of(const ResourceVector& capacity) const {
   return shares_for(capacity).sum();
 }

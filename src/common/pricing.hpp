@@ -9,6 +9,7 @@
 // [Williams et al., VEE'11].
 #pragma once
 
+#include "common/error.hpp"
 #include "common/resource_vector.hpp"
 #include "common/types.hpp"
 
@@ -31,10 +32,21 @@ class PricingModel {
   const ResourceVector& unit_prices() const { return unit_prices_; }
 
   /// f1 applied per resource type: capacity vector -> share vector.
-  ResourceVector shares_for(const ResourceVector& capacity) const;
+  ResourceVector shares_for(const ResourceVector& capacity) const {
+    ResourceVector out = capacity;
+    return out.hadamard(unit_prices_);
+  }
 
   /// f2 applied per resource type: share vector -> capacity vector.
-  ResourceVector capacity_for(const ResourceVector& shares) const;
+  ResourceVector capacity_for(const ResourceVector& shares) const {
+    RRF_REQUIRE(shares.size() == unit_prices_.size(),
+                "share vector arity mismatch");
+    ResourceVector out(shares.size());
+    for (std::size_t k = 0; k < shares.size(); ++k) {
+      out[k] = shares[k] / unit_prices_[k];
+    }
+    return out;
+  }
 
   /// Aggregate share value of a capacity vector (a tenant's *asset*).
   Share value_of(const ResourceVector& capacity) const;

@@ -68,33 +68,49 @@ double CreditScheduler::effective_demand(const Vm& vm, double demand) const {
 
 std::vector<double> CreditScheduler::schedule(
     std::span<const double> demands_ghz) const {
+  std::vector<double> out(vms_.size());
+  Scratch scratch;
+  schedule_with(demands_ghz, scratch, out);
+  return out;
+}
+
+void CreditScheduler::schedule_into(std::span<const double> demands_ghz,
+                                    std::span<double> out) {
+  schedule_with(demands_ghz, scratch_, out);
+}
+
+void CreditScheduler::schedule_with(std::span<const double> demands_ghz,
+                                    Scratch& scratch,
+                                    std::span<double> out) const {
   RRF_REQUIRE(demands_ghz.size() == vms_.size(),
               "one demand per registered VM required");
+  RRF_REQUIRE(out.size() == vms_.size(), "one output per registered VM");
   const std::size_t n = vms_.size();
-  std::vector<double> eff(n), weights(n);
+  std::vector<double>& eff = scratch.eff;
+  std::vector<double>& weights = scratch.weights;
+  eff.resize(n);
+  weights.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     eff[i] = effective_demand(vms_[i], demands_ghz[i]);
     weights[i] = vms_[i].weight;
   }
 
-  std::vector<double> out;
   if (mode_ == SchedulerMode::kNonWorkConserving) {
     // Hard proportional shares: no redistribution of unused cycles.
     const double total_weight =
         std::accumulate(weights.begin(), weights.end(), 0.0);
-    out.assign(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = std::min(eff[i], capacity_ghz_ * weights[i] / total_weight);
     }
   } else {
     // Work-conserving: the fluid limit of credit accounting is weighted
     // max-min with demand caps.
-    out = alloc::weighted_max_min(capacity_ghz_, eff, weights);
+    alloc::weighted_max_min_into(capacity_ghz_, eff, weights, out,
+                                 scratch.order);
   }
   record_schedule_metrics("credit.schedule_calls",
                           std::accumulate(eff.begin(), eff.end(), 0.0),
                           std::accumulate(out.begin(), out.end(), 0.0));
-  return out;
 }
 
 std::vector<double> CreditScheduler::schedule_sliced(

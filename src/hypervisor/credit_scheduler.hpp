@@ -53,6 +53,11 @@ class CreditScheduler {
   /// vcpus * per-core capacity regardless of weight.
   std::vector<double> schedule(std::span<const double> demands_ghz) const;
 
+  /// schedule() written into `out` (one entry per VM), reusing this
+  /// scheduler's scratch: no heap allocation once it has grown.
+  void schedule_into(std::span<const double> demands_ghz,
+                     std::span<double> out);
+
   /// Explicit credit-accounting simulation over `window_s` seconds with
   /// `slice_s` time slices (default 30 ms, the Xen value).  Returns average
   /// GHz per VM over the window.
@@ -71,12 +76,22 @@ class CreditScheduler {
     std::size_t vcpus{1};
   };
 
+  /// The scratch of one closed-form dispatch.
+  struct Scratch {
+    std::vector<double> eff;
+    std::vector<double> weights;
+    std::vector<std::size_t> order;
+  };
+
   double effective_demand(const Vm& vm, double demand) const;
+  void schedule_with(std::span<const double> demands_ghz, Scratch& scratch,
+                     std::span<double> out) const;
 
   double capacity_ghz_;
   double core_ghz_{3.07};  // Xeon X5675, the paper's testbed
   SchedulerMode mode_;
   std::vector<Vm> vms_;
+  Scratch scratch_;
 };
 
 }  // namespace rrf::hv

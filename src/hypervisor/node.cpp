@@ -1,5 +1,7 @@
 #include "hypervisor/node.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace rrf::hv {
@@ -59,25 +61,36 @@ void HypervisorNode::apply_shares(std::span<const ResourceVector> vm_shares) {
 
 std::vector<ResourceVector> HypervisorNode::step(
     Seconds dt, std::span<const ResourceVector> demands) {
+  std::vector<ResourceVector> realized(vm_count());
+  step_into(dt, demands, realized);
+  return realized;
+}
+
+void HypervisorNode::step_into(Seconds dt,
+                               std::span<const ResourceVector> demands,
+                               std::span<ResourceVector> realized) {
   RRF_REQUIRE(demands.size() == vm_count(), "one demand per VM required");
+  RRF_REQUIRE(realized.size() == vm_count(), "one output per VM required");
   memory_->step(dt);
 
-  std::vector<double> cpu_demands(vm_count());
+  cpu_demand_.resize(vm_count());
+  cpu_.resize(vm_count());
   for (std::size_t i = 0; i < vm_count(); ++i) {
-    cpu_demands[i] = demands[i][Resource::kCpu];
+    cpu_demand_[i] = demands[i][Resource::kCpu];
   }
-  const std::vector<double> cpu =
-      config_.use_sliced_scheduler
-          ? scheduler_.schedule_sliced(cpu_demands, dt)
-          : scheduler_.schedule(cpu_demands);
+  if (config_.use_sliced_scheduler) {
+    const std::vector<double> sliced =
+        scheduler_.schedule_sliced(cpu_demand_, dt);
+    std::copy(sliced.begin(), sliced.end(), cpu_.begin());
+  } else {
+    scheduler_.schedule_into(cpu_demand_, cpu_);
+  }
 
-  std::vector<ResourceVector> realized(vm_count(),
-                                       ResourceVector(kDefaultResourceCount));
   for (std::size_t i = 0; i < vm_count(); ++i) {
-    realized[i][Resource::kCpu] = cpu[i];
+    realized[i] = ResourceVector(kDefaultResourceCount);
+    realized[i][Resource::kCpu] = cpu_[i];
     realized[i][Resource::kRam] = memory_->allocated(i);
   }
-  return realized;
 }
 
 }  // namespace rrf::hv

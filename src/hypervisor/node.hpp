@@ -70,6 +70,12 @@ class HypervisorNode {
   std::vector<ResourceVector> step(Seconds dt,
                                    std::span<const ResourceVector> demands);
 
+  /// step() writing the realized allocation into `realized` (one entry
+  /// per VM).  With the fluid scheduler it reuses this node's scratch, so
+  /// it allocates nothing once the scratch has grown.
+  void step_into(Seconds dt, std::span<const ResourceVector> demands,
+                 std::span<ResourceVector> realized);
+
   const CreditScheduler& scheduler() const { return scheduler_; }
   const MemoryActuator& memory() const { return *memory_; }
 
@@ -83,6 +89,9 @@ class HypervisorNode {
   CreditScheduler scheduler_;
   std::unique_ptr<MemoryActuator> memory_;
   std::vector<ResourceVector> vm_shares_;
+  /// step_into's per-VM CPU demand and dispatch.
+  std::vector<double> cpu_demand_;
+  std::vector<double> cpu_;
 };
 
 }  // namespace rrf::hv

@@ -10,13 +10,11 @@ Histogram& phase_histogram(MetricsRegistry& registry, Phase phase) {
       default_seconds_bounds());
 }
 
-double PhaseScope::stop() {
-  if (stopped_) return seconds_;
-  stopped_ = true;
-  const auto end = std::chrono::steady_clock::now();
-  seconds_ = std::chrono::duration<double>(end - start_).count();
-  profile_.stop();  // close the phase's profiler frame at the same edge
-  if (accumulate_) *accumulate_ += seconds_;
+void PhaseClock::end(std::chrono::steady_clock::time_point now) {
+  running_ = false;
+  const double seconds = std::chrono::duration<double>(now - start_).count();
+  profile_.reset();  // close the phase's profiler frame at the same edge
+  seconds_[static_cast<std::size_t>(phase_)] += seconds;
   if (metrics_enabled()) {
     // One stable histogram reference per phase; the registry outlives us.
     static Histogram* const hists[kPhaseCount] = {
@@ -25,19 +23,18 @@ double PhaseScope::stop() {
         &phase_histogram(metrics(), Phase::kActuate),
         &phase_histogram(metrics(), Phase::kSettle),
     };
-    hists[static_cast<std::size_t>(phase_)]->observe(seconds_);
+    hists[static_cast<std::size_t>(phase_)]->observe(seconds);
   }
   if (tracing_enabled()) {
     TraceEvent e;
     e.kind = EventKind::kPhase;
     e.phase = static_cast<std::int8_t>(phase_);
     e.ts_us = tracer().to_us(start_);
-    e.dur_us = seconds_ * 1e6;
+    e.dur_us = seconds * 1e6;
     e.node = node_;
     e.window = window_;
     tracer().record(e);
   }
-  return seconds_;
 }
 
 }  // namespace rrf::obs

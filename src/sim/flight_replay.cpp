@@ -1,5 +1,6 @@
 #include "sim/flight_replay.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -80,6 +81,13 @@ class RecordedWorkload final : public wl::Workload {
 
   std::vector<ResourceVector> vm_demands_at(Seconds t) const override {
     return row(t);
+  }
+
+  void vm_demands_into(Seconds t,
+                       std::span<ResourceVector> out) const override {
+    const std::vector<ResourceVector>& vms = row(t);
+    require_vm_count(vms.size(), out);
+    std::copy(vms.begin(), vms.end(), out.begin());
   }
 
  private:

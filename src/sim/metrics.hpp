@@ -31,6 +31,13 @@ class TenantMetrics {
   /// application's perf score for the window.
   void record_window(double position, double demand, double perf_score);
 
+  /// Sizes the time series for `windows` records up front, so recording
+  /// them allocates nothing.
+  void reserve_windows(std::size_t windows) {
+    demand_ratio_.reserve(windows);
+    alloc_ratio_.reserve(windows);
+  }
+
   const std::string& name() const { return name_; }
   std::size_t windows() const { return windows_; }
 

@@ -62,10 +62,18 @@ class SyntheticWorkload final : public wl::Workload {
   }
 
   std::vector<ResourceVector> vm_demands_at(Seconds t) const override {
+    std::vector<ResourceVector> out(bias_.size());
+    vm_demands_into(t, out);
+    return out;
+  }
+
+  void vm_demands_into(Seconds t,
+                       std::span<ResourceVector> out) const override {
+    require_vm_count(bias_.size(), out);
     const std::size_t p = vm_provisioned_.size();
-    std::vector<ResourceVector> out(bias_.size(), ResourceVector(p));
     const double omega = 2.0 * std::numbers::pi / period_;
     for (std::size_t j = 0; j < bias_.size(); ++j) {
+      out[j] = ResourceVector(p);
       for (std::size_t k = 0; k < p; ++k) {
         const double wave =
             1.0 + amplitude_ * std::sin(omega * t + phase_[j * p + k]) +
@@ -73,7 +81,6 @@ class SyntheticWorkload final : public wl::Workload {
         out[j][k] = vm_provisioned_[k] * std::clamp(wave, 0.05, 2.0);
       }
     }
-    return out;
   }
 
  private:

@@ -1,56 +1,25 @@
 #include "workload/perf_model.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace rrf::wl {
 
-double PerfModel::satisfaction(double alloc, double demand) {
-  if (demand <= 0.0) return 1.0;
-  return std::clamp(alloc / demand, 0.0, 1.0);
-}
-
 double PerfModel::step_progress(const ResourceVector& demand,
                                 const ResourceVector& alloc) const {
-  RRF_REQUIRE(demand.size() == alloc.size(), "arity mismatch");
-  const double s_cpu =
-      satisfaction(alloc[Resource::kCpu], demand[Resource::kCpu]);
-  const double s_ram =
-      satisfaction(alloc[Resource::kRam], demand[Resource::kRam]);
-  const double mem_penalty =
-      std::pow(s_ram, config_.mem_penalty_exponent);
-  return std::max(config_.progress_floor, s_cpu * mem_penalty);
+  return step_score(PerfMetric::kThroughput, demand, alloc);
 }
 
 double PerfModel::step_inverse_latency(const ResourceVector& demand,
                                        const ResourceVector& alloc) const {
-  RRF_REQUIRE(demand.size() == alloc.size(), "arity mismatch");
-  const double s_cpu =
-      satisfaction(alloc[Resource::kCpu], demand[Resource::kCpu]);
-  const double s_ram =
-      satisfaction(alloc[Resource::kRam], demand[Resource::kRam]);
-  // Service capacity below offered load: queueing delay blows up like
-  // 1/(mu - lambda).  With s the fraction of demand served, the response
-  // time scales ~ 1/s * 1/(s - rho0) style; we use a smooth surrogate:
-  // inverse latency = s^2 damped by the memory penalty.
-  const double mem_penalty =
-      std::pow(s_ram, config_.mem_penalty_exponent);
-  const double utilization_term =
-      std::max(config_.latency_saturation_guard, s_cpu * s_cpu);
-  return std::max(config_.progress_floor, utilization_term * mem_penalty);
+  return step_score(PerfMetric::kResponseTime, demand, alloc);
 }
 
 double PerfModel::step_score(PerfMetric metric, const ResourceVector& demand,
                              const ResourceVector& alloc) const {
-  switch (metric) {
-    case PerfMetric::kThroughput:
-      return step_progress(demand, alloc);
-    case PerfMetric::kResponseTime:
-      return step_inverse_latency(demand, alloc);
-  }
-  return step_progress(demand, alloc);
+  RRF_REQUIRE(demand.size() == alloc.size(), "arity mismatch");
+  return score(metric,
+               satisfaction(alloc[Resource::kCpu], demand[Resource::kCpu]),
+               satisfaction(alloc[Resource::kRam], demand[Resource::kRam]));
 }
 
 }  // namespace rrf::wl

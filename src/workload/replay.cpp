@@ -100,11 +100,16 @@ ResourceVector ReplayWorkload::demand_at(Seconds t) const {
 }
 
 std::vector<ResourceVector> ReplayWorkload::vm_demands_at(Seconds t) const {
-  const ResourceVector total = demand_at(t);
-  std::vector<ResourceVector> out;
-  out.reserve(split_.size());
-  for (const double f : split_) out.push_back(total * f);
+  std::vector<ResourceVector> out(split_.size());
+  vm_demands_into(t, out);
   return out;
+}
+
+void ReplayWorkload::vm_demands_into(Seconds t,
+                                     std::span<ResourceVector> out) const {
+  require_vm_count(split_.size(), out);
+  const ResourceVector total = demand_at(t);
+  for (std::size_t j = 0; j < split_.size(); ++j) out[j] = total * split_[j];
 }
 
 void export_trace_csv(const Workload& workload, Seconds duration, Seconds dt,

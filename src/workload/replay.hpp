@@ -44,6 +44,8 @@ class ReplayWorkload final : public Workload {
   ResourceVector demand_at(Seconds t) const override;
   std::vector<double> vm_split() const override { return split_; }
   std::vector<ResourceVector> vm_demands_at(Seconds t) const override;
+  void vm_demands_into(Seconds t,
+                       std::span<ResourceVector> out) const override;
 
   Seconds trace_length() const { return times_.back(); }
   std::size_t sample_count() const { return times_.size(); }

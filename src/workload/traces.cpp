@@ -41,31 +41,40 @@ ResourceVector TraceWorkload::demand_at(Seconds t) const {
 }
 
 std::vector<ResourceVector> TraceWorkload::vm_demands_at(Seconds t) const {
+  std::vector<ResourceVector> out(split_.size());
+  vm_demands_into(t, out);
+  return out;
+}
+
+void TraceWorkload::vm_demands_into(Seconds t,
+                                    std::span<ResourceVector> out) const {
+  require_vm_count(split_.size(), out);
   const ResourceVector total = demand_at(t);
   const std::size_t n = split_.size();
-  std::vector<ResourceVector> out(n, ResourceVector(total.size()));
   if (n == 1) {
     out[0] = total;
-    return out;
+    return;
   }
 
   // Deterministic per-(VM, coarse-time) jitter: VM shares wander around
   // their split fractions on a ~60 s time scale, then are renormalized so
   // they still sum to the application total.  This creates the
   // intra-tenant imbalance IWA exists to fix without changing aggregates.
+  // Each VM's weight waits in component 0 of its own output entry until
+  // the sum is known.
   const auto epoch = static_cast<std::uint64_t>(std::max(0.0, t) / 60.0);
-  std::vector<double> weights(n);
   double wsum = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     Rng r = Rng(seed_).fork(epoch * 1000 + j);
     const double factor = r.normal_in(1.0, jitter_, 0.25, 1.75);
-    weights[j] = split_[j] * factor;
-    wsum += weights[j];
+    const double weight = split_[j] * factor;
+    out[j] = ResourceVector(total.size());
+    out[j][0] = weight;
+    wsum += weight;
   }
   for (std::size_t j = 0; j < n; ++j) {
-    out[j] = total * (weights[j] / wsum);
+    out[j] = total * (out[j][0] / wsum);
   }
-  return out;
 }
 
 namespace {

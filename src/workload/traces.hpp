@@ -15,6 +15,7 @@ class TraceWorkload : public Workload {
  public:
   ResourceVector demand_at(Seconds t) const final;
   std::vector<ResourceVector> vm_demands_at(Seconds t) const final;
+  void vm_demands_into(Seconds t, std::span<ResourceVector> out) const final;
   std::vector<double> vm_split() const final { return split_; }
 
   /// Length of the precomputed trace (seconds of unique data; the trace

@@ -1,5 +1,8 @@
 #include "workload/workload.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "common/error.hpp"
 #include "workload/traces.hpp"
 
@@ -13,6 +16,21 @@ std::string to_string(WorkloadKind kind) {
     case WorkloadKind::kHadoop: return "Hadoop";
   }
   return "unknown";
+}
+
+void Workload::vm_demands_into(Seconds t,
+                               std::span<ResourceVector> out) const {
+  const std::vector<ResourceVector> demands = vm_demands_at(t);
+  require_vm_count(demands.size(), out);
+  std::copy(demands.begin(), demands.end(), out.begin());
+}
+
+void Workload::require_vm_count(std::size_t vms,
+                                std::span<const ResourceVector> out) const {
+  RRF_REQUIRE(out.size() == vms,
+              "workload " + name() + " yields " + std::to_string(vms) +
+                  " per-VM demands for " + std::to_string(out.size()) +
+                  " VMs");
 }
 
 DemandProfileSpec paper_demand_spec(WorkloadKind kind) {

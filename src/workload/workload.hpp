@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,17 @@ class Workload {
   /// Per-VM demand at t: vm_split() of demand_at() with VM-local jitter
   /// (deterministic per seed) so intra-tenant imbalance exists for IWA.
   virtual std::vector<ResourceVector> vm_demands_at(Seconds t) const = 0;
+
+  /// vm_demands_at(t) written into `out`, which must hold exactly one
+  /// entry per VM (PreconditionError otherwise).  The default copies
+  /// vm_demands_at(); the built-in generators override it and write in
+  /// place without touching the heap.
+  virtual void vm_demands_into(Seconds t, std::span<ResourceVector> out) const;
+
+ protected:
+  /// The PreconditionError of a buffer that does not hold `vms` entries.
+  void require_vm_count(std::size_t vms,
+                        std::span<const ResourceVector> out) const;
 };
 
 using WorkloadPtr = std::unique_ptr<Workload>;

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -239,31 +241,47 @@ TEST(ObsTrace, EventKindNamesRoundTrip) {
   EXPECT_EQ(names.size(), kinds.size());
 }
 
-TEST(ObsTrace, PhaseScopeRecordsDurationEventAndHistogram) {
+TEST(ObsTrace, PhaseClockRecordsDurationEventAndHistogram) {
   const bool tracing_before = tracing_enabled();
   const bool metrics_before = metrics_enabled();
   set_tracing_enabled(true);
   set_metrics_enabled(true);
   tracer().clear();
-  const Histogram& hist = phase_histogram(metrics(), Phase::kAllocate);
-  const std::uint64_t count_before = hist.count();
+  const Histogram& allocate = phase_histogram(metrics(), Phase::kAllocate);
+  const Histogram& actuate = phase_histogram(metrics(), Phase::kActuate);
+  const std::uint64_t allocate_before = allocate.count();
+  const std::uint64_t actuate_before = actuate.count();
 
-  double accumulated = 0.0;
-  { PhaseScope scope(Phase::kAllocate, /*node=*/2, /*window=*/5, &accumulated); }
+  PhaseClock::Seconds seconds{};
+  {
+    PhaseClock clock(Phase::kAllocate, /*node=*/2, /*window=*/5, seconds);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    clock.next(Phase::kActuate);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }  // ~PhaseClock() ends the last phase
 
   set_tracing_enabled(tracing_before);
   set_metrics_enabled(metrics_before);
 
-  EXPECT_GT(accumulated, 0.0);
-  EXPECT_EQ(hist.count(), count_before + 1);
+  EXPECT_GT(seconds[static_cast<std::size_t>(Phase::kAllocate)], 0.0);
+  EXPECT_GT(seconds[static_cast<std::size_t>(Phase::kActuate)], 0.0);
+  EXPECT_EQ(seconds[static_cast<std::size_t>(Phase::kPredict)], 0.0);
+  EXPECT_EQ(allocate.count(), allocate_before + 1);
+  EXPECT_EQ(actuate.count(), actuate_before + 1);
   const auto events = tracer().events();
-  ASSERT_FALSE(events.empty());
-  const TraceEvent& e = events.back();
-  EXPECT_EQ(e.kind, EventKind::kPhase);
-  EXPECT_EQ(e.phase, static_cast<std::int8_t>(Phase::kAllocate));
-  EXPECT_EQ(e.node, 2);
-  EXPECT_EQ(e.window, 5);
-  EXPECT_GE(e.dur_us, 0.0);
+  ASSERT_GE(events.size(), 2u);
+  // One boundary read ends the allocate slice and starts the actuate one.
+  const TraceEvent& first = events[events.size() - 2];
+  const TraceEvent& second = events.back();
+  for (const TraceEvent* e : {&first, &second}) {
+    EXPECT_EQ(e->kind, EventKind::kPhase);
+    EXPECT_EQ(e->node, 2);
+    EXPECT_EQ(e->window, 5);
+    EXPECT_GE(e->dur_us, 0.0);
+  }
+  EXPECT_EQ(first.phase, static_cast<std::int8_t>(Phase::kAllocate));
+  EXPECT_EQ(second.phase, static_cast<std::int8_t>(Phase::kActuate));
+  EXPECT_NEAR(first.ts_us + first.dur_us, second.ts_us, 1e-3);
   tracer().clear();
 }
 

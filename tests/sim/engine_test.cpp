@@ -17,6 +17,7 @@
 #include "obs/trace.hpp"
 #include "sim/flight_replay.hpp"
 #include "sim/synthetic.hpp"
+#include "workload/replay.hpp"
 
 namespace rrf::sim {
 namespace {
@@ -342,24 +343,100 @@ TEST(Engine, ValidatesConfig) {
   EXPECT_THROW(run_simulation(s, zero_epoch), PreconditionError);
 }
 
-/// Heap bytes the profiler attributed to the node-round phase frames
-/// (predict, allocate, actuate, settle) and every frame nested in them;
-/// `offenders` lists the frames that allocated.
-std::uint64_t node_round_heap_bytes(const obs::ProfileSnapshot& snapshot,
-                                    std::string* offenders) {
-  std::vector<bool> in_round(snapshot.merged.size(), false);
+/// A 2-host, 2-tenant synthetic cell: tenants syn0 and syn1, two VMs each.
+Scenario two_tenant_cell() {
+  SyntheticConfig cell;
+  cell.nodes = 2;
+  cell.vms_per_node = 2;
+  cell.tenants = 2;
+  return make_synthetic_scenario(cell);
+}
+
+/// A workload that models two VMs but yields one demand.
+class ShortWorkload final : public wl::Workload {
+ public:
+  std::string name() const override { return "short"; }
+  wl::WorkloadKind kind() const override {
+    return wl::WorkloadKind::kKernelBuild;
+  }
+  wl::PerfMetric metric() const override {
+    return wl::PerfMetric::kThroughput;
+  }
+  ResourceVector demand_at(Seconds) const override {
+    return ResourceVector{1.0, 1.0};
+  }
+  std::vector<double> vm_split() const override { return {0.5, 0.5}; }
+  std::vector<ResourceVector> vm_demands_at(Seconds t) const override {
+    return {demand_at(t)};
+  }
+};
+
+// Every malformed shape is a PreconditionError naming the tenant, raised
+// before the engine reads out of bounds.
+TEST(Engine, RejectsMalformedScenario) {
+  const auto expect_rejected = [](Scenario s, const std::string& tenant,
+                                  const std::string& what) {
+    EngineConfig config = fast_engine(PolicyKind::kRrf);
+    config.duration = 10.0;
+    try {
+      run_simulation(s, config);
+      ADD_FAILURE() << what << ": accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(tenant), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+
+  Scenario no_workload = two_tenant_cell();
+  no_workload.workloads.pop_back();
+  expect_rejected(std::move(no_workload), "syn1", "missing workload");
+
+  Scenario short_placement = two_tenant_cell();
+  short_placement.host_of[1].pop_back();
+  expect_rejected(std::move(short_placement), "syn1", "host_of too short");
+
+  Scenario bad_host = two_tenant_cell();
+  bad_host.host_of[0][1] = 7;
+  expect_rejected(std::move(bad_host), "syn0", "host index out of range");
+
+  // A replayed trace splits its demand over one VM by default.
+  Scenario one_vm_trace = two_tenant_cell();
+  one_vm_trace.workloads[0] = std::make_unique<wl::ReplayWorkload>(
+      "trace", std::vector<Seconds>{0.0},
+      std::vector<ResourceVector>{ResourceVector{2.0, 1.0}});
+  expect_rejected(std::move(one_vm_trace), "syn0", "one-VM workload");
+
+  Scenario short_demands = two_tenant_cell();
+  short_demands.workloads[1] = std::make_unique<ShortWorkload>();
+  expect_rejected(std::move(short_demands), "syn1", "short demand vector");
+}
+
+/// The profiler frames of one window, from demand sampling to its tail:
+/// the window phases and the node phases nested in the dispatch.
+bool window_frame(const std::string& site) {
+  for (const char* frame : {"window.demands", "window.dispatch",
+                            "window.exchange", "window.finalize"}) {
+    if (site == frame) return true;
+  }
+  for (std::size_t ph = 0; ph < obs::kPhaseCount; ++ph) {
+    if (site == obs::to_string(static_cast<obs::Phase>(ph))) return true;
+  }
+  return false;
+}
+
+/// Heap bytes the profiler attributed to the window frames and every
+/// frame nested in them; `offenders` lists the frames that allocated.
+std::uint64_t window_heap_bytes(const obs::ProfileSnapshot& snapshot,
+                                std::string* offenders) {
+  std::vector<bool> in_window(snapshot.merged.size(), false);
   std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < snapshot.merged.size(); ++i) {
     const obs::ProfileNode& node = snapshot.merged[i];
-    bool phase = false;
-    for (std::size_t ph = 0; ph < obs::kPhaseCount; ++ph) {
-      phase = phase ||
-              node.site == obs::to_string(static_cast<obs::Phase>(ph));
-    }
     // Preorder: a parent always precedes its children.
-    in_round[i] = phase || (node.parent >= 0 &&
-                            in_round[static_cast<std::size_t>(node.parent)]);
-    if (in_round[i] && node.bytes > 0) {
+    in_window[i] = window_frame(node.site) ||
+                   (node.parent >= 0 &&
+                    in_window[static_cast<std::size_t>(node.parent)]);
+    if (in_window[i] && node.bytes > 0) {
       bytes += node.bytes;
       *offenders += " " + node.site + "=" + std::to_string(node.bytes);
     }
@@ -367,12 +444,23 @@ std::uint64_t node_round_heap_bytes(const obs::ProfileSnapshot& snapshot,
   return bytes;
 }
 
+/// Calls of the profiler frame `site` summed over the merged tree.
+std::uint64_t frame_calls(const obs::ProfileSnapshot& snapshot,
+                          const std::string& site) {
+  std::uint64_t calls = 0;
+  for (const obs::ProfileNode& node : snapshot.merged) {
+    if (node.site == site) calls += node.calls;
+  }
+  return calls;
+}
+
 class NodeRoundHeap : public ::testing::TestWithParam<std::string> {};
 
-// The steady-state node round (predict -> allocate -> surplus -> settle,
-// actuators off) allocates nothing: every per-node buffer, the policy's
-// workspace and its result grow to the node's size in the first window
-// and are reused after it.
+// The steady-state window allocates nothing, with actuators off and on:
+// demand sampling writes into the engine's per-tenant buffers, every
+// per-node buffer, the hypervisor's and the policy's scratch and results
+// grow to the node's size in the first window, and the merge and the
+// window tail reuse theirs.
 TEST_P(NodeRoundHeap, SteadyStateRoundAllocatesNothing) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "profiler compiled out";
   SyntheticConfig cell;
@@ -381,44 +469,46 @@ TEST_P(NodeRoundHeap, SteadyStateRoundAllocatesNothing) {
   cell.tenants = 8;
   cell.seed = 3;
   const Scenario scenario = make_synthetic_scenario(cell);
-  EngineConfig config;
-  config.policy = policy_from_string(GetParam());
-  config.window = 5.0;
-  config.duration = 100.0;  // 20 windows
-  config.use_actuators = false;
-  config.parallel_nodes = false;
-  config.observer = [](const WindowSnapshot& snapshot) {
-    // Only the windows after the first count.
-    if (snapshot.window == 0) obs::profile_reset();
-  };
+  for (const bool actuators : {false, true}) {
+    EngineConfig config;
+    config.policy = policy_from_string(GetParam());
+    config.window = 5.0;
+    config.duration = 100.0;  // 20 windows
+    config.use_actuators = actuators;
+    config.parallel_nodes = false;
+    config.observer = [](const WindowSnapshot& snapshot) {
+      // Only the windows after the first count.
+      if (snapshot.window == 0) obs::profile_reset();
+    };
 
-  const bool metrics_before = obs::metrics_enabled();
-  const bool tracing_before = obs::tracing_enabled();
-  const bool profiling_before = obs::profiling_enabled();
-  obs::set_metrics_enabled(false);
-  obs::set_tracing_enabled(false);
-  obs::set_profiling_enabled(true);
-  obs::profile_reset();
-  const SimResult result = run_simulation(scenario, config);
-  const obs::ProfileSnapshot snapshot = obs::profile_snapshot();
-  obs::profile_reset();
-  obs::set_profiling_enabled(profiling_before);
-  obs::set_tracing_enabled(tracing_before);
-  obs::set_metrics_enabled(metrics_before);
+    const bool metrics_before = obs::metrics_enabled();
+    const bool tracing_before = obs::tracing_enabled();
+    const bool profiling_before = obs::profiling_enabled();
+    obs::set_metrics_enabled(false);
+    obs::set_tracing_enabled(false);
+    obs::set_profiling_enabled(true);
+    obs::profile_reset();
+    const SimResult result = run_simulation(scenario, config);
+    const obs::ProfileSnapshot snapshot = obs::profile_snapshot();
+    obs::profile_reset();
+    obs::set_profiling_enabled(profiling_before);
+    obs::set_tracing_enabled(tracing_before);
+    obs::set_metrics_enabled(metrics_before);
 
-  ASSERT_EQ(result.alloc_invocations, 4u * 20u);
-  // The phase frames of the 19 counted windows were seen...
-  std::uint64_t allocate_calls = 0;
-  for (const obs::ProfileNode& node : snapshot.merged) {
-    if (node.site == obs::to_string(obs::Phase::kAllocate)) {
-      allocate_calls += node.calls;
-    }
+    const std::string tag = actuators ? "actuators on" : "actuators off";
+    ASSERT_EQ(result.alloc_invocations, 4u * 20u) << tag;
+    // The frames of the 19 counted windows were seen...
+    EXPECT_EQ(frame_calls(snapshot, "window.demands"), 19u) << tag;
+    EXPECT_EQ(frame_calls(snapshot, "window.exchange"), 19u) << tag;
+    EXPECT_EQ(frame_calls(snapshot,
+                          obs::to_string(obs::Phase::kAllocate)),
+              4u * 19u)
+        << tag;
+    // ... and none of them, nor any frame inside them, touched the heap.
+    std::string offenders;
+    EXPECT_EQ(window_heap_bytes(snapshot, &offenders), 0u)
+        << tag << ": heap bytes in" << offenders;
   }
-  EXPECT_EQ(allocate_calls, 4u * 19u);
-  // ... and none of them, nor any frame inside them, touched the heap.
-  std::string offenders;
-  EXPECT_EQ(node_round_heap_bytes(snapshot, &offenders), 0u)
-      << "heap bytes in" << offenders;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, NodeRoundHeap,
