@@ -93,7 +93,7 @@ void print_figure10_table() {
                "window.\n\n";
 }
 
-/// Per-phase timing of a full engine run, from the obs::PhaseScope
+/// Per-phase timing of a full engine run, from the obs::PhaseClock
 /// instrumentation: where one allocation round actually spends its time
 /// (prediction vs the allocator itself vs actuation vs bookkeeping).
 void print_phase_profile() {
