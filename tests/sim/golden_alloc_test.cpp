@@ -1,11 +1,14 @@
 // Golden-output allocation tests.
 //
 // Captures bit-exact (hexfloat) allocation results — allocator-level IRT /
-// IWA / hierarchical RRF outputs and engine-level per-window tenant ledger
-// positions — against a checked-in golden file.  The golden was generated
-// from the pre-optimization allocation path; the cached tenant-grouping,
-// scratch-buffer reuse and thread-pool chunking optimizations must keep
-// every number identical, which is exactly what these tests assert.
+// IWA / hierarchical RRF outputs, engine-level per-window tenant ledger
+// positions and tenant-level edge cases (share fallback, oversold pools,
+// Lambda = 0 beneficiaries, tied and -0.0 keys, banked credit, one tenant,
+// 1e-12 / 1e12 magnitudes) — against a checked-in golden file.  The
+// golden was generated from the pre-optimization allocation path; the
+// cached tenant-grouping, scratch-buffer reuse and thread-pool chunking
+// optimizations must keep every number identical, which is exactly what
+// these tests assert.
 //
 // Regenerate (e.g. after an *intentional* semantic change) with:
 //   RRF_GOLDEN_REGEN=1 ./build/tests/test_golden_alloc
@@ -252,10 +255,192 @@ void capture_engine(std::vector<std::string>* lines) {
   capture_engine_paths(lines);
 }
 
+/// One tenant-level edge case: tenants of VMs under a fixed pool, run
+/// through flat IRT (every VM one entity) and hierarchical RRF.
+struct EdgeCase {
+  std::string name;
+  ResourceVector capacity;
+  std::vector<alloc::TenantGroup> tenants;
+  alloc::IrtOptions options;
+};
+
+alloc::AllocationEntity edge_vm(ResourceVector share, ResourceVector demand) {
+  alloc::AllocationEntity e;
+  e.initial_share = share;
+  e.demand = demand;
+  return e;
+}
+
+alloc::TenantGroup edge_tenant(std::vector<alloc::AllocationEntity> vms,
+                               double banked = 0.0) {
+  alloc::TenantGroup t;
+  t.vms = std::move(vms);
+  t.banked_contribution = banked;
+  return t;
+}
+
+/// Σ of every VM's share, in tenant then VM order, times `scale`.
+ResourceVector edge_pool(const std::vector<alloc::TenantGroup>& tenants,
+                         double scale) {
+  ResourceVector pool(tenants.front().vms.front().initial_share.size());
+  for (const alloc::TenantGroup& t : tenants) {
+    for (const alloc::AllocationEntity& vm : t.vms) pool += vm.initial_share;
+  }
+  return pool * scale;
+}
+
+/// Seeded tenants of 1..3 VMs with shares in [lo, 10 lo] and demands at
+/// 0.2..2.2 times the share.
+std::vector<alloc::TenantGroup> edge_random(std::size_t tenants,
+                                            std::size_t p, double lo,
+                                            std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<alloc::TenantGroup> out;
+  for (std::size_t g = 0; g < tenants; ++g) {
+    std::vector<alloc::AllocationEntity> vms(1 + g % 3);
+    for (alloc::AllocationEntity& vm : vms) {
+      vm.initial_share = ResourceVector(p);
+      vm.demand = ResourceVector(p);
+      for (std::size_t k = 0; k < p; ++k) {
+        vm.initial_share[k] = rng.uniform(lo, 10.0 * lo);
+        vm.demand[k] = vm.initial_share[k] * rng.uniform(0.2, 2.2);
+      }
+    }
+    out.push_back(edge_tenant(std::move(vms)));
+  }
+  return out;
+}
+
+std::vector<EdgeCase> edge_cases() {
+  std::vector<EdgeCase> cases;
+  alloc::IrtOptions share_fallback;
+  share_fallback.fallback =
+      alloc::IrtOptions::SurplusFallback::kProportionalToShare;
+
+  // Tenant 0 contributes on both types; the others want more on both, so
+  // their Lambda is 0 and the suffix holds only +inf keys.
+  std::vector<alloc::TenantGroup> free_riders{
+      edge_tenant({edge_vm({400.0, 300.0}, {100.0, 120.0}),
+                   edge_vm({200.0, 300.0}, {150.0, 90.0})}),
+      edge_tenant({edge_vm({300.0, 200.0}, {500.0, 260.0})}),
+      edge_tenant({edge_vm({100.0, 500.0}, {130.0, 900.0}),
+                   edge_vm({250.0, 150.0}, {400.0, 151.0})}),
+      edge_tenant({edge_vm({350.0, 250.0}, {351.0, 700.0})})};
+  cases.push_back({"fallback-share", edge_pool(free_riders, 1.0), free_riders,
+                   share_fallback});
+  cases.push_back({"lambda0", edge_pool(free_riders, 1.0), free_riders, {}});
+
+  // Beneficiaries with Lambda = 0 between contributors and traders.
+  std::vector<alloc::TenantGroup> mixed{
+      edge_tenant({edge_vm({500.0, 500.0}, {900.0, 800.0})}),
+      edge_tenant({edge_vm({500.0, 500.0}, {200.0, 700.0})}),
+      edge_tenant({edge_vm({300.0, 400.0}, {600.0, 450.0}),
+                   edge_vm({200.0, 100.0}, {100.0, 50.0})}),
+      edge_tenant({edge_vm({400.0, 400.0}, {800.0, 900.0})}),
+      edge_tenant({edge_vm({600.0, 600.0}, {300.0, 200.0})})};
+  cases.push_back({"lambda0-mixed", edge_pool(mixed, 1.0), mixed, {}});
+
+  // A pool below the tenants' shares: the psi < 0 scale-down branch.
+  cases.push_back({"oversold", edge_pool(mixed, 0.6), mixed, {}});
+  const std::vector<alloc::TenantGroup> crowded =
+      edge_random(9, 3, 100.0, 91);
+  cases.push_back(
+      {"oversold-random", edge_pool(crowded, 0.7), crowded, {}});
+
+  // Every tenant identical: all keys tie on both types.
+  std::vector<alloc::TenantGroup> equal;
+  for (int g = 0; g < 5; ++g) {
+    equal.push_back(edge_tenant({edge_vm({100.0, 100.0}, {150.0, 50.0}),
+                                 edge_vm({100.0, 100.0}, {150.0, 50.0})}));
+  }
+  cases.push_back({"equal-keys", edge_pool(equal, 1.0), equal, {}});
+
+  // -0.0 demands: contributors whose key is -0.0, tied with +0.0 ones.
+  std::vector<alloc::TenantGroup> negzero{
+      edge_tenant({edge_vm({300.0, 300.0}, {-0.0, 500.0})}),
+      edge_tenant({edge_vm({300.0, 300.0}, {0.0, -0.0})}),
+      edge_tenant({edge_vm({300.0, 300.0}, {-0.0, 0.0}),
+                   edge_vm({100.0, 100.0}, {-0.0, 300.0})}),
+      edge_tenant({edge_vm({300.0, 300.0}, {800.0, 0.0})})};
+  cases.push_back({"negzero", edge_pool(negzero, 1.0), negzero, {}});
+
+  // rrf-lt's banked credit, positive, negative and clamping Lambda to 0.
+  std::vector<alloc::TenantGroup> banked = mixed;
+  banked[0].banked_contribution = 250.0;
+  banked[1].banked_contribution = -50.0;
+  banked[2].banked_contribution = -5000.0;
+  banked[3].banked_contribution = 1e-3;
+  cases.push_back({"banked", edge_pool(banked, 1.0), banked, {}});
+
+  // One tenant: IRT has a single entity.
+  std::vector<alloc::TenantGroup> single{
+      edge_tenant({edge_vm({500.0, 200.0}, {700.0, 100.0}),
+                   edge_vm({300.0, 400.0}, {100.0, 600.0}),
+                   edge_vm({200.0, 400.0}, {250.0, 100.0})})};
+  cases.push_back({"single", edge_pool(single, 1.0), single, {}});
+  cases.push_back({"single-vm", {400.0, 400.0},
+                   {edge_tenant({edge_vm({500.0, 200.0}, {700.0, 100.0})})},
+                   {}});
+
+  // Magnitudes far from the kEps = 1e-9 scale.
+  const std::vector<alloc::TenantGroup> tiny = edge_random(7, 2, 1e-12, 93);
+  cases.push_back({"tiny", edge_pool(tiny, 1.0), tiny, {}});
+  const std::vector<alloc::TenantGroup> huge = edge_random(7, 2, 1e12, 95);
+  cases.push_back({"huge", edge_pool(huge, 1.0), huge, {}});
+  return cases;
+}
+
+/// The edge cases through flat IRT and hierarchical RRF, each with the
+/// case's options and with the strategy-proof cap added.
+void capture_edge_cases(std::vector<std::string>* lines) {
+  for (const EdgeCase& c : edge_cases()) {
+    for (const bool sp : {false, true}) {
+      alloc::IrtOptions options = c.options;
+      options.cap_gain_at_contribution = sp;
+      const std::string tag = "edge " + c.name + (sp ? " sp" : "");
+
+      std::vector<alloc::AllocationEntity> flat;
+      for (const alloc::TenantGroup& t : c.tenants) {
+        for (alloc::AllocationEntity vm : t.vms) {
+          vm.banked_contribution = t.banked_contribution;
+          flat.push_back(vm);
+        }
+      }
+      const alloc::AllocationResult r =
+          alloc::IrtAllocator(options).allocate(c.capacity, flat);
+      for (std::size_t i = 0; i < r.allocations.size(); ++i) {
+        lines->push_back(tag + " irt e" + std::to_string(i) + " " +
+                         hex_vector(r.allocations[i]) + " lambda " +
+                         hex(r.contribution_lambda[i]));
+      }
+      lines->push_back(tag + " irt unallocated " + hex_vector(r.unallocated));
+
+      const alloc::HierarchicalResult hr =
+          alloc::RrfAllocator(options).allocate_hierarchical(c.capacity,
+                                                            c.tenants);
+      for (std::size_t g = 0; g < hr.vm_allocations.size(); ++g) {
+        for (std::size_t j = 0; j < hr.vm_allocations[g].size(); ++j) {
+          lines->push_back(tag + " rrf t" + std::to_string(g) + " vm" +
+                           std::to_string(j) + " " +
+                           hex_vector(hr.vm_allocations[g][j]));
+        }
+        lines->push_back(
+            tag + " rrf t" + std::to_string(g) + " grant " +
+            hex_vector(hr.tenant_level.allocations[g]) + " lambda " +
+            hex(hr.tenant_level.contribution_lambda[g]) + " headroom " +
+            hex_vector(hr.tenant_headroom[g]));
+      }
+      lines->push_back(tag + " rrf unallocated " +
+                       hex_vector(hr.tenant_level.unallocated));
+    }
+  }
+}
+
 std::vector<std::string> capture_all() {
   std::vector<std::string> lines;
   capture_allocators(&lines);
   capture_engine(&lines);
+  capture_edge_cases(&lines);
   return lines;
 }
 
