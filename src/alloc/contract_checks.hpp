@@ -32,4 +32,13 @@ void check_allocation_contracts(const char* policy,
                                 const AllocationResult& result,
                                 const AllocationContractOptions& options = {});
 
+/// The same post-conditions over type-major columns: entity i's type-k
+/// allocation at allocation[k * m + i] and demand at demand[k * m + i].
+void check_column_contracts(const char* policy,
+                            const ResourceVector& capacity, std::size_t m,
+                            std::span<const double> demand,
+                            std::span<const double> allocation,
+                            const ResourceVector& unallocated,
+                            const AllocationContractOptions& options = {});
+
 }  // namespace rrf::alloc

@@ -45,6 +45,24 @@ void validate_entities(const ResourceVector& capacity,
   }
 }
 
+void validate_columns(const ResourceVector& capacity, std::size_t entities,
+                      std::span<const double> share,
+                      std::span<const double> demand) {
+  RRF_REQUIRE(entities > 0, "no entities to allocate to");
+  RRF_REQUIRE(finite_nonneg(capacity),
+              "capacity must be finite and non-negative");
+  RRF_REQUIRE(share.size() == capacity.size() * entities,
+              "entity share arity must match capacity");
+  RRF_REQUIRE(demand.size() == capacity.size() * entities,
+              "entity demand arity must match capacity");
+  bool shares_ok = true;
+  bool demands_ok = true;
+  for (const double v : share) shares_ok &= finite_nonneg(v);
+  for (const double v : demand) demands_ok &= finite_nonneg(v);
+  RRF_REQUIRE(shares_ok, "initial shares must be finite and non-negative");
+  RRF_REQUIRE(demands_ok, "demands must be finite and non-negative");
+}
+
 ResourceVector total_demand(std::span<const AllocationEntity> entities) {
   RRF_REQUIRE(!entities.empty(), "no entities");
   ResourceVector t(entities.front().demand.size());

@@ -11,9 +11,13 @@
 // Implementation notes (see DESIGN.md §5):
 //  * The paper's "work backward" strategy is implemented exactly: per type,
 //    entities are ordered contributors-first (ascending U = D/S), then
-//    beneficiaries ascending V = (D - S) / Lambda; the boundary index v is
+//    beneficiaries ascending V = (D - S) / Lambda, ties by index (one
+//    branch-free merge sort on a packed key); the boundary index v is
 //    located by binary search (the satisfiability predicate is monotone —
 //    proven in irt.cpp) or by linear scan for the ablation bench.
+//  * It runs over type-major columns (IrtColumns): the tenant level hands
+//    it the tenants' summed columns, the entity entry points lay their
+//    entities out into workspace columns first.
 //  * Line 20 of the paper's pseudo-code distributes Psi * Lambda(v+1)/Sum;
 //    the worked example (Table II) shows each tenant i receives
 //    Psi * Lambda(i)/Sum — we implement the latter.
@@ -23,6 +27,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "alloc/allocator.hpp"
@@ -62,10 +67,23 @@ struct IrtTypeTrace {
   double redistributed{0.0};         ///< Psi_k handed to the suffix
 };
 
+/// IRT's input over m entities (tenants, or flat entities each its own
+/// tenant), type-major like TenantColumns: entity i's type-k share S(i)
+/// and demand D(i) at [k * m + i].
+struct IrtColumns {
+  std::size_t entities{0};
+  std::span<const double> share;
+  std::span<const double> demand;
+  /// Per entity, rrf-lt's banked credit; empty when nothing is banked.
+  std::span<const double> banked;
+};
+
 class IrtAllocator final : public Allocator {
  public:
   explicit IrtAllocator(IrtOptions options = {}) : options_(options) {}
 
+  /// Lays the entities out into workspace columns and runs
+  /// allocate_columns.
   void allocate_into(const ResourceVector& capacity,
                      std::span<const AllocationEntity> entities,
                      Workspace& ws, AllocationResult& out) const override;
@@ -75,14 +93,23 @@ class IrtAllocator final : public Allocator {
                                    std::span<const AllocationEntity> entities,
                                    std::vector<IrtTypeTrace>* traces) const;
 
+  /// The one implementation: writes each entity's grant S'(i) into
+  /// `grant` (laid out like `in`), the idle shares per type into
+  /// `unallocated` and Lambda(i) into `lambda`, taking its scratch from
+  /// `ws` (whose tenant columns it neither reads nor writes).  `traces`
+  /// may be null.
+  void allocate_columns(const ResourceVector& capacity, const IrtColumns& in,
+                        Workspace& ws, std::span<double> grant,
+                        ResourceVector& unallocated, std::span<double> lambda,
+                        std::vector<IrtTypeTrace>* traces) const;
+
   /// Lambda(i): total contribution of each entity across all types,
   /// C_k(i) = max(0, S_k(i) - D_k(i)).
   static std::vector<double> total_contributions(
       std::span<const AllocationEntity> entities);
 
  private:
-  /// The one implementation behind allocate_into and allocate_traced;
-  /// `traces` may be null.
+  /// allocate_into and allocate_traced: `traces` may be null.
   void allocate_impl(const ResourceVector& capacity,
                      std::span<const AllocationEntity> entities,
                      Workspace& ws, AllocationResult& result,

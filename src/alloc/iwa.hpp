@@ -10,6 +10,9 @@
 // the tenant-level grant exceeds what the unsatisfied VMs need (Phi >
 // Gamma), the raw formula would over-satisfy them; we cap at demand and
 // return the excess as tenant headroom.
+//
+// One implementation runs per tenant and type over TenantColumns; the
+// entity forms below lay their inputs out into columns first.
 #pragma once
 
 #include <span>
@@ -33,18 +36,9 @@ IwaResult iwa_distribute(double tenant_total,
                          std::span<const double> initial_shares,
                          std::span<const double> demands);
 
-/// In-place single-type IWA: writes the per-VM grants into `out`
-/// (out.size() == initial_shares.size()) and returns the tenant headroom.
-/// The allocation hot path uses this to reuse one buffer across resource
-/// types instead of allocating a result vector per type.
-double iwa_distribute_into(double tenant_total,
-                           std::span<const double> initial_shares,
-                           std::span<const double> demands,
-                           std::span<double> out);
-
-/// Vector version: runs iwa_distribute per resource type.
-/// `tenant_total[k]` is the tenant-level grant of type k; the VM entities'
-/// initial_share/demand fields supply s(j) and d(j).
+/// Vector version: runs IWA per resource type.  `tenant_total[k]` is the
+/// tenant-level grant of type k; the VM entities' initial_share/demand
+/// fields supply s(j) and d(j).
 struct IwaVectorResult {
   std::vector<ResourceVector> allocations;  // per VM
   ResourceVector headroom;                  // per type
@@ -52,12 +46,23 @@ struct IwaVectorResult {
 IwaVectorResult iwa_distribute(const ResourceVector& tenant_total,
                                std::span<const AllocationEntity> vms);
 
-/// Allocation-free vector IWA: writes each VM's grant into `allocations`
-/// (allocations.size() == vms.size()), takes its per-type columns from
-/// `ws`, and returns the tenant headroom per type.
-ResourceVector iwa_distribute_into(const ResourceVector& tenant_total,
-                                   std::span<const AllocationEntity> vms,
-                                   Workspace& ws,
-                                   std::span<ResourceVector> allocations);
+/// Sums every tenant's VM shares and demands, in member order, into
+/// ws.tenant_share / ws.tenant_demand (type-major, one entry per tenant).
+/// Throws PreconditionError for a tenant with no VMs.
+void sum_tenants(const TenantColumns& in, Workspace& ws);
+
+/// IWA in every tenant and type: tenant g's type-k grant
+/// tenant_total[k * tenants + g] is spread over its VMs into `entitlement`
+/// (laid out like in.share), and the part no VM can use goes to
+/// ws.tenant_headroom (laid out like tenant_total).  `tenant_share` holds
+/// the tenants' summed shares (sum_tenants).
+void iwa_columns(const TenantColumns& in, std::span<const double> tenant_share,
+                 std::span<const double> tenant_total, Workspace& ws,
+                 std::span<double> entitlement);
+
+/// The iwa policy's tenant level: each tenant keeps its own shares, and
+/// IWA moves them between its VMs only.
+void iwa_tenants(const TenantColumns& in, Workspace& ws,
+                 std::span<double> entitlement);
 
 }  // namespace rrf::alloc

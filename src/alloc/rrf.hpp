@@ -3,8 +3,10 @@
 // composed with intra-tenant weight adjustment (IWA, Algorithm 2) inside
 // each tenant.
 //
-// The hierarchical entry point takes tenants-with-VMs; a tenant's share and
-// demand at the IRT level are the sums over its VMs.  A flat Allocator
+// The tenant level runs over TenantColumns (the engine's node arrays); a
+// tenant's share and demand at the IRT level are the sums over its VMs.
+// The hierarchical entry point takes tenants-with-VMs and lays them out
+// into columns.  A flat Allocator
 // adapter is also provided so RRF can be compared against the baselines on
 // single-level scenarios (each entity = one single-VM tenant, in which case
 // IWA is the identity).
@@ -31,10 +33,6 @@ struct TenantGroup {
 
   /// Tenant-level aggregates (S(i) / D(i) in Algorithm 1).
   AllocationEntity aggregate() const;
-
-  /// Sums S(i) / D(i) into `agg` in place and sets its banked credit;
-  /// every other field of `agg` (the name among them) is left alone.
-  void aggregate_into(AllocationEntity& agg) const;
 };
 
 struct HierarchicalResult {
@@ -50,13 +48,24 @@ class RrfAllocator final : public Allocator {
  public:
   explicit RrfAllocator(IrtOptions irt_options = {}) : irt_(irt_options) {}
 
+  /// The tenant level over columns (rrf, rrf-sp, rrf-lt): IRT across the
+  /// tenants' summed columns, then IWA within each tenant.  Writes every
+  /// VM's grant into `entitlement` (laid out like in.share) and each
+  /// tenant's Lambda(i) into `lambda`; the tenant grants, headroom and
+  /// idle shares stay in ws.tenant_grant, ws.tenant_headroom and
+  /// ws.unallocated.
+  void allocate_tenants(const ResourceVector& capacity,
+                        const TenantColumns& in, Workspace& ws,
+                        std::span<double> entitlement,
+                        std::span<double> lambda) const;
+
   /// Full hierarchical allocation: IRT across tenants, IWA within each.
   HierarchicalResult allocate_hierarchical(
       const ResourceVector& capacity,
       std::span<const TenantGroup> tenants) const;
 
-  /// Allocation-free form: writes every field of `out`, taking the tenant
-  /// aggregates and the IRT/IWA scratch from `ws`.
+  /// Lays the tenants' VMs out into workspace columns, runs
+  /// allocate_tenants and writes every field of `out`.
   void allocate_hierarchical_into(const ResourceVector& capacity,
                                   std::span<const TenantGroup> tenants,
                                   Workspace& ws,
