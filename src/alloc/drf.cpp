@@ -63,6 +63,7 @@ void DrfAllocator::allocate_into(const ResourceVector& capacity,
   }
 
   double g = 0.0;
+  unsigned exhausted = 0;  // bit k: type k ran out (p <= 4)
   for (;;) {
     // Next user-saturation event.
     double dg_user = std::numeric_limits<double>::infinity();
@@ -99,21 +100,37 @@ void DrfAllocator::allocate_into(const ResourceVector& capacity,
     }
     g += dg;
 
-    // Freeze satisfied users.
+    // Freeze satisfied users.  Each step must freeze a user or exhaust a
+    // type, so the loop ends after at most m + p steps.
+    bool progressed = false;
     for (std::size_t i = 0; i < m; ++i) {
       if (active[i] && x[i] >= 1.0 - kEps) {
         x[i] = 1.0;
         active[i] = 0;
+        progressed = true;
       }
     }
     // Freeze users touching an exhausted resource.
     for (std::size_t k = 0; k < p; ++k) {
       if (remaining[k] <= kEps * std::max(1.0, capacity[k])) {
+        progressed |= (exhausted & (1u << k)) == 0;
+        exhausted |= 1u << k;
         remaining[k] = std::max(0.0, remaining[k]);
         for (std::size_t i = 0; i < m; ++i) {
-          if (active[i] && entities[i].demand[k] > 0.0) active[i] = 0;
+          if (active[i] && entities[i].demand[k] > 0.0) {
+            active[i] = 0;
+            progressed = true;
+          }
         }
       }
+    }
+    // With finite inputs a step stalls only when a user's filling rate
+    // times its demand overflows to inf: the exhaustion step is then 0,
+    // nobody advances and the same step would repeat forever.
+    if (!progressed) {
+      throw DomainError(
+          "drf: progressive filling stalled: a filling rate times a demand "
+          "overflows a double (inputs too close to the largest double)");
     }
   }
 

@@ -146,6 +146,26 @@ TEST(Drf, DemandOnZeroCapacityThrows) {
   EXPECT_THROW(DrfAllocator{}.allocate(capacity, users), PreconditionError);
 }
 
+// Near the top of the double range a user's filling rate times its demand
+// overflows to inf, so the exhaustion step is 0 and nobody advances.  The
+// event loop must stop with a typed error, not spin forever; 1e12 inputs
+// still allocate (tests/data/entities_drf_overflow.csv is the CLI case).
+TEST(Drf, OverflowingFillRateThrowsInsteadOfHanging) {
+  for (const double big : {1e160, 1e200, 1e308}) {
+    const std::vector<AllocationEntity> users{
+        entity({big, 1.0}, {big, 2.0}), entity({big, 1.0}, {0.0, 0.0})};
+    const ResourceVector capacity{1.7 * big, 2.0};
+    EXPECT_THROW(DrfAllocator{}.allocate(capacity, users), DomainError)
+        << big;
+  }
+  const std::vector<AllocationEntity> users{
+      entity({1e12, 1.0}, {1e12, 2.0}), entity({1e12, 1.0}, {0.0, 0.0})};
+  const AllocationResult r =
+      DrfAllocator{}.allocate(ResourceVector{1.7e12, 2.0}, users);
+  EXPECT_DOUBLE_EQ(r.allocations[0][1], 2.0);
+  EXPECT_DOUBLE_EQ(r.allocations[0][0], 1e12);
+}
+
 // --- the paper's sequential variant ---
 
 TEST(SequentialDrf, ReproducesPaperTableOneWdrfRow) {
