@@ -2,9 +2,10 @@
 //
 // Captures bit-exact (hexfloat) allocation results — allocator-level IRT /
 // IWA / hierarchical RRF outputs, engine-level per-window tenant ledger
-// positions and tenant-level edge cases (share fallback, oversold pools,
+// positions, tenant-level edge cases (share fallback, oversold pools,
 // Lambda = 0 beneficiaries, tied and -0.0 keys, banked credit, one tenant,
-// 1e-12 / 1e12 magnitudes) — against a checked-in golden file.  The
+// 1e-12 / 1e12 magnitudes) and weighted max-min water-fills past
+// std::sort's insertion-sort cutoff — against a checked-in golden file.  The
 // golden was generated from the pre-optimization allocation path; the
 // cached tenant-grouping, scratch-buffer reuse and thread-pool chunking
 // optimizations must keep every number identical, which is exactly what
@@ -13,6 +14,7 @@
 // Regenerate (e.g. after an *intentional* semantic change) with:
 //   RRF_GOLDEN_REGEN=1 ./build/tests/test_golden_alloc
 // which rewrites tests/data/golden_allocations.txt in the source tree.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -25,6 +27,7 @@
 #include "alloc/irt.hpp"
 #include "alloc/iwa.hpp"
 #include "alloc/rrf.hpp"
+#include "alloc/wmmf.hpp"
 #include "common/rng.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/profiler.hpp"
@@ -436,11 +439,64 @@ void capture_edge_cases(std::vector<std::string>* lines) {
   }
 }
 
+/// Weighted max-min water-fills at n = 17, 100 and 257.  Above 16
+/// elements std::sort stops using insertion sort, so the order it gives
+/// tied d/w keys is no longer index order.  About half the demands are
+/// zero and the rest repeat three values or spread uniformly; each set
+/// runs under one weight for every user and under mixed weights, with
+/// the water level on a run of identical demands, with abundant capacity
+/// and with capacity 0.  Eight outputs per line.
+void capture_water_fills(std::vector<std::string>* lines) {
+  for (const std::size_t n : {17u, 100u, 257u}) {
+    Rng rng(4000 + n);
+    const double run_values[] = {0.75, 1.5, 2.25};
+    std::vector<double> demand(n);
+    for (double& d : demand) {
+      const double r = rng.uniform(0.0, 1.0);
+      d = r < 0.5   ? 0.0
+          : r < 0.7 ? run_values[rng.uniform_int(0, 2)]
+                    : rng.uniform(0.1, 4.0);
+    }
+    const std::vector<double> one(n, 0.3);
+    std::vector<double> mixed(n);
+    for (double& w : mixed) w = rng.uniform(0.1, 5.0);
+    double total = 0.0;
+    double at_level = 0.0;  // sum of min(d, 1.5): one weight's level 1.5
+    for (const double d : demand) {
+      total += d;
+      at_level += std::min(d, 1.5);
+    }
+
+    struct Fill {
+      const char* name;
+      double capacity;
+      const std::vector<double>* weights;
+    };
+    for (const Fill& fill : {Fill{"one-weight", 0.4 * total, &one},
+                             Fill{"mixed", 0.4 * total, &mixed},
+                             Fill{"level-run", at_level, &one},
+                             Fill{"abundant", total + 1.0, &one},
+                             Fill{"zero-capacity", 0.0, &one}}) {
+      const std::vector<double> out =
+          alloc::weighted_max_min(fill.capacity, demand, *fill.weights);
+      for (std::size_t i = 0; i < n; i += 8) {
+        const std::size_t last = std::min(n, i + 8) - 1;
+        std::string line = "wmmf n" + std::to_string(n) + " " + fill.name +
+                           " i" + std::to_string(i) + "-" +
+                           std::to_string(last);
+        for (std::size_t j = i; j <= last; ++j) line += " " + hex(out[j]);
+        lines->push_back(line);
+      }
+    }
+  }
+}
+
 std::vector<std::string> capture_all() {
   std::vector<std::string> lines;
   capture_allocators(&lines);
   capture_engine(&lines);
   capture_edge_cases(&lines);
+  capture_water_fills(&lines);
   return lines;
 }
 
