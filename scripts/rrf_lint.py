@@ -53,7 +53,8 @@ Hot-path hygiene:
   hot-path     Heap-allocating constructs inside the per-round sections
                marked `// rrf-hot-path: begin(<name>)` ... `end(<name>)`
                (src/sim/engine.cpp, src/sim/predictor.cpp,
-               src/alloc/rrf.cpp, src/alloc/irt.cpp, src/alloc/iwa.cpp).
+               src/alloc/rrf.cpp, src/alloc/irt.cpp, src/alloc/iwa.cpp,
+               src/alloc/wmmf.cpp).
                Flagged: `new`, make_unique/make_shared, constructing a
                std:: container/string by value, std::to_string, and
                push_back/emplace_back (reserve + assign scratch instead).

@@ -80,7 +80,8 @@ struct Workspace {
   std::vector<double> demand;
   std::vector<double> weight;
   std::vector<double> grant;
-  /// weighted_max_min_into's d/w ordering.
+  /// weighted_max_min_into's scratch: the d/w order, or the demand bits
+  /// of its single-weight path.
   std::vector<std::size_t> fill_order;
 
   // ---- IRT boundary-search tables, m + 1 entries ----

@@ -172,7 +172,7 @@ void SequentialDrfAllocator::allocate_into(
   ws.demand.resize(m);
   ws.weight.assign(m, 1.0);
   ws.grant.resize(m);
-  ws.fill_order.reserve(m);
+  ws.fill_order.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
     double d = 0.0;
     for (std::size_t k = 0; k < p; ++k) {

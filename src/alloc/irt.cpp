@@ -311,7 +311,7 @@ void IrtAllocator::allocate_columns(const ResourceVector& capacity,
   cap_scratch.resize(m);
   weight_scratch.resize(m);
   extra_scratch.resize(m);
-  ws.fill_order.reserve(m);
+  ws.fill_order.resize(m);
   // rrf-hot-path: end(irt.prepare)
 
   // rrf-hot-path: begin(irt.types)

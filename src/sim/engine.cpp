@@ -170,8 +170,8 @@ struct NodeState {
   /// the window's canonical serial merge, so the parallel round touches
   /// no shared accumulator until the merge walks the nodes in order.
   std::vector<double> slot_score;
-  /// Surplus-pass outputs and ordering scratch for weighted_max_min_into
-  /// (the per-round surplus water-fill must not heap-allocate).
+  /// Surplus-pass outputs and weighted_max_min_into's scratch, one slot
+  /// per VM (the per-round surplus water-fill must not heap-allocate).
   std::vector<double> surplus_extra;
   std::vector<std::size_t> wmm_order;
   /// Actuators on: the hypervisor's per-VM view of the arrays.
@@ -250,7 +250,7 @@ void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
         &node.slot_score, &node.surplus_extra}) {
     v->assign(n, 0.0);
   }
-  node.wmm_order.reserve(n);
+  node.wmm_order.assign(n, 0);
   for (std::vector<ResourceVector>* v :
        {&node.hv_shares, &node.hv_demand, &node.hv_realized}) {
     v->assign(n, ResourceVector(kDefaultResourceCount));
