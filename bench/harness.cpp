@@ -216,7 +216,7 @@ HarnessConfig scale_config() {
   // 1024 nodes x 100 VMs = 102,400 VM slots; every window allocates all
   // of them, so a handful of windows is already minutes of node-seconds.
   config.sweep = {{1024, 100, 32}};
-  config.warmup = 0;
+  config.warmup = 1;
   config.trials = 1;
   config.windows = 6;
   config.parallel_nodes = true;

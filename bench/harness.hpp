@@ -66,11 +66,11 @@ HarnessConfig quick_config();
 /// The full sweep: adds larger node counts and a tenant-count axis.
 HarnessConfig full_config();
 
-/// The scale tier (ROADMAP item 1): a single 1024-node / 100k-VM RRF
-/// cell, measured serially and across a shard-count sweep, so the
-/// serial-vs-sharded aggregate throughput ratio falls straight out of the
-/// report.  Windows and trials are dialed down — each window visits every
-/// node — and warmup is skipped.
+/// The scale tier: a single 1024-node / 100k-VM RRF cell, measured
+/// serially and across a shard-count sweep, so the serial-vs-sharded
+/// aggregate throughput ratio falls straight out of the report.  Windows
+/// and trials are dialed down — each window visits every node — and one
+/// untimed warm-up trial runs first, so the timed trial starts warm.
 HarnessConfig scale_config();
 
 /// One flattened call-tree node from the profiler: `path` is the

@@ -78,6 +78,8 @@ TEST(BenchHarness, ScaleConfigMeetsTheTierContract) {
   EXPECT_GE(config.sweep[0].nodes, 1024u);
   EXPECT_GE(config.sweep[0].nodes * config.sweep[0].vms_per_node, 100'000u);
   EXPECT_TRUE(config.parallel_nodes);
+  // One untimed warm-up trial, so the timed trial starts warm.
+  EXPECT_EQ(config.warmup, 1u);
   // A serial baseline plus at least one sharded measurement, so the
   // serial-vs-sharded ratio reads off one report.
   ASSERT_GE(config.shard_counts.size(), 2u);
