@@ -4,8 +4,9 @@
 // IWA / hierarchical RRF outputs, engine-level per-window tenant ledger
 // positions, tenant-level edge cases (share fallback, oversold pools,
 // Lambda = 0 beneficiaries, tied and -0.0 keys, banked credit, one tenant,
-// 1e-12 / 1e12 magnitudes) and weighted max-min water-fills past
-// std::sort's insertion-sort cutoff — against a checked-in golden file.  The
+// 1e-12 / 1e12 magnitudes), weighted max-min water-fills past
+// std::sort's insertion-sort cutoff and the random draws behind the
+// workloads' per-VM demands — against a checked-in golden file.  The
 // golden was generated from the pre-optimization allocation path; the
 // cached tenant-grouping, scratch-buffer reuse and thread-pool chunking
 // optimizations must keep every number identical, which is exactly what
@@ -34,6 +35,7 @@
 #include "sim/engine.hpp"
 #include "sim/flight_replay.hpp"
 #include "sim/synthetic.hpp"
+#include "workload/workload.hpp"
 
 namespace {
 
@@ -491,12 +493,49 @@ void capture_water_fills(std::vector<std::string>* lines) {
   }
 }
 
+/// The per-VM demands the workloads derive from seeded streams: the
+/// trace workloads' per-VM jitter (a fresh stream per VM and 60 s epoch,
+/// drawn over a trace itself built from one long stream) over 24 epochs,
+/// and the synthetic builder's per-VM phases and biases at t = 0 for two
+/// seeds.
+void capture_workload_draws(std::vector<std::string>* lines) {
+  for (const wl::WorkloadKind kind :
+       {wl::WorkloadKind::kTpcc, wl::WorkloadKind::kRubbos,
+        wl::WorkloadKind::kHadoop}) {
+    const wl::WorkloadPtr workload = wl::make_workload(kind, 7);
+    for (std::size_t epoch = 0; epoch < 24; ++epoch) {
+      const Seconds t = 60.0 * static_cast<double>(epoch) + 30.0;
+      const std::vector<ResourceVector> vms = workload->vm_demands_at(t);
+      for (std::size_t j = 0; j < vms.size(); ++j) {
+        lines->push_back("draws " + workload->name() + " e" +
+                         std::to_string(epoch) + " vm" + std::to_string(j) +
+                         " " + hex_vector(vms[j]));
+      }
+    }
+  }
+  for (const std::uint64_t seed : {1u, 77u}) {
+    sim::SyntheticConfig syn;
+    syn.seed = seed;
+    const sim::Scenario scenario = sim::make_synthetic_scenario(syn);
+    for (std::size_t t = 0; t < scenario.workloads.size(); ++t) {
+      const std::vector<ResourceVector> vms =
+          scenario.workloads[t]->vm_demands_at(0.0);
+      for (std::size_t j = 0; j < vms.size(); ++j) {
+        lines->push_back("draws synthetic s" + std::to_string(seed) + " t" +
+                         std::to_string(t) + " vm" + std::to_string(j) + " " +
+                         hex_vector(vms[j]));
+      }
+    }
+  }
+}
+
 std::vector<std::string> capture_all() {
   std::vector<std::string> lines;
   capture_allocators(&lines);
   capture_engine(&lines);
   capture_edge_cases(&lines);
   capture_water_fills(&lines);
+  capture_workload_draws(&lines);
   return lines;
 }
 
