@@ -343,6 +343,35 @@ TEST(Engine, ValidatesConfig) {
   EXPECT_THROW(run_simulation(s, zero_epoch), PreconditionError);
 }
 
+// duration / window at or above 2^64 windows used to convert to zero
+// windows (an undefined conversion) and report NaN utilization; a count
+// from 2^53 on is refused, naming it.
+TEST(Engine, RejectsAnUnrepresentableWindowCount) {
+  const Scenario s = small_scenario();
+  struct Case {
+    double window;
+    double duration;
+    const char* count;
+  };
+  for (const Case& c : {Case{5.0, 1e300, "2e+299"},
+                        Case{1e-300, 10.0, "9.999999999999999e+300"},
+                        Case{1.0, 0x1p53, "9007199254740992"}}) {
+    EngineConfig config = fast_engine(PolicyKind::kRrf);
+    config.window = c.window;
+    config.duration = c.duration;
+    try {
+      run_simulation(s, config);
+      ADD_FAILURE() << c.count << " windows accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    std::string("duration / window = ") + c.count +
+                    " windows, not below 2^53"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 /// A 2-host, 2-tenant synthetic cell: tenants syn0 and syn1, two VMs each.
 Scenario two_tenant_cell() {
   SyntheticConfig cell;
