@@ -105,14 +105,14 @@ std::string format_result(std::span<const AllocationEntity> entities,
   for (std::size_t i = 0; i < entities.size(); ++i) {
     table.row({entities[i].name.empty() ? "#" + std::to_string(i)
                                         : entities[i].name,
-               entities[i].initial_share.to_string(0),
-               entities[i].demand.to_string(0),
-               result.allocations[i].to_string(0),
-               TextTable::num(
-                   (result.allocations[i] - entities[i].initial_share).sum(),
-                   0)});
+               entities[i].initial_share.to_exact_string(),
+               entities[i].demand.to_exact_string(),
+               result.allocations[i].to_exact_string(),
+               TextTable::exact(
+                   (result.allocations[i] - entities[i].initial_share)
+                       .sum())});
   }
-  table.row({"(idle)", "", "", result.unallocated.to_string(0), ""});
+  table.row({"(idle)", "", "", result.unallocated.to_exact_string(), ""});
   return table.to_string();
 }
 

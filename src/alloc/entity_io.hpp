@@ -28,7 +28,8 @@ void write_entities_csv(std::span<const AllocationEntity> entities,
                         std::ostream& out);
 
 /// Renders an allocation result as an aligned text table (one row per
-/// entity: shares, demand, allocation).
+/// entity: shares, demand, allocation, gain), every number in the
+/// shortest form that reads back as the same double.
 std::string format_result(std::span<const AllocationEntity> entities,
                           const AllocationResult& result);
 

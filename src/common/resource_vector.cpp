@@ -1,6 +1,7 @@
 #include "common/resource_vector.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <ostream>
 #include <sstream>
@@ -129,6 +130,16 @@ std::string ResourceVector::to_string(int precision) const {
   }
   os << ">";
   return os.str();
+}
+
+std::string ResourceVector::to_exact_string() const {
+  std::string out = "<";
+  for (std::size_t k = 0; k < size_; ++k) {
+    if (k != 0) out += ", ";
+    char buf[32];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), values_[k]).ptr);
+  }
+  return out + ">";
 }
 
 std::ostream& operator<<(std::ostream& os, const ResourceVector& v) {

@@ -143,6 +143,9 @@ class ResourceVector {
 
   /// "⟨6 GHz, 3 GB⟩"-style rendering; unit labels optional.
   std::string to_string(int precision = 2) const;
+  /// "<2.5, 1e-12>": every value in the shortest form that reads back as
+  /// the same double (std::to_chars).
+  std::string to_exact_string() const;
 
  private:
   static std::size_t checked_arity(std::size_t p) {

@@ -1,6 +1,7 @@
 #include "common/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -24,6 +25,11 @@ std::string TextTable::num(double v, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << v;
   return os.str();
+}
+
+std::string TextTable::exact(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 std::string TextTable::pct(double fraction, int precision) {

@@ -21,6 +21,9 @@ class TextTable {
 
   /// Convenience: format doubles with fixed precision.
   static std::string num(double v, int precision = 2);
+  /// The shortest form that reads back as the same double
+  /// (std::to_chars): 2.5, -0.25, 1e-12, 1e+12.
+  static std::string exact(double v);
   /// Format as a percentage ("45.0%").
   static std::string pct(double fraction, int precision = 1);
 

@@ -106,5 +106,50 @@ TEST(EntityIo, FormatResultShowsEveryEntityAndIdleRow) {
   EXPECT_NE(text.find("<300, 0>"), std::string::npos);  // idle CPU surplus
 }
 
+/// format_result of one IRT allocation of `csv` over `capacity`.
+std::string format_one(const std::string& csv, ResourceVector capacity) {
+  std::stringstream in(csv);
+  const auto entities = read_entities_csv(in);
+  return format_result(entities,
+                       IrtAllocator{}.allocate(capacity, entities));
+}
+
+// Shares, demands, grants and gains print in the shortest form that
+// reads back as the same double, not rounded to whole numbers.
+TEST(EntityIo, FormatResultPrintsFractionalValuesExactly) {
+  const std::string text = format_one(
+      "name,s0,s1,d0,d1\n"
+      "a,2.5,1.5,3.25,0.5\n",
+      ResourceVector{5.0, 3.0});
+  EXPECT_NE(text.find("| <2.5, 1.5> | <3.25, 0.5> | <3.25, 0.5> | -0.25 |"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("<1.75, 2.5>"), std::string::npos) << text;
+}
+
+TEST(EntityIo, FormatResultKeepsTinyValues) {
+  const std::string text = format_one(
+      "name,s0,s1,d0,d1\n"
+      "a,1e-12,1e-12,5e-13,1e-12\n",
+      ResourceVector{1e-12, 1e-12});
+  EXPECT_NE(text.find("| <1e-12, 1e-12> | <5e-13, 1e-12> | <5e-13, 1e-12> | "
+                      "-5e-13 |"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("<5e-13, 0>"), std::string::npos) << text;
+}
+
+TEST(EntityIo, FormatResultPrintsHugeValuesInShortestForm) {
+  const std::string text = format_one(
+      "name,s0,s1,d0,d1\n"
+      "a,1e12,2e12,3e12,1e12\n",
+      ResourceVector{1e12, 2e12});
+  EXPECT_NE(text.find("| <1e+12, 2e+12> | <3e+12, 1e+12> | <1e+12, 1e+12> | "
+                      "-1e+12 |"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("000000"), std::string::npos) << text;
+}
+
 }  // namespace
 }  // namespace rrf::alloc

@@ -150,6 +150,10 @@ TEST(ResourceVector, Printing) {
   os << ResourceVector{6.0, 3.0};
   EXPECT_EQ(os.str(), "<6.00, 3.00>");
   EXPECT_EQ((ResourceVector{1.234, 5.0}).to_string(1), "<1.2, 5.0>");
+  EXPECT_EQ((ResourceVector{2.5, 0.0}).to_exact_string(), "<2.5, 0>");
+  EXPECT_EQ((ResourceVector{1e-12, 2e12, -0.25}).to_exact_string(),
+            "<1e-12, 2e+12, -0.25>");
+  EXPECT_EQ((ResourceVector{0.1, 300.0}).to_exact_string(), "<0.1, 300>");
 }
 
 }  // namespace

@@ -26,6 +26,10 @@ TEST(TextTable, AlignsColumns) {
 TEST(TextTable, NumberFormatting) {
   EXPECT_EQ(TextTable::num(1.23456, 2), "1.23");
   EXPECT_EQ(TextTable::num(1.0, 0), "1");
+  EXPECT_EQ(TextTable::exact(-0.25), "-0.25");
+  EXPECT_EQ(TextTable::exact(1e-12), "1e-12");
+  EXPECT_EQ(TextTable::exact(2e12), "2e+12");
+  EXPECT_EQ(TextTable::exact(1.0 / 3.0), "0.3333333333333333");
   EXPECT_EQ(TextTable::pct(0.4521), "45.2%");
 }
 

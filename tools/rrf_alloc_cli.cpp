@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
     const alloc::AllocationResult result =
         policy.allocator->allocate(capacity, entities);
     std::cout << "policy: " << policy_name << ", capacity "
-              << capacity.to_string(0) << "\n"
+              << capacity.to_exact_string() << "\n"
               << alloc::format_result(entities, result);
     if (!record_path.empty()) {
       // Re-running the (deterministic) policy under a provenance scope
