@@ -9,9 +9,14 @@ Determinism (the original family — one seed must produce bit-identical
 allocations; golden tests, flight-recorder replay and rrf_verify depend
 on it):
 
-  raw-rng      rand()/srand()/std::random_device anywhere except the
-               seeded wrapper in src/common/rng.hpp.  Unseeded entropy
-               makes runs unreproducible.
+  raw-rng      rand()/srand()/std::random_device, and any standard
+               engine (std::mt19937, std::mt19937_64, std::minstd_rand*,
+               std::default_random_engine, std::ranlux*, std::knuth_b and
+               the *_engine templates), anywhere except the seeded wrapper
+               in src/common/rng.hpp, whose engine is the one the
+               simulator draws from.  Unseeded entropy makes runs
+               unreproducible; a second engine escapes Rng's forked,
+               seed-keyed streams.
   wall-clock   time()/std::chrono::system_clock outside src/obs/.
                Wall-clock timestamps in the decision path leak real time
                into simulated state; observability may timestamp freely.
@@ -98,9 +103,12 @@ FLOAT_LITERAL = r"(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+"
 # structure and are implemented as dedicated passes.
 LINE_RULES = {
     "raw-rng": (
-        re.compile(r"\bstd::random_device\b|(?<![\w:])s?rand\s*\("),
+        re.compile(r"\bstd::random_device\b|(?<![\w:])s?rand\s*\("
+                   r"|\bstd::(?:mt19937(?:_64)?|minstd_rand0?|ranlux\w*|knuth_b"
+                   r"|\w+_engine)\b"),
         lambda p: p != "src/common/rng.hpp",
-        "unseeded randomness; use rrf::Rng (src/common/rng.hpp)",
+        "unseeded randomness or a raw standard engine; use rrf::Rng "
+        "(src/common/rng.hpp)",
     ),
     "wall-clock": (
         re.compile(r"\bsystem_clock\b|(?<![\w:])time\s*\("),
@@ -495,7 +503,8 @@ def format_finding(f: dict) -> str:
 
 def self_test() -> int:
     """Every rule needs a fixture pair: <rule>_trigger.cxx must produce at
-    least one finding of exactly that rule, <rule>_ok.cxx must be clean.
+    least one finding of exactly that rule, and one on every line marked
+    `// finding: <rule>`; <rule>_ok.cxx must be clean.
     A <rule>_allow.cxx fixture, when present, reproduces the trigger with
     inline `rrf-lint: allow(...)` markers and must also be clean.
     Fixtures are linted as if they lived in src/alloc/ so every rule's
@@ -518,9 +527,17 @@ def self_test() -> int:
             pretend = f"src/alloc/{fixture.name}"
             findings = lint_file(fixture, pretend, allowlist=[])
             hits = [f for f in findings if f["rule"] == rule]
+            marked = [n for n, line in enumerate(
+                fixture.read_text().splitlines(), 1)
+                if f"// finding: {rule}" in line]
+            missed = sorted(set(marked) - {f["line"] for f in hits})
             if kind == "trigger" and not hits:
                 print(f"self-test FAIL: {fixture.name} triggered nothing "
                       f"for rule {rule}")
+                failures += 1
+            elif kind == "trigger" and missed:
+                print(f"self-test FAIL: {fixture.name} lines {missed} are "
+                      f"marked but raised no {rule} finding")
                 failures += 1
             elif kind in ("ok", "allow") and findings:
                 print(f"self-test FAIL: {fixture.name} should be clean, "
