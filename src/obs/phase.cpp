@@ -10,11 +10,10 @@ Histogram& phase_histogram(MetricsRegistry& registry, Phase phase) {
       default_seconds_bounds());
 }
 
-void PhaseClock::end(std::chrono::steady_clock::time_point now) {
-  running_ = false;
-  const double seconds = std::chrono::duration<double>(now - start_).count();
-  profile_.reset();  // close the phase's profiler frame at the same edge
-  seconds_[static_cast<std::size_t>(phase_)] += seconds;
+void PhaseClock::node_end(std::int32_t node) {
+  const TimePoint now = std::chrono::steady_clock::now();
+  const double seconds = std::chrono::duration<double>(now - last_).count();
+  profile_.reset();  // close the node's profiler frame at the same edge
   if (metrics_enabled()) {
     // One stable histogram reference per phase; the registry outlives us.
     static Histogram* const hists[kPhaseCount] = {
@@ -29,12 +28,13 @@ void PhaseClock::end(std::chrono::steady_clock::time_point now) {
     TraceEvent e;
     e.kind = EventKind::kPhase;
     e.phase = static_cast<std::int8_t>(phase_);
-    e.ts_us = tracer().to_us(start_);
+    e.ts_us = tracer().to_us(last_);
     e.dur_us = seconds * 1e6;
-    e.node = node_;
+    e.node = node;
     e.window = window_;
     tracer().record(e);
   }
+  last_ = now;
 }
 
 }  // namespace rrf::obs

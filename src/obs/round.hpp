@@ -46,7 +46,8 @@ struct RoundDigest {
   std::vector<double> node_pressure;
   /// VM slots allocated this window.
   std::size_t slots{0};
-  /// Wall seconds per phase for this window, summed over nodes in node order.
+  /// Wall seconds per phase for this window, summed over shards in shard
+  /// order.
   std::array<double, kPhaseCount> phase_seconds{};
 
   /// Sizes every vector for the run and zeroes it, the slot count and

@@ -66,17 +66,13 @@ ShardExecutor::ShardExecutor(ShardPlan plan) : plan_(std::move(plan)) {
   }
 }
 
-void ShardExecutor::run_round(
-    const std::function<void(std::size_t)>& process_node) {
+void ShardExecutor::run_round(const RangeBody& body) {
   global_pool().parallel_for(
       plan_.shard_count(), [&](std::size_t s) {
-        const ShardRange& range = plan_.range(s);
         ShardStats& stats = stats_[s];  // one task per shard: no lock
         obs::ProfileScope shard_profile(shard_site(s));
         const auto start = std::chrono::steady_clock::now();
-        for (std::size_t h = range.begin; h < range.end; ++h) {
-          process_node(h);
-        }
+        body(s, plan_.range(s));
         stats.busy_seconds +=
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start)

@@ -9,11 +9,11 @@
 // shard count therefore produces bit-identical allocations and ledger
 // flows, including the historical serial path.
 //
-// The ShardExecutor dispatches one pool task per shard (each shard walks
-// its own nodes serially, touching only that shard's NodeState caches
-// and scratch), times each shard's busy wall for imbalance attribution,
-// and opens a per-shard profiler frame so flamegraphs name the shard a
-// round's time went to.
+// The ShardExecutor dispatches one pool task per shard, each running the
+// engine's body over its own node range (touching only that range's
+// NodeState caches and scratch), times each shard's busy wall for
+// imbalance attribution, and opens a per-shard profiler frame so
+// flamegraphs name the shard a round's time went to.
 #pragma once
 
 #include <cstddef>
@@ -71,19 +71,22 @@ struct ShardStats {
 /// entry once handed out.
 const char* shard_site(std::size_t index);
 
-/// Runs the engine's per-node round body shard-by-shard on the global
-/// thread pool: one task per shard, nodes within a shard processed
-/// serially in ascending order.  Accumulates per-shard busy seconds and
-/// round counts; the engine folds node/slot counts in after the run.
+/// Runs the engine's per-range round body shard by shard on the global
+/// thread pool: one task per shard, each handed its shard index and node
+/// range (the body walks the range in ascending order).  Accumulates
+/// per-shard busy seconds and round counts; the engine folds node/slot
+/// counts in after the run.
 class ShardExecutor {
  public:
+  /// The body of one shard's round: its index and node range.
+  using RangeBody = std::function<void(std::size_t, const ShardRange&)>;
+
   explicit ShardExecutor(ShardPlan plan);
 
   /// One window: dispatches every shard and blocks until all complete.
-  /// `process_node` must be safe to call concurrently for nodes of
-  /// different shards (it is: each node's state is touched by exactly
-  /// one shard task).
-  void run_round(const std::function<void(std::size_t)>& process_node);
+  /// `body` must be safe to call concurrently for different shards (it
+  /// is: each node's state is touched by exactly one shard task).
+  void run_round(const RangeBody& body);
 
   const ShardPlan& plan() const { return plan_; }
   const std::vector<ShardStats>& stats() const { return stats_; }

@@ -242,6 +242,7 @@ TEST(ObsTrace, EventKindNamesRoundTrip) {
 }
 
 TEST(ObsTrace, PhaseClockRecordsDurationEventAndHistogram) {
+  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const bool tracing_before = tracing_enabled();
   const bool metrics_before = metrics_enabled();
   set_tracing_enabled(true);
@@ -254,10 +255,17 @@ TEST(ObsTrace, PhaseClockRecordsDurationEventAndHistogram) {
 
   PhaseClock::Seconds seconds{};
   {
-    PhaseClock clock(Phase::kAllocate, /*node=*/2, /*window=*/5, seconds);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    PhaseClock clock(Phase::kAllocate, /*window=*/5, seconds);
+    ASSERT_TRUE(clock.per_node());
+    for (const std::int32_t node : {2, 3}) {
+      clock.node_begin();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      clock.node_end(node);
+    }
     clock.next(Phase::kActuate);
+    clock.node_begin();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    clock.node_end(2);
   }  // ~PhaseClock() ends the last phase
 
   set_tracing_enabled(tracing_before);
@@ -266,23 +274,63 @@ TEST(ObsTrace, PhaseClockRecordsDurationEventAndHistogram) {
   EXPECT_GT(seconds[static_cast<std::size_t>(Phase::kAllocate)], 0.0);
   EXPECT_GT(seconds[static_cast<std::size_t>(Phase::kActuate)], 0.0);
   EXPECT_EQ(seconds[static_cast<std::size_t>(Phase::kPredict)], 0.0);
-  EXPECT_EQ(allocate.count(), allocate_before + 1);
+  EXPECT_EQ(allocate.count(), allocate_before + 2);
   EXPECT_EQ(actuate.count(), actuate_before + 1);
   const auto events = tracer().events();
-  ASSERT_GE(events.size(), 2u);
-  // One boundary read ends the allocate slice and starts the actuate one.
-  const TraceEvent& first = events[events.size() - 2];
-  const TraceEvent& second = events.back();
-  for (const TraceEvent* e : {&first, &second}) {
-    EXPECT_EQ(e->kind, EventKind::kPhase);
-    EXPECT_EQ(e->node, 2);
-    EXPECT_EQ(e->window, 5);
-    EXPECT_GE(e->dur_us, 0.0);
+  ASSERT_GE(events.size(), 3u);
+  // Each node's read ends its slice and starts the next one, across the
+  // phase boundary too.
+  const TraceEvent* slices[] = {&events[events.size() - 3],
+                                &events[events.size() - 2], &events.back()};
+  const std::int32_t nodes[] = {2, 3, 2};
+  const Phase phases[] = {Phase::kAllocate, Phase::kAllocate,
+                          Phase::kActuate};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const TraceEvent& e = *slices[i];
+    EXPECT_EQ(e.kind, EventKind::kPhase);
+    EXPECT_EQ(e.node, nodes[i]);
+    EXPECT_EQ(e.window, 5);
+    EXPECT_EQ(e.phase, static_cast<std::int8_t>(phases[i]));
+    EXPECT_GE(e.dur_us, 0.0);
+    if (i > 0) {
+      EXPECT_NEAR(slices[i - 1]->ts_us + slices[i - 1]->dur_us, e.ts_us, 1e-3);
+    }
   }
-  EXPECT_EQ(first.phase, static_cast<std::int8_t>(Phase::kAllocate));
-  EXPECT_EQ(second.phase, static_cast<std::int8_t>(Phase::kActuate));
-  EXPECT_NEAR(first.ts_us + first.dur_us, second.ts_us, 1e-3);
+  // A phase's seconds are its nodes' slices.
+  EXPECT_NEAR(
+      (slices[0]->dur_us + slices[1]->dur_us) * 1e-6,
+      seconds[static_cast<std::size_t>(Phase::kAllocate)], 1e-9);
+  EXPECT_NEAR(slices[2]->dur_us * 1e-6,
+              seconds[static_cast<std::size_t>(Phase::kActuate)], 1e-9);
   tracer().clear();
+}
+
+TEST(ObsTrace, PhaseClockWithEverySinkOffTimesPhasesOnly) {
+  const bool tracing_before = tracing_enabled();
+  const bool metrics_before = metrics_enabled();
+  const bool profiling_before = profiling_enabled();
+  set_tracing_enabled(false);
+  set_metrics_enabled(false);
+  set_profiling_enabled(false);
+  PhaseClock::Seconds seconds{};
+  bool per_node = true;
+  {
+    PhaseClock clock(Phase::kPredict, /*window=*/0, seconds);
+    per_node = clock.per_node();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    clock.next(Phase::kSettle);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    clock.stop();
+    clock.stop();  // idempotent
+  }
+  set_profiling_enabled(profiling_before);
+  set_metrics_enabled(metrics_before);
+  set_tracing_enabled(tracing_before);
+
+  EXPECT_FALSE(per_node);
+  EXPECT_GE(seconds[static_cast<std::size_t>(Phase::kPredict)], 1e-3);
+  EXPECT_GE(seconds[static_cast<std::size_t>(Phase::kSettle)], 1e-3);
+  EXPECT_EQ(seconds[static_cast<std::size_t>(Phase::kAllocate)], 0.0);
 }
 
 TEST(ObsTrace, TracingSwitchDefaultsOffAndRoundTrips) {

@@ -2,17 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
 #include "obs/exposition.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/journal.hpp"
+#include "obs/phase.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sim/flight_replay.hpp"
@@ -316,6 +320,124 @@ TEST(Engine, DigestAgreesWithEveryConsumer) {
         obs::labeled("fairness.tenant_beta", {{"tenant", tenant.name()}}));
     ASSERT_NE(beta, nullptr);
     EXPECT_EQ(beta->value(), tenant.beta());
+  }
+}
+
+/// A synthetic cell for the phase-timing tests: 6 nodes of 4 VMs.
+Scenario phase_cell() {
+  SyntheticConfig cell;
+  cell.nodes = 6;
+  cell.vms_per_node = 4;
+  cell.tenants = 3;
+  cell.seed = 9;
+  return make_synthetic_scenario(cell);
+}
+
+/// Serial, then three shards (two nodes each).
+std::vector<EngineConfig> serial_and_sharded(std::size_t windows) {
+  EngineConfig serial;
+  serial.policy = PolicyKind::kRrf;
+  serial.duration = static_cast<double>(windows) * serial.window;
+  serial.use_actuators = false;
+  serial.parallel_nodes = false;
+  EngineConfig sharded = serial;
+  sharded.parallel_nodes = true;
+  sharded.shards = 3;
+  return {serial, sharded};
+}
+
+// While tracing and metrics are on, every node's part of every phase is
+// timed on its own: one kPhase event per phase per node round, carrying
+// the node's id, one histogram sample each, and the per-node times add up
+// to the run's phase seconds.
+TEST(Engine, TracedRunTimesEveryNodesPhases) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const Scenario scenario = phase_cell();
+  constexpr std::size_t kWindows = 10;
+  for (const EngineConfig& config : serial_and_sharded(kWindows)) {
+    const std::string tag = config.parallel_nodes ? "sharded" : "serial";
+    const bool tracing_before = obs::tracing_enabled();
+    const bool metrics_before = obs::metrics_enabled();
+    obs::set_tracing_enabled(true);
+    obs::set_metrics_enabled(true);
+    obs::tracer().clear();
+    std::array<std::uint64_t, obs::kPhaseCount> samples_before{};
+    for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
+      samples_before[p] =
+          obs::phase_histogram(obs::metrics(), static_cast<obs::Phase>(p))
+              .count();
+    }
+    const SimResult result = run_simulation(scenario, config);
+    const std::vector<obs::TraceEvent> events = obs::tracer().events();
+    const std::uint64_t dropped = obs::tracer().dropped();
+    obs::tracer().clear();
+    obs::set_metrics_enabled(metrics_before);
+    obs::set_tracing_enabled(tracing_before);
+
+    ASSERT_EQ(dropped, 0u) << tag;
+    const std::size_t rounds = result.alloc_invocations;
+    ASSERT_EQ(rounds, 6u * kWindows) << tag;
+    // (phase, node, window) -> events; and the per-node seconds per phase.
+    std::map<std::tuple<int, int, int>, int> seen;
+    std::array<double, obs::kPhaseCount> node_seconds{};
+    std::size_t begins = 0, ends = 0;
+    for (const obs::TraceEvent& e : events) {
+      if (e.kind == obs::EventKind::kAllocRoundBegin) ++begins;
+      if (e.kind == obs::EventKind::kAllocRoundEnd) ++ends;
+      if (e.kind != obs::EventKind::kPhase) continue;
+      ASSERT_GE(e.phase, 0) << tag;
+      ASSERT_LT(e.phase, static_cast<int>(obs::kPhaseCount)) << tag;
+      ++seen[{e.phase, e.node, e.window}];
+      node_seconds[static_cast<std::size_t>(e.phase)] += e.dur_us * 1e-6;
+    }
+    EXPECT_EQ(begins, rounds) << tag;
+    EXPECT_EQ(ends, rounds) << tag;
+    EXPECT_EQ(seen.size(), obs::kPhaseCount * rounds) << tag;
+    for (int p = 0; p < static_cast<int>(obs::kPhaseCount); ++p) {
+      for (int node = 0; node < 6; ++node) {
+        for (int w = 0; w < static_cast<int>(kWindows); ++w) {
+          const auto it = seen.find({p, node, w});
+          ASSERT_NE(it, seen.end())
+              << tag << ": phase " << p << " node " << node << " window "
+              << w;
+          EXPECT_EQ(it->second, 1) << tag << ": phase " << p << " node "
+                                   << node << " window " << w;
+        }
+      }
+    }
+    for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
+      const obs::Phase phase = static_cast<obs::Phase>(p);
+      EXPECT_EQ(obs::phase_histogram(obs::metrics(), phase).count(),
+                samples_before[p] + rounds)
+          << tag << ": " << obs::to_string(phase);
+      EXPECT_GT(result.phase_seconds[p], 0.0) << tag;
+      EXPECT_NEAR(node_seconds[p], result.phase_seconds[p],
+                  1e-9 + 1e-6 * result.phase_seconds[p])
+          << tag << ": " << obs::to_string(phase);
+    }
+  }
+}
+
+// With every sink off each shard reads the clock at its phase boundaries
+// only, and still times every phase, serial and sharded.
+TEST(Engine, UntracedRunTimesEveryPhase) {
+  const Scenario scenario = phase_cell();
+  for (const EngineConfig& config : serial_and_sharded(10)) {
+    const bool tracing_before = obs::tracing_enabled();
+    const bool metrics_before = obs::metrics_enabled();
+    const bool profiling_before = obs::profiling_enabled();
+    obs::set_tracing_enabled(false);
+    obs::set_metrics_enabled(false);
+    obs::set_profiling_enabled(false);
+    const SimResult result = run_simulation(scenario, config);
+    obs::set_profiling_enabled(profiling_before);
+    obs::set_metrics_enabled(metrics_before);
+    obs::set_tracing_enabled(tracing_before);
+    for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
+      EXPECT_GT(result.phase_seconds[p], 0.0)
+          << (config.parallel_nodes ? "sharded " : "serial ")
+          << obs::to_string(static_cast<obs::Phase>(p));
+    }
   }
 }
 

@@ -78,13 +78,28 @@ TEST(ShardSite, ReturnsStableDistinctNames) {
 TEST(ShardExecutor, RunsEveryNodeExactlyOncePerRound) {
   ShardExecutor executor(ShardPlan::build(13, 5));
   std::vector<std::atomic<int>> hits(13);
+  std::vector<ShardRange> seen(executor.plan().shard_count());
   constexpr int kRounds = 3;
   for (int round = 0; round < kRounds; ++round) {
-    executor.run_round([&](std::size_t h) { hits[h].fetch_add(1); });
+    executor.run_round([&](std::size_t shard, const ShardRange& range) {
+      seen[shard] = range;  // one task per shard: no race
+      for (std::size_t h = range.begin; h < range.end; ++h) {
+        hits[h].fetch_add(1);
+      }
+    });
   }
   for (std::size_t h = 0; h < hits.size(); ++h) {
     EXPECT_EQ(hits[h].load(), kRounds) << "node " << h;
   }
+  // Each shard is handed its own range: disjoint, ascending and covering
+  // every node, so walking the shards in order walks the nodes in order.
+  std::size_t next = 0;
+  for (std::size_t s = 0; s < seen.size(); ++s) {
+    EXPECT_EQ(seen[s].begin, next) << "shard " << s;
+    EXPECT_EQ(seen[s].end, executor.plan().range(s).end) << "shard " << s;
+    next = seen[s].end;
+  }
+  EXPECT_EQ(next, hits.size());
   for (const ShardStats& stats : executor.stats()) {
     EXPECT_EQ(stats.rounds, static_cast<std::size_t>(kRounds));
     EXPECT_EQ(stats.nodes, executor.plan().range(stats.shard).size());
@@ -95,10 +110,16 @@ TEST(ShardExecutor, RunsEveryNodeExactlyOncePerRound) {
 TEST(ShardExecutor, EmptyShardsDispatchAndFinish) {
   ShardExecutor executor(ShardPlan::build(2, 8));
   std::atomic<int> count{0};
-  executor.run_round([&](std::size_t) { count.fetch_add(1); });
+  std::atomic<int> calls{0};
+  executor.run_round([&](std::size_t, const ShardRange& range) {
+    calls.fetch_add(1);
+    count.fetch_add(static_cast<int>(range.size()));
+  });
+  EXPECT_EQ(calls.load(), 8);
   EXPECT_EQ(count.load(), 2);
   for (std::size_t s = 2; s < 8; ++s) {
     EXPECT_EQ(executor.stats()[s].nodes, 0u);
+    EXPECT_EQ(executor.stats()[s].rounds, 1u);
   }
 }
 
