@@ -19,42 +19,29 @@ std::vector<cluster::HostSpec> make_hosts(std::size_t count) {
   return hosts;
 }
 
-}  // namespace
-
-Scenario build_scenario(const ScenarioConfig& config) {
+void check_config(const ScenarioConfig& config) {
   RRF_REQUIRE(!config.workloads.empty(), "scenario needs >= 1 workload");
   RRF_REQUIRE(config.alpha > 0.0, "alpha must be positive");
+}
 
-  std::size_t hosts = config.hosts;
-  if (hosts == 0) {
-    // Pool scaling: size the bulk reservation so the tenants' aggregate
-    // provisioned capacity fits at the target utilization.
-    ResourceVector aggregate(kDefaultResourceCount);
-    for (std::size_t t = 0; t < config.workloads.size(); ++t) {
-      const wl::WorkloadPtr workload = wl::make_workload(
-          config.workloads[t], config.seed + 1000 * (t + 1));
-      const wl::WorkloadProfile profile =
-          wl::profile_workload(*workload, config.profile_duration, 1.0);
-      aggregate += profile.average * config.alpha;
-    }
-    hosts = cluster::suggest_host_count(
-        aggregate, cluster::paper_host().capacity,
-        config.autosize_utilization);
-  }
-
-  Scenario scenario{
-      cluster::Cluster(make_hosts(hosts), config.pricing),
-      {}, {}, {}};
-
-  // Instantiate workloads (one tenant each) and size the VMs.
+/// The tenants of a scenario before placement, built one at a time: each
+/// tenant's workload, VM specs and profiled average demand, and one
+/// placement request per VM in tenant, then VM, order.
+struct TenantDrafts {
+  std::vector<wl::WorkloadPtr> workloads;
+  std::vector<cluster::TenantSpec> specs;
+  /// The workload's average demand at 1 Hz (pool auto-sizing reads it).
+  std::vector<ResourceVector> averages;
   std::vector<cluster::PlacementRequest> requests;
-  std::vector<std::pair<std::size_t, std::size_t>> request_ids;  // (t, vm)
-  const Seconds profile_dt = 5.0;
 
-  for (std::size_t t = 0; t < config.workloads.size(); ++t) {
+  std::size_t size() const { return specs.size(); }
+
+  /// Builds tenant t = size(), which runs config.workloads[t].
+  void add(const ScenarioConfig& config) {
+    const std::size_t t = size();
+    const Seconds profile_dt = 5.0;
     wl::WorkloadPtr workload =
-        wl::make_workload(config.workloads[t],
-                          config.seed + 1000 * (t + 1));
+        wl::make_workload(config.workloads[t], config.seed + 1000 * (t + 1));
     // Sizing uses 1 Hz profiling so the measured average matches the
     // trace's normalized mean exactly (coarser sampling would mis-size
     // VMs by a fraction of a percent, enough to break an exact packing).
@@ -94,37 +81,82 @@ Scenario build_scenario(const ScenarioConfig& config) {
         request.ram_profile.push_back(ram_series[s] * split[j]);
       }
       requests.push_back(std::move(request));
-      request_ids.emplace_back(t, j);
     }
 
-    scenario.cluster.add_tenant(std::move(tenant));
-    scenario.workloads.push_back(std::move(workload));
+    specs.push_back(std::move(tenant));
+    workloads.push_back(std::move(workload));
+    averages.push_back(profile.average);
   }
 
-  // Place everything.
-  std::vector<ResourceVector> capacities;
-  capacities.reserve(hosts);
-  for (const auto& h : scenario.cluster.hosts()) {
-    capacities.push_back(h.capacity);
+  /// Drops the last tenant built.
+  void pop() {
+    requests.resize(requests.size() - specs.back().vms.size());
+    specs.pop_back();
+    workloads.pop_back();
+    averages.pop_back();
   }
-  const cluster::PlacementResult placement =
-      cluster::place_vms(capacities, requests, config.placement);
-  RRF_REQUIRE(placement.placed > 0, "nothing could be placed");
 
-  scenario.host_of.resize(config.workloads.size());
-  for (std::size_t t = 0; t < config.workloads.size(); ++t) {
-    scenario.host_of[t].resize(scenario.cluster.tenants()[t].vms.size());
-  }
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    const auto [t, j] = request_ids[r];
-    if (placement.host_of[r]) {
-      scenario.host_of[t][j] = *placement.host_of[r];
-    } else {
-      scenario.host_of[t][j] = 0;  // engine skips unplaced VMs
-      scenario.unplaced.emplace_back(t, j);
+  /// config.hosts, or when it is 0 the pool scaling of the tenants'
+  /// aggregate provisioned capacity (the GSA's bulk reservation).
+  std::size_t host_count(const ScenarioConfig& config) const {
+    if (config.hosts != 0) return config.hosts;
+    ResourceVector aggregate(kDefaultResourceCount);
+    for (const ResourceVector& average : averages) {
+      aggregate += average * config.alpha;
     }
+    return cluster::suggest_host_count(aggregate,
+                                       cluster::paper_host().capacity,
+                                       config.autosize_utilization);
   }
-  return scenario;
+
+  /// Places every request, in order, onto `hosts` paper hosts.
+  cluster::PlacementResult place(const ScenarioConfig& config,
+                                 std::size_t hosts) const {
+    std::vector<ResourceVector> capacities;
+    capacities.reserve(hosts);
+    for (const cluster::HostSpec& host : make_hosts(hosts)) {
+      capacities.push_back(host.capacity);
+    }
+    cluster::PlacementResult placement =
+        cluster::place_vms(capacities, requests, config.placement);
+    RRF_REQUIRE(placement.placed > 0, "nothing could be placed");
+    return placement;
+  }
+
+  /// The scenario of these tenants on `hosts` paper hosts, placed by
+  /// `placement`; the workloads and specs move into it.
+  Scenario assemble(const ScenarioConfig& config, std::size_t hosts,
+                    const cluster::PlacementResult& placement) && {
+    Scenario scenario{
+        cluster::Cluster(make_hosts(hosts), config.pricing), {}, {}, {}};
+    scenario.host_of.resize(size());
+    std::size_t r = 0;
+    for (std::size_t t = 0; t < size(); ++t) {
+      scenario.host_of[t].resize(specs[t].vms.size());
+      for (std::size_t j = 0; j < specs[t].vms.size(); ++j, ++r) {
+        if (placement.host_of[r]) {
+          scenario.host_of[t][j] = *placement.host_of[r];
+        } else {
+          scenario.host_of[t][j] = 0;  // engine skips unplaced VMs
+          scenario.unplaced.emplace_back(t, j);
+        }
+      }
+      scenario.cluster.add_tenant(std::move(specs[t]));
+      scenario.workloads.push_back(std::move(workloads[t]));
+    }
+    return scenario;
+  }
+};
+
+}  // namespace
+
+Scenario build_scenario(const ScenarioConfig& config) {
+  check_config(config);
+  TenantDrafts drafts;
+  while (drafts.size() < config.workloads.size()) drafts.add(config);
+  const std::size_t hosts = drafts.host_count(config);
+  const cluster::PlacementResult placement = drafts.place(config, hosts);
+  return std::move(drafts).assemble(config, hosts, placement);
 }
 
 Scenario fill_scenario(std::size_t hosts,
@@ -136,24 +168,32 @@ Scenario fill_scenario(std::size_t hosts,
   config.hosts = hosts;
   config.alpha = alpha;
   config.seed = seed;
+  config.workloads = {cycle[0]};
+  check_config(config);
 
-  // The greedy placement is online and order-preserving, so growing the
-  // tenant list never changes earlier decisions: grow until the newest
-  // tenant fails to place fully, then return the previous scenario.
-  Scenario best = [&] {
-    config.workloads = {cycle[0]};
-    return build_scenario(config);
-  }();
-  if (!best.unplaced.empty()) {
+  // Each tenant is built once, as build_scenario would build it; only the
+  // placement re-runs over the growing list.  Grow until the newest
+  // tenant fails to place fully, then return the previous list.
+  TenantDrafts drafts;
+  drafts.add(config);
+  std::size_t best_hosts = drafts.host_count(config);
+  cluster::PlacementResult best = drafts.place(config, best_hosts);
+  if (!best.all_placed()) {
     throw DomainError("not even one tenant fits at this alpha");
   }
   for (std::size_t k = 1; k < max_tenants; ++k) {
     config.workloads.push_back(cycle[k % cycle.size()]);
-    Scenario next = build_scenario(config);
-    if (!next.unplaced.empty()) break;
+    drafts.add(config);
+    const std::size_t next_hosts = drafts.host_count(config);
+    cluster::PlacementResult next = drafts.place(config, next_hosts);
+    if (!next.all_placed()) {
+      drafts.pop();
+      break;
+    }
     best = std::move(next);
+    best_hosts = next_hosts;
   }
-  return best;
+  return std::move(drafts).assemble(config, best_hosts, best);
 }
 
 double peak_alpha(const ScenarioConfig& config) {

@@ -75,6 +75,48 @@ TEST(Scenario, FillScenarioDensityGrowsAsAlphaShrinks) {
             tight.cluster.tenants().size());
 }
 
+// fill_scenario builds each tenant once and re-runs only the placement,
+// so its scenario is the one build_scenario makes of the tenants it kept,
+// and one more tenant of the cycle would not place.
+TEST(Scenario, FillScenarioEqualsBuildingItsTenantList) {
+  const std::vector<wl::WorkloadKind> cycle = wl::paper_workloads();
+  const Scenario filled = fill_scenario(/*hosts=*/8, cycle, /*alpha=*/1.0, 1);
+  ScenarioConfig config;
+  config.hosts = 8;
+  config.alpha = 1.0;
+  config.seed = 1;
+  for (std::size_t t = 0; t < filled.workloads.size(); ++t) {
+    EXPECT_EQ(filled.workloads[t]->kind(), cycle[t % cycle.size()]);
+    config.workloads.push_back(filled.workloads[t]->kind());
+  }
+  const Scenario built = build_scenario(config);
+
+  EXPECT_EQ(filled.host_of, built.host_of);
+  EXPECT_EQ(filled.unplaced, built.unplaced);
+  EXPECT_TRUE(filled.unplaced.empty());
+  ASSERT_EQ(filled.cluster.hosts().size(), built.cluster.hosts().size());
+  const auto& tenants = filled.cluster.tenants();
+  ASSERT_EQ(tenants.size(), built.cluster.tenants().size());
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    const cluster::TenantSpec& want = built.cluster.tenants()[t];
+    EXPECT_EQ(tenants[t].name, want.name);
+    ASSERT_EQ(tenants[t].vms.size(), want.vms.size()) << want.name;
+    for (std::size_t j = 0; j < want.vms.size(); ++j) {
+      const cluster::VmSpec& got = tenants[t].vms[j];
+      EXPECT_EQ(got.name, want.vms[j].name);
+      EXPECT_EQ(got.vcpus, want.vms[j].vcpus) << got.name;
+      EXPECT_EQ(got.max_mem_gb, want.vms[j].max_mem_gb) << got.name;
+      for (std::size_t k = 0; k < kDefaultResourceCount; ++k) {
+        EXPECT_EQ(got.provisioned[k], want.vms[j].provisioned[k])
+            << got.name << " type " << k;
+      }
+    }
+  }
+
+  config.workloads.push_back(cycle[tenants.size() % cycle.size()]);
+  EXPECT_FALSE(build_scenario(config).unplaced.empty());
+}
+
 TEST(Scenario, AutoSizesThePool) {
   // hosts == 0: the GSA sizes the bulk reservation via pool scaling.
   ScenarioConfig config = four_workloads();
