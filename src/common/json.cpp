@@ -448,24 +448,71 @@ std::size_t write_line(std::ostream& out, const Value& value, Fail fail) {
   return line.size() + 1;
 }
 
-bool read_lines(std::istream& in, Fail fail, bool allow_cut_tail,
-                const std::function<void(std::size_t, const Value&)>& on_line) {
+Value check_header(const Value& header, std::string_view schema,
+                   int version, Fail fail) {
+  if (!header.is_object()) raise(fail, "header is not an object");
+  const std::string& tag = str_field(header, "schema", fail);
+  if (tag != schema) {
+    raise(fail, "schema tag '" + tag + "' is not '" + std::string(schema) +
+                    "'");
+  }
+  const double found = num_field(header, "version", fail);
+  if (found != static_cast<double>(version)) {
+    raise(fail, "unsupported version " + Value(found).dump() +
+                    " (this build reads " + std::to_string(version) + ")");
+  }
+  const Value* build = header.find("build");
+  if (build == nullptr) return Value();
+  if (!build->is_object()) raise_type(fail, "build", "an object");
+  return *build;
+}
+
+void RecordWriter::write(const Value& record) {
+  if (closed_) raise(fail_, "record after the close line");
+  bytes_ += write_line(out_, record, fail_);
+}
+
+bool RecordWriter::close(const Value& close_line) {
+  if (closed_) return false;
+  closed_ = true;  // set first: a failed close write is not retried
+  if (bytes_ == 0) return false;
+  bytes_ += write_line(out_, close_line, fail_);
+  return true;
+}
+
+bool read_lines(
+    std::istream& in, Fail fail,
+    const std::function<void(const Value&)>& on_header,
+    const std::function<bool(std::size_t, const Value&)>& on_record) {
   std::string line;
   std::size_t line_no = 0;
+  bool have_header = false;
+  bool closed = false;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
+    const auto where = [&] { return "line " + std::to_string(line_no); };
+    if (closed) raise(fail, where() + ": record after the close line");
     Value value;
     try {
       value = Value::parse(line);
     } catch (const DomainError& e) {
-      if (allow_cut_tail && in.peek() == std::char_traits<char>::eof()) {
-        return true;
-      }
-      raise(fail, "line " + std::to_string(line_no) + ": " + e.what());
+      // getline sets eof only on a final line that lacks its newline.
+      if (have_header && in.eof()) return true;
+      raise(fail, where() + ": " + e.what());
     }
-    on_line(line_no, value);
+    try {
+      if (have_header) {
+        closed = on_record(line_no, value);
+      } else {
+        on_header(value);
+        have_header = true;
+      }
+    } catch (const DomainError& e) {
+      throw DomainError(std::string(e.what()) + " at " + where());
+    }
   }
+  if (!have_header) raise(fail, "empty stream (no header line)");
   return false;
 }
 

@@ -1,6 +1,6 @@
 // The one JSON text codec: an ordered-object value tree with a writer
 // (dump) and a strict recursive-descent parser, plus the JSON Lines
-// ("JSONL", one value per line) record writer and reader that the flight
+// ("JSONL", one value per line) record-stream framing that the flight
 // recorder and the telemetry journal share.
 //
 // Numbers print with std::to_chars (shortest round-trip, locale-free) and
@@ -94,17 +94,67 @@ const std::string& str_field(const Value& object, const char* key,
 bool bool_field(const Value& object, const char* key, Fail fail);
 const Array& array_field(const Value& object, const char* key, Fail fail);
 
-/// Writes `value` as one compact JSON Lines record (dump + '\n') and
-/// flushes it.  Calls `fail("write failed")` when the stream is bad
-/// afterwards (a full disk, a closed pipe).  Returns the bytes written.
+// ---- JSON Lines record streams ----
+//
+// The flight recorder and the telemetry journal share one framing:
+//   line 1    — a header object carrying "schema" (the format's tag),
+//               "version" and, optionally, the producer's "build" stamp;
+//   lines 2.. — one compact record per line, flushed as it is written,
+//               so a killed writer loses at most the line in flight;
+//   last line — one close line (the flight trailer, the journal's end
+//               record), written once on a clean shutdown.  Nothing may
+//               follow it; its absence marks a run that did not finish.
+// The kill rule: every line the writer finished ends in a newline, so a
+// final line without one that does not parse is the record a killed
+// writer left half written.  The reader drops it and reports it (the
+// loaders' `truncated_tail`).  Any other line that does not parse,
+// including a cut header, fails the load.
+
+/// Writes `value` as one compact line (dump + '\n') and flushes it.
+/// Calls `fail("write failed")` when the stream is bad afterwards (a full
+/// disk, a closed pipe).  Returns the bytes written.
 std::size_t write_line(std::ostream& out, const Value& value, Fail fail);
 
-/// Reads a JSON Lines stream, calling `on_line(line_no, value)` for each
-/// non-empty line (numbered from 1).  A line that is not JSON calls
-/// `fail("line N: json parse error ...")`, except that with
-/// `allow_cut_tail` a non-JSON *last* line (the mark of a writer killed
-/// mid-record) is skipped.  Returns true when it skipped such a line.
-bool read_lines(std::istream& in, Fail fail, bool allow_cut_tail,
-                const std::function<void(std::size_t, const Value&)>& on_line);
+/// Checks a header's (or a whole document's) "schema" tag and "version",
+/// and returns its build stamp: the "build" object, or null when there is
+/// none (files written before the stamp existed).
+Value check_header(const Value& header, std::string_view schema,
+                   int version, Fail fail);
+
+/// The writing side of a record stream over `out` (not owned).
+class RecordWriter {
+ public:
+  RecordWriter(std::ostream& out, Fail fail) : out_(out), fail_(fail) {}
+
+  /// Writes one record line (the first one is the header).  Fails with
+  /// "record after the close line" once the stream is closed.
+  void write(const Value& record);
+  /// Ends the stream with `close_line`; a stream without a header gets
+  /// none.  Later calls do nothing.  Returns true when it wrote the line.
+  /// Owners call it from an idempotent finish() that their destructors
+  /// call, swallowing a failed write.
+  bool close(const Value& close_line);
+
+  bool closed() const { return closed_; }
+  std::uint64_t bytes_written() const { return bytes_; }
+
+ private:
+  std::ostream& out_;
+  Fail fail_;
+  std::uint64_t bytes_{0};
+  bool closed_{false};
+};
+
+/// Reads a record stream: `on_header` gets the first non-empty line and
+/// `on_record(line_no, value)` each later one (lines numbered from 1),
+/// returning true for the close line.  An error either one throws is
+/// rethrown naming its line.  Fails on an empty stream, on a line that is
+/// not JSON ("line N: json parse error ...") and on a record after the
+/// close line, except that it drops the kill rule's cut final line.
+/// Returns true when it dropped one.
+bool read_lines(
+    std::istream& in, Fail fail,
+    const std::function<void(const Value&)>& on_header,
+    const std::function<bool(std::size_t, const Value&)>& on_record);
 
 }  // namespace rrf::json

@@ -130,17 +130,9 @@ json::Value flight_header_to_json(const FlightHeader& header) {
 }
 
 FlightHeader flight_header_from_json(const json::Value& value) {
-  if (!value.is_object()) fail("header is not an object");
-  if (str_field(value, "schema", fail) != kFlightSchemaName) {
-    fail("not a " + std::string(kFlightSchemaName) + " recording");
-  }
   FlightHeader header;
-  const double version = num_field(value, "version", fail);
-  if (version != static_cast<double>(kFlightSchemaVersion)) {
-    fail("unsupported schema version " + shortest(version) + " (this build reads " +
-         std::to_string(kFlightSchemaVersion) + ")");
-  }
-  header.version = kFlightSchemaVersion;
+  header.build = json::check_header(value, kFlightSchemaName,
+                                    kFlightSchemaVersion, fail);
   header.kind = str_field(value, "kind", fail);
   if (header.kind != "sim" && header.kind != "alloc") {
     fail("unknown recording kind '" + header.kind + "'");
@@ -182,11 +174,6 @@ FlightHeader flight_header_from_json(const json::Value& value) {
         static_cast<std::size_t>(u.as_array()[1].as_number()));
   }
   header.engine = field(value, "engine", fail);
-  // Additive: recordings written before the build stamp existed lack it.
-  if (const json::Value* build = value.find("build")) {
-    if (!build->is_object()) fail("field 'build' is not an object");
-    header.build = *build;
-  }
   return header;
 }
 
@@ -369,30 +356,22 @@ FlightRound flight_round_from_json(const json::Value& value) {
 
 FlightRecording FlightRecording::load(std::istream& in) {
   FlightRecording recording;
-  bool have_header = false;
-  json::read_lines(
-      in, fail, /*allow_cut_tail=*/false,
-      [&](std::size_t line_no, const json::Value& value) {
-        if (!have_header) {
-          recording.header = flight_header_from_json(value);
-          have_header = true;
-          return;
+  recording.truncated_tail = json::read_lines(
+      in, fail,
+      [&](const json::Value& header) {
+        recording.header = flight_header_from_json(header);
+      },
+      [&](std::size_t, const json::Value& value) {
+        const json::Value* t = value.find("trailer");
+        if (t == nullptr) {
+          recording.rounds.push_back(flight_round_from_json(value));
+          return false;
         }
-        if (recording.trailer.has_value()) {
-          fail("line " + std::to_string(line_no) +
-               ": data after the trailer");
-        }
-        if (const json::Value* t = value.find("trailer")) {
-          FlightTrailer trailer;
-          trailer.rounds = size_field(*t, "rounds", fail);
-          trailer.dropped = size_field(*t, "dropped", fail);
-          trailer.bytes = size_field(*t, "bytes", fail);
-          recording.trailer = trailer;
-          return;
-        }
-        recording.rounds.push_back(flight_round_from_json(value));
+        recording.trailer = FlightTrailer{size_field(*t, "rounds", fail),
+                                          size_field(*t, "dropped", fail),
+                                          size_field(*t, "bytes", fail)};
+        return true;
       });
-  if (!have_header) fail("empty recording (no header line)");
   if (recording.trailer.has_value() &&
       recording.trailer->rounds != recording.rounds.size()) {
     fail("trailer claims " + std::to_string(recording.trailer->rounds) +
@@ -412,7 +391,7 @@ FlightRecording FlightRecording::load_file(const std::string& path) {
 // FlightRecorder
 // ---------------------------------------------------------------------------
 
-FlightRecorder::FlightRecorder(std::ostream& out) : out_(out) {}
+FlightRecorder::FlightRecorder(std::ostream& out) : stream_(out, fail) {}
 
 FlightRecorder::~FlightRecorder() {
   try {
@@ -426,8 +405,7 @@ FlightRecorder::~FlightRecorder() {
 void FlightRecorder::write_header(const FlightHeader& header) {
   RRF_REQUIRE(!header_written_, "flightrec: header written twice");
   const auto start = std::chrono::steady_clock::now();
-  bytes_written_ +=
-      json::write_line(out_, flight_header_to_json(header), fail);
+  stream_.write(flight_header_to_json(header));
   header_written_ = true;
   record_seconds_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -436,9 +414,8 @@ void FlightRecorder::write_header(const FlightHeader& header) {
 
 void FlightRecorder::record_round(const FlightRound& round) {
   RRF_REQUIRE(header_written_, "flightrec: record_round before write_header");
-  RRF_REQUIRE(!finished_, "flightrec: record_round after finish");
   const auto start = std::chrono::steady_clock::now();
-  bytes_written_ += json::write_line(out_, flight_round_to_json(round), fail);
+  stream_.write(flight_round_to_json(round));
   ++rounds_recorded_;
   const double dt =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -452,21 +429,14 @@ void FlightRecorder::record_round(const FlightRound& round) {
 }
 
 void FlightRecorder::finish() {
-  if (finished_ || !header_written_) {
-    finished_ = true;
-    return;
-  }
-  finished_ = true;
-  json::Object trailer;
-  trailer.emplace_back("rounds", rounds_recorded_);
-  trailer.emplace_back("dropped", 0);
+  if (stream_.closed()) return;
   // The byte count covers everything *before* the trailer line, so a
   // reader can cross-check the payload it received.
-  trailer.emplace_back("bytes", bytes_written_);
-  json::Object line;
-  line.emplace_back("trailer", std::move(trailer));
-  bytes_written_ += json::write_line(out_, json::Value(std::move(line)), fail);
-  publish_metrics();
+  const json::Value trailer = json::Object{
+      {"trailer", json::Object{{"rounds", rounds_recorded_},
+                               {"dropped", 0},
+                               {"bytes", stream_.bytes_written()}}}};
+  if (stream_.close(trailer)) publish_metrics();
 }
 
 void FlightRecorder::write_recording(const FlightRecording& recording) {
@@ -477,7 +447,7 @@ void FlightRecorder::write_recording(const FlightRecording& recording) {
 
 void FlightRecorder::publish_metrics() {
   if (!metrics_enabled()) return;
-  metrics().counter("flightrec.bytes_written").add(bytes_written_);
+  metrics().counter("flightrec.bytes_written").add(stream_.bytes_written());
   metrics().counter("flightrec.rounds").add(rounds_recorded_);
   metrics().gauge("flightrec.record_seconds_total").set(record_seconds_);
 }

@@ -2,17 +2,15 @@
 // of per-round allocation inputs and decisions (observability subsystem,
 // see docs/OBSERVABILITY.md "Provenance & replay").
 //
-// A recording is a JSONL stream:
-//   line 1    — the header: schema/version tag, policy, the scenario
-//               (pricing, hosts, tenants/VMs, placement) and an opaque
-//               engine-config object owned by the producer;
-//   lines 2.. — one compact object per allocation round: per-slot demand /
-//               forecast / entitlement / actuator targets, the IRT
-//               contribution-lambda breakdown and per-type redistribution,
-//               the IWA flows, and any migrations planned that round;
-//   last line — a trailer with the round and byte counts, written by
-//               finish().  Its schema-v1 "dropped" count is always 0 here;
-//               files that report drops still load.
+// A recording is a common/json record stream ("rrf-flightrec" v1): the
+// header holds the policy, the scenario (pricing, hosts, tenants/VMs,
+// placement), an opaque engine-config object owned by the producer and
+// the build stamp; each record is one allocation round (per-slot demand /
+// forecast / entitlement / actuator targets, the IRT contribution-lambda
+// breakdown and per-type redistribution, the IWA flows and any
+// migrations planned that round); the close line is a trailer with the
+// round and byte counts.  Its schema-v1 "dropped" count is always 0 here;
+// files that report drops still load.
 //
 // Because common/json serializes doubles in shortest round-trip form
 // (std::to_chars) and parses them with std::from_chars, a recording is
@@ -20,10 +18,11 @@
 // reconstructed scenario reproduces identical allocations, which
 // tools/rrf_inspect's `replay` verb verifies round by round.
 //
-// FlightRecorder writes and flushes each line as it is recorded, so a
-// killed run keeps every complete round, and a failed write (a full disk)
-// throws instead of being reported as done.  Overhead is exported through
-// the metrics registry (flightrec.bytes_written / rounds and the
+// Each line is flushed as it is recorded and a failed write (a full disk)
+// throws instead of being reported as done.  A killed run keeps every
+// complete round: the loader drops the round the kill cut in half and
+// sets `truncated_tail`.  Overhead is exported through the metrics
+// registry (flightrec.bytes_written / rounds and the
 // flightrec.record_seconds histogram).
 #pragma once
 
@@ -128,7 +127,10 @@ struct FlightTrailer {
 struct FlightRecording {
   FlightHeader header;
   std::vector<FlightRound> rounds;
-  std::optional<FlightTrailer> trailer;
+  std::optional<FlightTrailer> trailer;  ///< absent = the run did not finish
+  /// True when the final line was cut mid-record (a killed run); the
+  /// complete rounds before it loaded.
+  bool truncated_tail{false};
 
   /// Parses a JSONL stream; throws DomainError ("flightrec: ...") on
   /// schema violations (wrong tag/version, missing or mistyped fields).
@@ -161,7 +163,7 @@ class FlightRecorder {
   /// the caller forgot.
   void finish();
 
-  std::uint64_t bytes_written() const { return bytes_written_; }
+  std::uint64_t bytes_written() const { return stream_.bytes_written(); }
   std::size_t rounds_recorded() const { return rounds_recorded_; }
   /// Wall seconds spent serializing + writing (the recorder's overhead).
   double record_seconds() const { return record_seconds_; }
@@ -172,12 +174,10 @@ class FlightRecorder {
  private:
   void publish_metrics();
 
-  std::ostream& out_;
-  std::uint64_t bytes_written_{0};
+  json::RecordWriter stream_;
   std::size_t rounds_recorded_{0};
   double record_seconds_{0.0};
   bool header_written_{false};
-  bool finished_{false};
 };
 
 /// Per-tenant absolute entitlement deltas accumulated over the compared

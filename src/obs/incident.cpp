@@ -463,19 +463,11 @@ IncidentBundle IncidentBundle::load_dir(const std::string& dir) {
     throw DomainError("incident: incident.json does not parse: " +
                       std::string(e.what()));
   }
-  if (!bundle.manifest.is_object()) {
-    throw DomainError("incident: incident.json is not an object");
-  }
-  const json::Value* schema = bundle.manifest.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != kIncidentSchema) {
-    throw DomainError("incident: not an incident bundle (schema tag)");
-  }
-  const json::Value* version = bundle.manifest.find("version");
-  if (version == nullptr || !version->is_number() ||
-      version->as_number() != static_cast<double>(kIncidentVersion)) {
-    throw DomainError("incident: unsupported bundle version");
-  }
+  json::check_header(bundle.manifest, kIncidentSchema, kIncidentVersion,
+                     [](const std::string& message) {
+                       throw DomainError("incident: incident.json: " +
+                                         message);
+                     });
 
   auto& problems = bundle.problems;
   checked_field(bundle.manifest, "id", &json::Value::is_string, "a string",

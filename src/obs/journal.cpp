@@ -44,18 +44,9 @@ json::Value journal_header_to_json(const JournalHeader& header) {
 }
 
 JournalHeader journal_header_from_json(const json::Value& value) {
-  if (!value.is_object()) fail("header is not an object");
-  if (str_field(value, "schema", fail) != kJournalSchemaName) {
-    fail("not a telemetry journal (schema tag '" +
-         str_field(value, "schema", fail) + "')");
-  }
   JournalHeader header;
-  header.version = int_field(value, "version", fail);
-  if (header.version != kJournalSchemaVersion) {
-    fail("unsupported version " + std::to_string(header.version) +
-         " (this build reads version " +
-         std::to_string(kJournalSchemaVersion) + ")");
-  }
+  header.build = json::check_header(value, kJournalSchemaName,
+                                    kJournalSchemaVersion, fail);
   header.kind = str_field(value, "kind", fail);
   header.policy = str_field(value, "policy", fail);
   const json::Value& tenants = field(value, "tenants", fail);
@@ -66,11 +57,6 @@ JournalHeader journal_header_from_json(const json::Value& value) {
   }
   header.segment = size_field(value, "segment", fail);
   header.continued = bool_field(value, "continued", fail);
-  // Additive: journals written before the build stamp existed lack it.
-  if (const json::Value* build = value.find("build")) {
-    if (!build->is_object()) fail("field 'build' is not an object");
-    header.build = *build;
-  }
   return header;
 }
 
@@ -150,140 +136,96 @@ JournalIncident journal_incident_from_json(const json::Value& value) {
 
 namespace {
 
-struct Segment {
-  JournalHeader header;
-  std::vector<RoundSummary> rounds;
-  std::vector<JournalAlert> alerts;
-  std::vector<JournalIncident> incidents;
-  std::optional<JournalEnd> end;
-  bool truncated_tail{false};
-};
-
-/// Parses one segment file.  A final line that fails to parse as JSON is
-/// the expected kill signature and sets truncated_tail; everything else
-/// throws.
-Segment load_segment(const std::string& path) {
+/// Parses one segment file (`notes` stays empty).
+JournalData load_segment(const std::string& path) {
   std::ifstream in(path);
   if (!in) fail("cannot open " + path);
-  Segment seg;
-  bool have_header = false;
+  JournalData seg;
   seg.truncated_tail = json::read_lines(
-      in, fail, /*allow_cut_tail=*/true,
-      [&](std::size_t line_no, const json::Value& value) {
-        try {
-          if (!have_header) {
-            seg.header = journal_header_from_json(value);
-            have_header = true;
-            return;
+      in, fail,
+      [&](const json::Value& header) {
+        seg.header = journal_header_from_json(header);
+      },
+      [&](std::size_t, const json::Value& value) {
+        if (!value.is_object()) fail("record is not an object");
+        const std::string& tag = str_field(value, "t", fail);
+        if (tag == "round") {
+          seg.rounds.push_back(round_summary_from_json(value));
+        } else if (tag == "alert") {
+          seg.alerts.push_back(journal_alert_from_json(value));
+        } else if (tag == "incident") {
+          seg.incidents.push_back(journal_incident_from_json(value));
+        } else if (tag == "end") {
+          JournalEnd end;
+          end.rounds = size_field(value, "rounds", fail);
+          end.alerts = size_field(value, "alerts", fail);
+          // Additive: end records written before incidents existed lack it.
+          if (value.find("incidents") != nullptr) {
+            end.incidents = size_field(value, "incidents", fail);
           }
-          if (seg.end.has_value()) {
-            fail("record after the end record");
-          }
-          if (!value.is_object()) fail("record is not an object");
-          const std::string tag = str_field(value, "t", fail);
-          if (tag == "round") {
-            seg.rounds.push_back(round_summary_from_json(value));
-          } else if (tag == "alert") {
-            seg.alerts.push_back(journal_alert_from_json(value));
-          } else if (tag == "incident") {
-            seg.incidents.push_back(journal_incident_from_json(value));
-          } else if (tag == "end") {
-            JournalEnd end;
-            end.rounds = size_field(value, "rounds", fail);
-            end.alerts = size_field(value, "alerts", fail);
-            // Additive: end records written before incidents existed
-            // lack it.
-            if (value.find("incidents") != nullptr) {
-              end.incidents = size_field(value, "incidents", fail);
-            }
-            seg.end = end;
-          } else {
-            fail("unknown record tag '" + tag + "'");
-          }
-        } catch (const DomainError& e) {
-          fail(path + " line " + std::to_string(line_no) + ": " + e.what());
+          seg.end = end;
+          return true;
+        } else {
+          fail("unknown record tag '" + tag + "'");
         }
+        return false;
       });
-  if (!have_header) fail(path + ": empty journal (no header line)");
   return seg;
+}
+
+bool readable(const std::string& path) { return std::ifstream(path).is_open(); }
+
+/// Moves `newer` to the end of `older` and the result into `newer`.
+template <typename T>
+void prepend(std::vector<T>& older, std::vector<T>& newer) {
+  older.insert(older.end(), std::make_move_iterator(newer.begin()),
+               std::make_move_iterator(newer.end()));
+  newer = std::move(older);
 }
 
 }  // namespace
 
 JournalData JournalData::load_file(const std::string& path) {
-  {
+  const std::string prev_path = rotated_path(path);
+  if (!readable(path) && readable(prev_path)) {
     // SIGKILL can land inside the rotation window — after the active
     // segment was renamed to `<path>.1` but before the next one opened.
     // Only the rotated file exists then; it holds the whole surviving
     // history and is the forensic trail, not an error.
-    std::ifstream active_probe(path);
-    if (!active_probe) {
-      std::ifstream rotated_probe(rotated_path(path));
-      if (rotated_probe) {
-        rotated_probe.close();
-        Segment only = load_segment(rotated_path(path));
-        JournalData data;
-        data.header = only.header;
-        data.rounds = std::move(only.rounds);
-        data.alerts = std::move(only.alerts);
-        data.incidents = std::move(only.incidents);
-        data.end = only.end;
-        data.truncated_tail = only.truncated_tail;
-        data.notes.push_back(path +
-                             " is missing but its rotated segment exists — "
-                             "the run was killed mid-rotation");
-        return data;
-      }
-    }
+    JournalData only = load_segment(prev_path);
+    only.notes.push_back(path +
+                         " is missing but its rotated segment exists — "
+                         "the run was killed mid-rotation");
+    return only;
   }
-  Segment active = load_segment(path);
-  JournalData data;
-  data.header = active.header;
-  data.end = active.end;
-  data.truncated_tail = active.truncated_tail;
-
-  if (active.header.continued && active.header.segment > 0) {
-    const std::string prev_path = rotated_path(path);
-    std::ifstream probe(prev_path);
-    if (!probe) {
-      data.notes.push_back("rotated segment " + prev_path +
-                           " is missing; older records were lost");
-    } else {
-      probe.close();
-      try {
-        Segment prev = load_segment(prev_path);
-        if (prev.header.segment + 1 != active.header.segment ||
-            prev.header.kind != active.header.kind ||
-            prev.header.policy != active.header.policy) {
-          data.notes.push_back("ignoring " + prev_path +
-                               ": its header does not chain to the active "
-                               "segment");
-        } else {
-          data.header = prev.header;
-          data.rounds = std::move(prev.rounds);
-          data.alerts = std::move(prev.alerts);
-          data.incidents = std::move(prev.incidents);
-          if (prev.truncated_tail) {
-            data.notes.push_back(prev_path +
-                                 ": rotated segment has a truncated final "
-                                 "line");
-          }
-        }
-      } catch (const DomainError& e) {
-        data.notes.push_back("ignoring " + prev_path + ": " + e.what());
-      }
-    }
+  JournalData data = load_segment(path);
+  if (!data.header.continued || data.header.segment == 0) return data;
+  if (!readable(prev_path)) {
+    data.notes.push_back("rotated segment " + prev_path +
+                         " is missing; older records were lost");
+    return data;
   }
-
-  data.rounds.insert(data.rounds.end(),
-                     std::make_move_iterator(active.rounds.begin()),
-                     std::make_move_iterator(active.rounds.end()));
-  data.alerts.insert(data.alerts.end(),
-                     std::make_move_iterator(active.alerts.begin()),
-                     std::make_move_iterator(active.alerts.end()));
-  data.incidents.insert(data.incidents.end(),
-                        std::make_move_iterator(active.incidents.begin()),
-                        std::make_move_iterator(active.incidents.end()));
+  try {
+    JournalData prev = load_segment(prev_path);
+    if (prev.header.segment + 1 != data.header.segment ||
+        prev.header.kind != data.header.kind ||
+        prev.header.policy != data.header.policy) {
+      data.notes.push_back("ignoring " + prev_path +
+                           ": its header does not chain to the active "
+                           "segment");
+      return data;
+    }
+    if (prev.truncated_tail) {
+      data.notes.push_back(prev_path +
+                           ": rotated segment has a truncated final line");
+    }
+    data.header = prev.header;
+    prepend(prev.rounds, data.rounds);
+    prepend(prev.alerts, data.alerts);
+    prepend(prev.incidents, data.incidents);
+  } catch (const DomainError& e) {
+    data.notes.push_back("ignoring " + prev_path + ": " + e.what());
+  }
   return data;
 }
 
@@ -292,7 +234,7 @@ JournalData JournalData::load_file(const std::string& path) {
 // ---------------------------------------------------------------------------
 
 TelemetryJournal::TelemetryJournal(Options options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)), stream_(out_, fail) {
   if (options_.path.empty()) fail("journal path is empty");
   // A `.1` segment left behind by a previous run must not merge into
   // this run's history.
@@ -313,7 +255,7 @@ TelemetryJournal::~TelemetryJournal() {
 void TelemetryJournal::open_segment() {
   out_.open(options_.path, std::ios::trunc);
   if (!out_) fail("cannot open " + options_.path);
-  segment_bytes_ = 0;
+  segment_start_ = stream_.bytes_written();
   JournalHeader header;
   header.kind = "sim";
   header.policy = options_.policy;
@@ -321,37 +263,30 @@ void TelemetryJournal::open_segment() {
   header.segment = segment_;
   header.continued = segment_ > 0;
   header.build = common::build_info_json();
-  append(journal_header_to_json(header));
+  stream_.write(journal_header_to_json(header));
 }
 
 void TelemetryJournal::append(const json::Value& record) {
-  // Flushed per record: durability beats throughput, lose at most one line.
-  const std::size_t bytes = json::write_line(out_, record, fail);
-  segment_bytes_ += bytes;
-  bytes_written_ += bytes;
-}
-
-void TelemetryJournal::maybe_rotate() {
-  if (options_.max_bytes == 0) return;
-  if (segment_bytes_ <= options_.max_bytes / 2) return;
-  out_.close();
-  // rename() is atomic on POSIX: a crash mid-rotation leaves either the
-  // old layout or the new one, never a half file.  When it fails, the
-  // active segment still holds the history; reopening it would truncate
-  // that history, so stop instead.
-  const std::string rotated = rotated_path(options_.path);
-  if (std::rename(options_.path.c_str(), rotated.c_str()) != 0) {
-    fail("cannot rotate " + options_.path + " to " + rotated + ": " +
-         std::strerror(errno));
+  if (options_.max_bytes > 0 && !stream_.closed() &&
+      stream_.bytes_written() - segment_start_ > options_.max_bytes / 2) {
+    out_.close();
+    // rename() is atomic on POSIX: a crash mid-rotation leaves either the
+    // old layout or the new one, never a half file.  When it fails, the
+    // active segment still holds the history; reopening it would truncate
+    // that history, so stop instead.
+    const std::string rotated = rotated_path(options_.path);
+    if (std::rename(options_.path.c_str(), rotated.c_str()) != 0) {
+      fail("cannot rotate " + options_.path + " to " + rotated + ": " +
+           std::strerror(errno));
+    }
+    ++segment_;
+    open_segment();
   }
-  ++segment_;
-  open_segment();
+  stream_.write(record);
 }
 
 void TelemetryJournal::record_round(const RoundSummary& summary) {
   MutexLock lock(mu_);
-  if (finished_) fail("record_round after finish");
-  maybe_rotate();
   append(round_summary_to_json(summary));
   ++rounds_;
 }
@@ -363,8 +298,6 @@ void TelemetryJournal::record_alert(const AlertTransition& transition,
                            transition.window,           transition.value,
                            transition.threshold};
   MutexLock lock(mu_);
-  if (finished_) fail("record_alert after finish");
-  maybe_rotate();
   append(journal_alert_to_json(alert));
   ++alerts_;
 }
@@ -374,26 +307,17 @@ void TelemetryJournal::record_incident(const IncidentEvent& event) {
                                  event.window, to_string(event.severity),
                                  event.kinds,  event.dir};
   MutexLock lock(mu_);
-  if (finished_) fail("record_incident after finish");
-  maybe_rotate();
   append(journal_incident_to_json(incident));
   ++incidents_;
 }
 
 void TelemetryJournal::finish() {
   MutexLock lock(mu_);
-  finish_locked();
-}
-
-void TelemetryJournal::finish_locked() {
-  if (finished_) return;
-  finished_ = true;
-  json::Object end;
-  end.emplace_back("t", "end");
-  end.emplace_back("rounds", rounds_);
-  end.emplace_back("alerts", alerts_);
-  end.emplace_back("incidents", incidents_);
-  append(json::Value(std::move(end)));
+  if (stream_.closed()) return;
+  stream_.close(json::Object{{"t", "end"},
+                             {"rounds", rounds_},
+                             {"alerts", alerts_},
+                             {"incidents", incidents_}});
   out_.close();
 }
 
@@ -419,7 +343,7 @@ std::size_t TelemetryJournal::segment() const {
 
 std::uint64_t TelemetryJournal::bytes_written() const {
   MutexLock lock(mu_);
-  return bytes_written_;
+  return stream_.bytes_written();
 }
 
 }  // namespace rrf::obs

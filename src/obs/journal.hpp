@@ -6,27 +6,21 @@
 // bit-exact replay, the journal captures *operator telemetry* — the same
 // RoundSummary objects the `/rounds` feed streams, plus every alert
 // raise/resolve edge of the DetectorBank — so a crashed or killed run
-// leaves a forensically useful trail on disk.  The framing follows the
-// flightrec conventions:
-//   line 1    — header: {"schema":"rrf-telemetry","version":1,"kind",
-//               "policy","tenants",segment,"continued","build"} (the
-//               build-info stamp identifies the producing binary);
-//   lines 2.. — {"t":"round",...} (obs/ops.hpp round shape),
-//               {"t":"alert","state":"raised"|"resolved",...} and
-//               {"t":"incident","state":"opened"|"resolved",...}
-//               records, interleaved in emission order;
-//   last line — an optional {"t":"end","rounds","alerts","incidents"}
-//               record, written on clean shutdown only.  Its absence is
-//               the crash marker.
+// leaves a forensically useful trail on disk.  It is a common/json
+// record stream ("rrf-telemetry" v1), framed like a flight recording:
+// the header carries "kind", "policy", "tenants", "segment",
+// "continued" and the build stamp; the records are {"t":"round",...}
+// (obs/ops.hpp round shape), {"t":"alert","state":"raised"|"resolved",...}
+// and {"t":"incident","state":"opened"|"resolved",...}, interleaved in
+// emission order; the close line {"t":"end","rounds","alerts",
+// "incidents"} is written on clean shutdown only, so its absence is the
+// crash marker, and the loader drops a final line a SIGKILL cut.
 //
-// Durability beats throughput here: every record is flushed to the OS
-// as it is written, so a SIGKILL loses at most the in-flight line (the
-// loader tolerates one truncated final line).  Disk use is bounded by
-// two-segment rotation: when the active file exceeds max_bytes/2 it is
-// renamed to `<path>.1` and a fresh segment (header `segment` + 1,
-// "continued":true) starts, keeping at most ~max_bytes on disk while
-// always retaining the most recent half of the history.  The loader
-// merges `<path>.1` + `<path>` back into one stream.
+// Disk use is bounded by two-segment rotation: when the active file
+// exceeds max_bytes/2 it is renamed to `<path>.1` and a fresh segment
+// (header `segment` + 1, "continued":true) starts, keeping at most
+// ~max_bytes on disk while always retaining the most recent half of the
+// history.  The loader merges `<path>.1` + `<path>` back into one stream.
 #pragma once
 
 #include <cstddef>
@@ -165,21 +159,20 @@ class TelemetryJournal {
   std::uint64_t bytes_written() const;
 
  private:
+  /// Rotates when the active segment is over budget, then writes.
   void append(const json::Value& record) REQUIRES(mu_);
   void open_segment() REQUIRES(mu_);
-  void maybe_rotate() REQUIRES(mu_);
-  void finish_locked() REQUIRES(mu_);
 
   Options options_;
   mutable InstrumentedMutex mu_{"journal.writer"};
   std::ofstream out_ GUARDED_BY(mu_);
+  json::RecordWriter stream_ GUARDED_BY(mu_);
   std::size_t segment_ GUARDED_BY(mu_){0};
-  std::uint64_t segment_bytes_ GUARDED_BY(mu_){0};
-  std::uint64_t bytes_written_ GUARDED_BY(mu_){0};
+  /// stream_.bytes_written() when the active segment opened.
+  std::uint64_t segment_start_ GUARDED_BY(mu_){0};
   std::size_t rounds_ GUARDED_BY(mu_){0};
   std::size_t alerts_ GUARDED_BY(mu_){0};
   std::size_t incidents_ GUARDED_BY(mu_){0};
-  bool finished_ GUARDED_BY(mu_){false};
 };
 
 }  // namespace rrf::obs

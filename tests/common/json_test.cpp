@@ -183,33 +183,37 @@ TEST(Json, WriteLineWritesOneRecordAndFailsOnABadStream) {
 }
 
 TEST(Json, ReadLinesSkipsOnlyACutLastLine) {
-  const auto read = [](const std::string& text, bool allow_cut_tail,
+  const auto read = [](const std::string& text,
                        std::vector<std::size_t>* line_nos) {
     std::istringstream in(text);
-    return json::read_lines(in, loader_fail, allow_cut_tail,
-                            [&](std::size_t line_no, const json::Value&) {
-                              line_nos->push_back(line_no);
-                            });
+    return json::read_lines(
+        in, loader_fail, [&](const json::Value&) { line_nos->push_back(1); },
+        [&](std::size_t line_no, const json::Value&) {
+          line_nos->push_back(line_no);
+          return false;
+        });
   };
   std::vector<std::size_t> seen;
-  EXPECT_FALSE(read("{}\n\n[1]\n", false, &seen));
+  EXPECT_FALSE(read("{}\n\n[1]\n", &seen));
   EXPECT_EQ(seen, (std::vector<std::size_t>{1, 3}));
 
   seen.clear();
-  EXPECT_TRUE(read("{}\n{\"cut", true, &seen));
+  EXPECT_TRUE(read("{}\n{\"cut", &seen));
   EXPECT_EQ(seen, (std::vector<std::size_t>{1}));
 
-  // A cut tail is an error when not allowed, and a bad line before the
-  // last one always is.
-  for (const auto& [text, allow] :
-       {std::pair<std::string, bool>{"{}\n{\"cut", false},
-        std::pair<std::string, bool>{"{}\n{\"cut\n{}\n", true}}) {
+  // A bad line before the last one always is an error, and so are a bad
+  // last line that ends in a newline (no kill leaves one) and a cut header.
+  for (const auto& [text, line] :
+       {std::pair<std::string, int>{"{}\n{\"cut\n{}\n", 2},
+        std::pair<std::string, int>{"{}\n{\"cut\n", 2},
+        std::pair<std::string, int>{"{\"cut", 1}}) {
     try {
-      read(text, allow, &seen);
+      read(text, &seen);
       FAIL() << text;
     } catch (const DomainError& e) {
-      EXPECT_NE(std::string(e.what()).find("loader: line 2: json parse error"),
-                std::string::npos)
+      const std::string expected =
+          "loader: line " + std::to_string(line) + ": json parse error";
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
           << e.what();
     }
   }

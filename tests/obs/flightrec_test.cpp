@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/journal.hpp"
 #include "obs/provenance.hpp"
 
 namespace rrf::obs {
@@ -186,6 +191,121 @@ TEST(Flightrec, LoadRejectsSchemaViolations) {
 
   // Empty stream.
   expect_load_error("");
+}
+
+/// The lines of `text`, without their newlines.
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(RecordStream, BothLoadersApplyOneFramingRule) {
+  // A clean stream of each format: header, two records, close line.
+  std::ostringstream flight;
+  {
+    FlightRecorder recorder(flight);
+    recorder.write_header(make_header());
+    recorder.record_round(make_round(0));
+    recorder.record_round(make_round(1));
+  }
+  const std::string path = ::testing::TempDir() + "/framing_journal.jsonl";
+  std::remove(path.c_str());
+  {
+    TelemetryJournal::Options options;
+    options.path = path;
+    options.policy = "rrf";
+    options.tenants = {"acme"};
+    TelemetryJournal journal(options);
+    RoundSummary round;
+    journal.record_round(round);
+    round.window = 1;
+    journal.record_round(round);
+  }
+  std::ifstream journal_in(path);
+  const std::string journal((std::istreambuf_iterator<char>(journal_in)),
+                            std::istreambuf_iterator<char>());
+
+  struct Loaded {
+    std::size_t rounds;
+    bool truncated_tail;
+  };
+  const auto load_flight = [](const std::string& text) {
+    std::istringstream in(text);
+    const FlightRecording recording = FlightRecording::load(in);
+    return Loaded{recording.rounds.size(), recording.truncated_tail};
+  };
+  const auto load_journal = [&](const std::string& text) {
+    std::ofstream(path, std::ios::trunc) << text;
+    const JournalData data = JournalData::load_file(path);
+    return Loaded{data.rounds.size(), data.truncated_tail};
+  };
+
+  // Each case edits the clean stream's four lines.  A loading case
+  // expects its round count and whether a cut tail was dropped.
+  using Lines = std::vector<std::string>;
+  struct Case {
+    const char* name;
+    std::string (*edit)(Lines);
+    bool loads;
+    std::size_t rounds;
+    bool truncated_tail;
+  };
+  const Case cases[] = {
+      {"clean",
+       [](Lines l) {
+         return l[0] + "\n" + l[1] + "\n" + l[2] + "\n" + l[3] + "\n";
+       },
+       true, 2, false},
+      {"cut final line",
+       [](Lines l) {
+         return l[0] + "\n" + l[1] + "\n" + l[2].substr(0, l[2].size() / 2);
+       },
+       true, 1, true},
+      {"cut line before the last",
+       [](Lines l) {
+         return l[0] + "\n" + l[1].substr(0, l[1].size() / 2) + "\n" + l[2] +
+                "\n";
+       },
+       false, 0, false},
+      {"complete record after the close line",
+       [](Lines l) {
+         return l[0] + "\n" + l[1] + "\n" + l[2] + "\n" + l[3] + "\n" + l[2] +
+                "\n";
+       },
+       false, 0, false},
+      {"wrong schema tag",
+       [](Lines l) {
+         l[0].replace(l[0].find("\"rrf-"), 5, "\"xyz-");
+         return l[0] + "\n" + l[1] + "\n";
+       },
+       false, 0, false},
+      {"wrong version",
+       [](Lines l) {
+         l[0].replace(l[0].find("\"version\":1"), 11, "\"version\":2");
+         return l[0] + "\n" + l[1] + "\n";
+       },
+       false, 0, false},
+      {"empty stream", [](Lines) { return std::string(); }, false, 0, false},
+  };
+  const std::function<Loaded(const std::string&)> loaders[] = {load_flight,
+                                                               load_journal};
+  const std::string streams[] = {flight.str(), journal};
+  for (const Case& c : cases) {
+    for (std::size_t f = 0; f < 2; ++f) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (f == 0 ? ", flightrec" : ", journal"));
+      const std::string text = c.edit(lines_of(streams[f]));
+      if (!c.loads) {
+        EXPECT_THROW(loaders[f](text), DomainError);
+        continue;
+      }
+      const Loaded loaded = loaders[f](text);
+      EXPECT_EQ(loaded.rounds, c.rounds);
+      EXPECT_EQ(loaded.truncated_tail, c.truncated_tail);
+    }
+  }
 }
 
 TEST(Flightrec, LoadRejectsMoreResourceTypesThanTheLimit) {

@@ -27,15 +27,20 @@ sim::Scenario pinned_cell(std::size_t nodes, std::size_t vms,
   return sim::make_synthetic_scenario(syn);
 }
 
-obs::FlightRecording record_run(const sim::Scenario& scenario,
-                                sim::EngineConfig config) {
+std::string record_text(const sim::Scenario& scenario,
+                        sim::EngineConfig config) {
   std::ostringstream out;
   obs::FlightRecorder recorder(out);
   recorder.write_header(sim::make_flight_header(scenario, config));
   config.flight = &recorder;
   sim::run_simulation(scenario, config);
   recorder.finish();
-  std::istringstream in(out.str());
+  return out.str();
+}
+
+obs::FlightRecording record_run(const sim::Scenario& scenario,
+                                const sim::EngineConfig& config) {
+  std::istringstream in(record_text(scenario, config));
   return obs::FlightRecording::load(in);
 }
 
@@ -52,7 +57,6 @@ TEST(FlightReplay, PinnedRrfCellReplaysBitIdentically) {
   ASSERT_EQ(recording.rounds.size(), 5u);
 
   const sim::ReplayResult replay = sim::replay_recording(recording);
-  EXPECT_TRUE(replay.warnings.empty());
   EXPECT_EQ(replay.rounds_replayed, 5u);
   EXPECT_TRUE(replay.diff.identical)
       << replay.diff.first_divergence
@@ -151,6 +155,29 @@ TEST(FlightReplay, TruncatedRecordingsAreRefused) {
   recording.rounds.erase(recording.rounds.begin() + 1);
   recording.trailer.reset();
   EXPECT_THROW(sim::replay_recording(recording), DomainError);
+}
+
+TEST(FlightReplay, KilledRecordingReplaysItsCompleteRounds) {
+  // A SIGKILL during a write leaves no trailer and the last round line
+  // cut in half: the complete rounds load, and replay bit-exact.
+  const sim::Scenario scenario = pinned_cell(2, 4, 2);
+  sim::EngineConfig config;
+  config.policy = sim::PolicyKind::kRrf;
+  config.window = 5.0;
+  config.duration = 20.0;
+  std::string text = record_text(scenario, config);
+  text.erase(text.rfind('\n', text.size() - 2) + 1);  // the trailer
+  const std::size_t last_round = text.rfind('\n', text.size() - 2) + 1;
+  text.resize(last_round + (text.size() - last_round) / 2);
+
+  std::istringstream in(text);
+  const obs::FlightRecording recording = obs::FlightRecording::load(in);
+  EXPECT_TRUE(recording.truncated_tail);
+  EXPECT_FALSE(recording.trailer.has_value());
+  ASSERT_EQ(recording.rounds.size(), 3u);
+  const sim::ReplayResult replay = sim::replay_recording(recording);
+  EXPECT_EQ(replay.rounds_replayed, 3u);
+  EXPECT_TRUE(replay.diff.identical) << replay.diff.first_divergence;
 }
 
 /// `engine` with `section`.`key` set to `value`.

@@ -111,10 +111,12 @@ int cmd_replay(const std::vector<std::string>& args) {
   if (args.size() != 1) usage(2);
   const obs::FlightRecording recording = obs::FlightRecording::load_file(
       args[0]);
-  const sim::ReplayResult result = sim::replay_recording(recording);
-  for (const std::string& warning : result.warnings) {
-    std::cout << "warning: " << warning << "\n";
+  if (!recording.trailer.has_value()) {
+    std::cout << "note: no trailer — the run was killed or is still writing";
+    if (recording.truncated_tail) std::cout << " (truncated final line)";
+    std::cout << "\n";
   }
+  const sim::ReplayResult result = sim::replay_recording(recording);
   std::cout << "replayed " << result.rounds_replayed << " round(s) of "
             << recording.header.kind << "-kind recording (policy "
             << recording.header.policy << ")\n";
