@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -19,6 +18,7 @@
 #include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/exposition.hpp"
+#include "obs/trace.hpp"
 
 #if defined(__linux__)
 #include <sys/syscall.h>
@@ -537,16 +537,9 @@ void write_collapsed(std::ostream& os, const ProfileSnapshot& snapshot) {
 
 void write_chrome_profile(std::ostream& os,
                           const ProfileSnapshot& snapshot) {
-  os << "{\"traceEvents\":[\n";
-  bool first = true;
-  auto emit = [&](const std::string& line) {
-    os << (first ? "" : ",\n") << line;
-    first = false;
-  };
+  ChromeTraceWriter trace(os);
   for (const ThreadProfile& thread : snapshot.threads) {
-    emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-         std::to_string(thread.tid) +
-         ",\"args\":{\"name\":" + json::escape(thread.name) + "}}");
+    trace.thread_name(thread.tid, thread.name);
     // Synthetic timeline: children laid out sequentially inside their
     // parent's interval, roots back to back (totals, not wall layout).
     std::vector<double> start_us(thread.nodes.size(), 0.0);
@@ -564,20 +557,13 @@ void write_chrome_profile(std::ostream& os,
         cursor_us[p] += total_us;
       }
       cursor_us[i] = start_us[i];
-      char buf[192];
-      std::snprintf(buf, sizeof(buf),
-                    ",\"cat\":\"profile\",\"ph\":\"X\","
-                    "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,"
-                    "\"args\":{\"calls\":%llu,\"self_us\":%.3f,"
-                    "\"bytes\":%llu}}",
-                    start_us[i], total_us, thread.tid,
-                    static_cast<unsigned long long>(n.calls),
-                    n.self_seconds * 1e6,
-                    static_cast<unsigned long long>(n.bytes));
-      emit("{\"name\":" + json::escape(n.site) + buf);
+      trace.slice(n.site, "profile", start_us[i], total_us, thread.tid,
+                  json::Object{{"calls", n.calls},
+                               {"self_us", n.self_seconds * 1e6},
+                               {"bytes", n.bytes}});
     }
   }
-  os << "\n]}\n";
+  trace.finish();
 }
 
 void publish_profile_metrics(MetricsRegistry& registry_ref,

@@ -115,20 +115,11 @@ void EventTracer::write_jsonl(std::ostream& os) const {
 }
 
 void EventTracer::write_chrome_trace(std::ostream& os) const {
-  os << "{\"traceEvents\":[\n";
-  const char* separator = "";
-  auto emit = [&](const json::Value& event) {
-    os << separator << event.dump();
-    separator = ",\n";
-  };
-  // Tracks are real OS threads now, so label the ones the profiler knows
-  // about ("main", "pool/worker-N") with thread_name metadata events.
+  ChromeTraceWriter trace(os);
+  // Tracks are real OS threads, so label the ones the profiler knows
+  // about ("main", "pool/worker-N").
   for (const auto& [tid, name] : profiled_thread_names()) {
-    emit(json::Object{{"name", "thread_name"},
-                      {"ph", "M"},
-                      {"pid", 0},
-                      {"tid", tid},
-                      {"args", json::Object{{"name", name}}}});
+    trace.thread_name(tid, name);
   }
   for (const TraceEvent& e : events()) {
     const int tid = e.tid >= 0 ? e.tid : 0;
@@ -137,39 +128,71 @@ void EventTracer::write_chrome_trace(std::ostream& os) const {
           e.phase >= 0 && e.phase < static_cast<int>(kPhaseCount)
               ? to_string(static_cast<Phase>(e.phase))
               : "phase";
-      emit(json::Object{
-          {"name", name},
-          {"cat", "phase"},
-          {"ph", "X"},
-          {"ts", e.ts_us},
-          {"dur", e.dur_us},
-          {"pid", 0},
-          {"tid", tid},
-          {"args", json::Object{{"node", e.node}, {"window", e.window}}}});
+      trace.slice(name, "phase", e.ts_us, e.dur_us, tid,
+                  json::Object{{"node", e.node}, {"window", e.window}});
     } else {
-      emit(json::Object{
-          {"name", to_string(e.kind)},
-          {"cat", "event"},
-          {"ph", "i"},
-          {"s", "t"},
-          {"ts", e.ts_us},
-          {"pid", 0},
-          {"tid", tid},
-          {"args", json::Object{{"node", e.node},
-                                {"tenant", e.tenant},
-                                {"vm", e.vm},
-                                {"window", e.window},
-                                {"resource", static_cast<int>(e.resource)},
-                                {"value", e.value},
-                                {"value2", e.value2}}}});
+      trace.instant(to_string(e.kind), "event", e.ts_us, tid,
+                    json::Object{{"node", e.node},
+                                 {"tenant", e.tenant},
+                                 {"vm", e.vm},
+                                 {"window", e.window},
+                                 {"resource", static_cast<int>(e.resource)},
+                                 {"value", e.value},
+                                 {"value2", e.value2}});
     }
   }
-  os << "\n]}\n";
+  trace.finish();
 }
 
 EventTracer& tracer() {
   static EventTracer instance;
   return instance;
+}
+
+ChromeTraceWriter::ChromeTraceWriter(std::ostream& os) : os_(os) {
+  os_ << "{\"traceEvents\":[\n";
+}
+
+void ChromeTraceWriter::finish() { os_ << "\n]}\n"; }
+
+void ChromeTraceWriter::emit(const json::Value& event) {
+  os_ << separator_ << event.dump();
+  separator_ = ",\n";
+}
+
+void ChromeTraceWriter::thread_name(std::int32_t tid,
+                                    const std::string& name) {
+  emit(json::Object{{"name", "thread_name"},
+                    {"ph", "M"},
+                    {"pid", 0},
+                    {"tid", tid},
+                    {"args", json::Object{{"name", name}}}});
+}
+
+void ChromeTraceWriter::slice(const std::string& name, const char* cat,
+                              double ts_us, double dur_us, std::int32_t tid,
+                              const json::Value& args) {
+  emit(json::Object{{"name", name},
+                    {"cat", cat},
+                    {"ph", "X"},
+                    {"ts", ts_us},
+                    {"dur", dur_us},
+                    {"pid", 0},
+                    {"tid", tid},
+                    {"args", args}});
+}
+
+void ChromeTraceWriter::instant(const std::string& name, const char* cat,
+                                double ts_us, std::int32_t tid,
+                                const json::Value& args) {
+  emit(json::Object{{"name", name},
+                    {"cat", cat},
+                    {"ph", "i"},
+                    {"s", "t"},
+                    {"ts", ts_us},
+                    {"pid", 0},
+                    {"tid", tid},
+                    {"args", args}});
 }
 
 }  // namespace rrf::obs

@@ -9,9 +9,11 @@
 // round-trip precision for timestamps and values):
 //  * JSONL — one self-describing JSON object per line for offline
 //    analysis;
-//  * Chrome trace format — a {"traceEvents": [...]} document that loads
-//    directly into chrome://tracing / Perfetto: phase timings render as
-//    duration slices (one track per node), everything else as instants.
+//  * Chrome trace format through ChromeTraceWriter, the one writer of
+//    {"traceEvents": [...]} documents (the profiler's export uses it
+//    too), which load directly into chrome://tracing / Perfetto: phase
+//    timings render as duration slices, everything else as instants, on
+//    one track per OS thread.
 //
 // Instrumentation sites guard on tracing_enabled() (a relaxed atomic load;
 // constant false when RRF_OBS_COMPILED_IN=0), so the tracer costs nothing
@@ -23,10 +25,15 @@
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/instrumented_mutex.hpp"
 #include "obs/metrics.hpp"  // kCompiledIn
+
+namespace rrf::json {
+class Value;
+}  // namespace rrf::json
 
 namespace rrf::obs {
 
@@ -106,6 +113,31 @@ class EventTracer {
 
 /// The process-global tracer instrumentation sites write to.
 EventTracer& tracer();
+
+/// Writes one Chrome trace document: the constructor opens
+/// {"traceEvents":[, each call adds one event on its own line (pid 0, on
+/// the track of `tid`, a real OS thread id), and finish() closes it.
+class ChromeTraceWriter {
+ public:
+  explicit ChromeTraceWriter(std::ostream& os);
+
+  /// A thread_name metadata event labelling `tid`'s track.
+  void thread_name(std::int32_t tid, const std::string& name);
+  /// A duration slice ("ph":"X").
+  void slice(const std::string& name, const char* cat, double ts_us,
+             double dur_us, std::int32_t tid, const json::Value& args);
+  /// A thread-scoped instant event ("ph":"i").
+  void instant(const std::string& name, const char* cat, double ts_us,
+               std::int32_t tid, const json::Value& args);
+  /// Ends the document; call once, after the last event.
+  void finish();
+
+ private:
+  void emit(const json::Value& event);
+
+  std::ostream& os_;
+  const char* separator_{""};
+};
 
 namespace detail {
 inline std::atomic<bool> g_tracing_enabled{false};

@@ -12,9 +12,11 @@
 #include <vector>
 
 #include "common/instrumented_mutex.hpp"
+#include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace rrf::obs {
 namespace {
@@ -313,6 +315,36 @@ TEST(ObsProfiler, ChromeProfileExportCarriesRealTidsAndThreadNames) {
   const std::string tid_member =
       "\"tid\":" + std::to_string(os_thread_id());
   EXPECT_NE(text.find(tid_member), std::string::npos);
+}
+
+TEST(ObsProfiler, BothChromeExportsParseWithThreadNamesAndRealTids) {
+  // The tracer's and the profiler's Chrome exports share one writer: each
+  // is one JSON document whose events sit on real OS-thread tracks, each
+  // track named by a thread_name metadata event.
+  ProfilingOn guard;
+  set_thread_name("chrome-both");
+  { ProfileScope scope("both.scope"); }
+  EventTracer events(4);
+  events.record(TraceEvent{});
+  std::ostringstream profile;
+  std::ostringstream trace;
+  write_chrome_profile(profile, profile_snapshot());
+  events.write_chrome_trace(trace);
+  for (const std::string& text : {profile.str(), trace.str()}) {
+    const json::Value doc = json::Value::parse(text);
+    bool named = false;
+    bool on_own_track = false;
+    for (const json::Value& e : doc.find("traceEvents")->as_array()) {
+      if (e.find("tid")->as_number() != os_thread_id()) continue;
+      if (e.find("name")->as_string() != "thread_name") {
+        on_own_track = true;
+      } else if (e.find("args")->find("name")->as_string() == "chrome-both") {
+        named = true;
+      }
+    }
+    EXPECT_TRUE(named) << text;
+    EXPECT_TRUE(on_own_track) << text;
+  }
 }
 
 TEST(ObsProfiler, PublishProfileMetricsExportsGaugeFamilies) {
