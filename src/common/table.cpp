@@ -95,7 +95,7 @@ void write_csv(const std::string& path,
     }
     f << '\n';
   }
-  if (!f) throw DomainError("write failure on CSV file: " + path);
+  if (!f.flush()) throw DomainError("write failure on CSV file: " + path);
 }
 
 }  // namespace rrf

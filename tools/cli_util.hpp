@@ -1,12 +1,15 @@
 // Shared CLI plumbing for the rrf_* tools.
 //
 // Every tool that takes a policy name checks it with policy_or_exit(),
-// and reads every numeric flag value with parse_number().
+// reads every numeric flag value with parse_number() and opens every
+// output file with open_output(), so bad input and an unwritable path
+// both exit 2.
 #pragma once
 
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -14,6 +17,10 @@
 
 #include "alloc/policy.hpp"
 #include "common/error.hpp"
+#include "obs/exposition.hpp"
+#include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 
 namespace rrf::tools {
 
@@ -52,6 +59,77 @@ T parse_number(std::string_view flag, const std::string& text) {
     if (!std::isfinite(value)) fail("not a finite number");
   }
   return value;
+}
+
+/// Opens `path` for writing; throws DomainError when it cannot.
+inline std::ofstream open_output(const std::string& path) {
+  std::ofstream out(path);
+  if (!out) throw DomainError("cannot open " + path + " for writing");
+  return out;
+}
+
+/// Opens `path`, lets `write` fill it and flushes it; throws DomainError
+/// when the file cannot be opened or the disk refuses the write.
+template <typename Write>
+void write_output(const std::string& path, Write&& write) {
+  std::ofstream out = open_output(path);
+  write(out);
+  if (!out.flush()) throw DomainError("write failed: " + path);
+}
+
+/// Writes the --trace, --profile and --metrics files a tool was asked for
+/// (an empty path skips that output).  The extension picks the format:
+/// a trace is Chrome JSON or, for .jsonl, JSONL; a profile is Chrome JSON
+/// for .json, else collapsed stacks; metrics are JSON, or CSV / .prom.
+inline void write_observability_outputs(const std::string& trace_path,
+                                        const std::string& profile_path,
+                                        const std::string& metrics_path) {
+  if (!trace_path.empty()) {
+    write_output(trace_path, [&](std::ostream& out) {
+      if (trace_path.ends_with(".jsonl")) {
+        obs::tracer().write_jsonl(out);
+      } else {
+        obs::tracer().write_chrome_trace(out);
+      }
+    });
+    std::cout << "wrote " << trace_path << " ("
+              << obs::tracer().events().size() << " events";
+    if (obs::tracer().dropped() > 0) {
+      std::cout << ", " << obs::tracer().dropped()
+                << " dropped to ring wraparound";
+    }
+    std::cout << ")\n";
+  }
+  if (!profile_path.empty()) {
+    const obs::ProfileSnapshot snapshot = obs::profile_snapshot();
+    if (obs::metrics_enabled()) {
+      // Land profile.* gauges in the same snapshot/exposition as the
+      // tool's own counters.
+      obs::publish_profile_metrics(obs::metrics(), snapshot);
+    }
+    write_output(profile_path, [&](std::ostream& out) {
+      if (profile_path.ends_with(".json")) {
+        obs::write_chrome_profile(out, snapshot);
+      } else {
+        obs::write_collapsed(out, snapshot);
+      }
+    });
+    std::cout << "wrote " << profile_path << " (" << snapshot.merged.size()
+              << " call-tree sites over " << snapshot.threads.size()
+              << " thread(s))\n";
+  }
+  if (!metrics_path.empty()) {
+    write_output(metrics_path, [&](std::ostream& out) {
+      if (metrics_path.ends_with(".csv")) {
+        obs::metrics().write_csv(out);
+      } else if (metrics_path.ends_with(".prom")) {
+        obs::write_prometheus(out, obs::metrics());
+      } else {
+        obs::metrics().write_json(out);
+      }
+    });
+    std::cout << "wrote " << metrics_path << "\n";
+  }
 }
 
 }  // namespace rrf::tools

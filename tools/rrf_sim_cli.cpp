@@ -349,67 +349,6 @@ sim::EngineConfig engine_config(const CliOptions& options) {
   return engine;
 }
 
-bool ends_with(const std::string& s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-std::ofstream open_output(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot open " << path << " for writing\n";
-    std::exit(1);
-  }
-  return out;
-}
-
-void write_observability_outputs(const CliOptions& options) {
-  if (!options.trace_path.empty()) {
-    std::ofstream out = open_output(options.trace_path);
-    if (ends_with(options.trace_path, ".jsonl")) {
-      obs::tracer().write_jsonl(out);
-    } else {
-      obs::tracer().write_chrome_trace(out);
-    }
-    std::cout << "wrote " << options.trace_path << " ("
-              << obs::tracer().events().size() << " events";
-    if (obs::tracer().dropped() > 0) {
-      std::cout << ", " << obs::tracer().dropped()
-                << " dropped to ring wraparound";
-    }
-    std::cout << ")\n";
-  }
-  if (!options.profile_path.empty()) {
-    const obs::ProfileSnapshot snapshot = obs::profile_snapshot();
-    if (obs::metrics_enabled()) {
-      // Land profile.* gauges in the same snapshot/exposition as the
-      // engine's own counters.
-      obs::publish_profile_metrics(obs::metrics(), snapshot);
-    }
-    std::ofstream out = open_output(options.profile_path);
-    if (ends_with(options.profile_path, ".json")) {
-      obs::write_chrome_profile(out, snapshot);
-    } else {
-      obs::write_collapsed(out, snapshot);
-    }
-    std::size_t sites = snapshot.merged.size();
-    std::cout << "wrote " << options.profile_path << " (" << sites
-              << " call-tree sites over " << snapshot.threads.size()
-              << " thread(s))\n";
-  }
-  if (!options.metrics_path.empty()) {
-    std::ofstream out = open_output(options.metrics_path);
-    if (ends_with(options.metrics_path, ".csv")) {
-      obs::metrics().write_csv(out);
-    } else if (ends_with(options.metrics_path, ".prom")) {
-      obs::write_prometheus(out, obs::metrics());
-    } else {
-      obs::metrics().write_json(out);
-    }
-    std::cout << "wrote " << options.metrics_path << "\n";
-  }
-}
-
 void print_alert_summary(const sim::SimResult& result) {
   if (result.alerts.empty()) {
     std::cout << "fairness alerts: none\n";
@@ -513,7 +452,7 @@ int run(int argc, char** argv) {
   std::ofstream record_out;
   std::unique_ptr<obs::FlightRecorder> recorder;
   if (!options.record_path.empty()) {
-    record_out = open_output(options.record_path);
+    record_out = tools::open_output(options.record_path);
     recorder = std::make_unique<obs::FlightRecorder>(record_out);
   }
 
@@ -593,7 +532,8 @@ int run(int argc, char** argv) {
     write_csv(options.csv, csv);
     std::cout << "wrote " << options.csv << "\n";
   }
-  write_observability_outputs(options);
+  tools::write_observability_outputs(options.trace_path, options.profile_path,
+                                     options.metrics_path);
   if (server) {
     if (options.serve_hold > 0.0) {
       // Flushed: a scraper commonly stops the process during the hold,
