@@ -33,13 +33,13 @@ class SyntheticWorkload final : public wl::Workload {
     const std::size_t p = vm_provisioned_.size();
     phase_.reserve(vm_count * p);
     bias_.reserve(vm_count);
-    for (std::size_t j = 0; j < vm_count; ++j) {
-      Rng vm_rng = seed_rng.fork(j);
+    // VM j draws from fork j of the tenant's stream.
+    seed_rng.for_each_fork(0, vm_count, [&](std::size_t, Rng& vm_rng) {
       for (std::size_t k = 0; k < p; ++k) {
         phase_.push_back(vm_rng.uniform(0.0, 2.0 * std::numbers::pi));
       }
       bias_.push_back(vm_rng.uniform(-0.35, 0.35));
-    }
+    });
   }
 
   std::string name() const override { return name_; }

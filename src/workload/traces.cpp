@@ -61,17 +61,17 @@ void TraceWorkload::vm_demands_into(Seconds t,
   // they still sum to the application total.  This creates the
   // intra-tenant imbalance IWA exists to fix without changing aggregates.
   // Each VM's weight waits in component 0 of its own output entry until
-  // the sum is known.
+  // the sum is known.  VM j draws from fork epoch * 1000 + j; the epoch's
+  // forks are made together, on the stack.
   const auto epoch = static_cast<std::uint64_t>(std::max(0.0, t) / 60.0);
   double wsum = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    Rng r = Rng(seed_).fork(epoch * 1000 + j);
+  Rng(seed_).for_each_fork(epoch * 1000, n, [&](std::size_t j, Rng& r) {
     const double factor = r.normal_in(1.0, jitter_, 0.25, 1.75);
     const double weight = split_[j] * factor;
     out[j] = ResourceVector(total.size());
     out[j][0] = weight;
     wsum += weight;
-  }
+  });
   for (std::size_t j = 0; j < n; ++j) {
     out[j] = total * (out[j][0] / wsum);
   }

@@ -1,8 +1,9 @@
 // LazyMt19937_64 against std::mt19937_64 in the same binary: every output,
-// through every path (fresh seeds, discard, copies taken mid-block, each
-// Rng method, fork chains, std::shuffle), must be the std engine's bit for
-// bit.  The first block's boundaries sit at outputs 155/156 (the twist
-// starts reading new words) and 311/312 (the first whole-block twist).
+// through every path (fresh seeds, lockstep seeding, discard, copies taken
+// mid-block, each Rng method, fork chains and batches, std::shuffle), must
+// be the std engine's bit for bit.  The first block's boundaries sit at
+// outputs 155/156 (the twist starts reading new words) and 311/312 (the
+// first whole-block twist).
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace rrf {
@@ -105,6 +107,94 @@ TEST(LazyMt, RawOutputsMatchTheStdEngine) {
     std::mt19937_64 ref(seed);
     expect_same_outputs(lazy, ref, kOutputs, "seed " + std::to_string(seed));
   }
+}
+
+/// Seeds `engines` through the lockstep kernel, kLockstep at a time.
+void seed_in_lockstep(std::vector<LazyMt19937_64>& engines) {
+  constexpr std::size_t kLanes = LazyMt19937_64::kLockstep;
+  for (std::size_t first = 0; first < engines.size(); first += kLanes) {
+    std::vector<LazyMt19937_64*> batch;
+    for (std::size_t i = first; i < std::min(first + kLanes, engines.size());
+         ++i) {
+      batch.push_back(&engines[i]);
+    }
+    LazyMt19937_64::seed_first_block(batch);
+  }
+}
+
+// Batches of 1 to 17 engines (the last chunk of a batch past eight is
+// partial), with seeds 0, 1, 42 and 2^64 - 1 moved through every lane and
+// seeded-random ones around them.
+TEST(LazyMt, LockstepSeedingMatchesTheStdEngine) {
+  const std::vector<std::uint64_t> seeds = test_seeds();
+  for (std::size_t n = 1; n <= 17; ++n) {
+    for (std::size_t shift = 0; shift < n; ++shift) {
+      // Lane `shift + i` holds seeds[i] for i = 0..3.
+      std::vector<std::uint64_t> lane_seeds;
+      std::vector<LazyMt19937_64> engines;
+      for (std::size_t lane = 0; lane < n; ++lane) {
+        lane_seeds.push_back(
+            seeds[(lane + seeds.size() - shift) % seeds.size()]);
+        engines.emplace_back(lane_seeds.back());
+      }
+      seed_in_lockstep(engines);
+      for (std::size_t lane = 0; lane < n; ++lane) {
+        std::mt19937_64 ref(lane_seeds[lane]);
+        expect_same_outputs(engines[lane], ref, kOutputs,
+                            "batch of " + std::to_string(n) + ", lane " +
+                                std::to_string(lane) + ", seed " +
+                                std::to_string(lane_seeds[lane]));
+      }
+    }
+  }
+}
+
+// A copy taken right after lockstep seeding, before any draw, continues
+// the stream as the original does.
+TEST(LazyMt, CopiesTakenAfterLockstepSeedingContinueTheStream) {
+  std::vector<LazyMt19937_64> engines;
+  for (std::uint64_t seed = 0; seed < 11; ++seed) engines.emplace_back(seed);
+  seed_in_lockstep(engines);
+  for (std::uint64_t seed = 0; seed < engines.size(); ++seed) {
+    LazyMt19937_64 copy(engines[seed]);
+    LazyMt19937_64 assigned(~seed);
+    assigned.discard(1000);  // every state word holds another stream
+    assigned = engines[seed];
+    std::mt19937_64 ref(seed);
+    std::mt19937_64 ref_copy(seed);
+    std::mt19937_64 ref_assigned(seed);
+    const std::string what = "seed " + std::to_string(seed);
+    expect_same_outputs(copy, ref_copy, kOutputs, what + ", copy");
+    expect_same_outputs(engines[seed], ref, kOutputs, what + ", original");
+    expect_same_outputs(assigned, ref_assigned, kOutputs,
+                        what + ", assigned");
+  }
+}
+
+// Lockstep seeding writes words a drawn engine already holds, so an
+// engine that has drawn, or was seeded in lockstep already, is refused,
+// and so is a batch wider than the kernel.
+TEST(LazyMt, LockstepSeedingRefusesAnEngineThatHasDrawn) {
+  LazyMt19937_64 fresh(3);
+  LazyMt19937_64 drawn(4);
+  drawn();
+  LazyMt19937_64* with_drawn[] = {&fresh, &drawn};
+  EXPECT_THROW(LazyMt19937_64::seed_first_block(with_drawn),
+               PreconditionError);
+
+  std::vector<LazyMt19937_64> seeded(LazyMt19937_64::kLockstep,
+                                     LazyMt19937_64(5));
+  seed_in_lockstep(seeded);
+  for (LazyMt19937_64& engine : seeded) {
+    LazyMt19937_64* again[] = {&engine};
+    EXPECT_THROW(LazyMt19937_64::seed_first_block(again), PreconditionError);
+  }
+
+  std::vector<LazyMt19937_64> wide(LazyMt19937_64::kLockstep + 1,
+                                   LazyMt19937_64(6));
+  std::vector<LazyMt19937_64*> too_many;
+  for (LazyMt19937_64& engine : wide) too_many.push_back(&engine);
+  EXPECT_THROW(LazyMt19937_64::seed_first_block(too_many), PreconditionError);
 }
 
 // Discarding on both sides of each block boundary, from a fresh engine and
@@ -213,6 +303,34 @@ TEST(LazyMt, ForkChainsMatchTheStdEngine) {
                   ref_b.fork(9).uniform(-1.0, 1.0));
       }
       ASSERT_EQ(lazy.uniform(0.0, 1.0), ref.uniform(0.0, 1.0));
+    }
+  }
+}
+
+// for_each_fork hands out fork(first_tag + j) in order of j, batches of
+// any size drawing what forks made one by one draw.
+TEST(LazyMt, ForkBatchesMatchForkingOneByOne) {
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{42},
+                                   ~std::uint64_t{0}}) {
+    const Rng lazy(seed);
+    const StdRng ref(seed);
+    for (std::size_t n = 0; n <= 17; ++n) {
+      const std::uint64_t first_tag = n * 1000;
+      std::size_t next = 0;
+      lazy.for_each_fork(first_tag, n, [&](std::size_t j, Rng& fork) {
+        ASSERT_EQ(j, next++);
+        StdRng want = ref.fork(first_tag + j);
+        ASSERT_EQ(fork.seed(), want.seed());
+        ASSERT_EQ(fork.uniform(0.0, 1.0), want.uniform(0.0, 1.0));
+        ASSERT_EQ(fork.normal_in(1.0, 0.1, 0.25, 1.75),
+                  want.normal_in(1.0, 0.1, 0.25, 1.75));
+        for (int i = 0; i < kOutputs; ++i) {
+          ASSERT_EQ(fork.engine()(), want.engine()())
+              << "seed " << seed << ", batch of " << n << ", fork " << j
+              << ", output " << i;
+        }
+      });
+      EXPECT_EQ(next, n);
     }
   }
 }
