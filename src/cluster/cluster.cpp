@@ -1,5 +1,7 @@
 #include "cluster/cluster.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace rrf::cluster {
@@ -21,6 +23,8 @@ Cluster::Cluster(std::vector<HostSpec> hosts, PricingModel pricing)
   RRF_REQUIRE(!hosts_.empty(), "a cluster needs at least one host");
   for (const auto& h : hosts_) {
     RRF_REQUIRE(h.capacity.all_nonneg(), "negative host capacity");
+    largest_host_mem_gb_ =
+        std::max(largest_host_mem_gb_, h.capacity[Resource::kRam]);
   }
 }
 
@@ -32,11 +36,7 @@ std::size_t Cluster::add_tenant(TenantSpec tenant) {
     if (vm.max_mem_gb <= 0.0) {
       // Default ceiling: the largest host's memory (hotplug-style "create
       // with max_memory = host capacity" trick from Section V).
-      double best = 0.0;
-      for (const auto& h : hosts_) {
-        best = std::max(best, h.capacity[Resource::kRam]);
-      }
-      vm.max_mem_gb = best;
+      vm.max_mem_gb = largest_host_mem_gb_;
     }
   }
   tenants_.push_back(std::move(tenant));

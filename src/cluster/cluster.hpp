@@ -80,6 +80,9 @@ class Cluster {
   std::vector<HostSpec> hosts_;
   PricingModel pricing_;
   std::vector<TenantSpec> tenants_;
+  /// The hosts are fixed at construction, so their largest memory, the
+  /// default ballooning ceiling of a VM, is found once.
+  double largest_host_mem_gb_{0.0};
 };
 
 }  // namespace rrf::cluster

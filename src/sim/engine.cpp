@@ -148,7 +148,8 @@ struct NodeState {
   /// else the initial share itself.  Every policy level allocates over it.
   TypeArrays backed;
   /// Flat policies view every VM as one entity (demand refreshed per
-  /// round; initial share and weight are membership-static).
+  /// round; initial share and weight are membership-static).  Built only
+  /// for a flat policy.
   std::vector<alloc::AllocationEntity> flat_entities;
   /// Tenants present on this node, ascending (the order std::map-based
   /// grouping used to produce, so allocations stay bit-identical).
@@ -175,7 +176,8 @@ struct NodeState {
   /// per VM (the per-round surplus water-fill must not heap-allocate).
   std::vector<double> surplus_extra;
   std::vector<std::size_t> wmm_order;
-  /// Actuators on: the hypervisor's per-VM view of the arrays.
+  /// Actuators on: the hypervisor's per-VM view of the arrays (built only
+  /// then).
   std::vector<ResourceVector> hv_shares;
   std::vector<ResourceVector> hv_demand;
   std::vector<ResourceVector> hv_realized;
@@ -185,9 +187,11 @@ struct NodeState {
   alloc::AllocationResult flat_result;
 };
 
-/// Rebuilds the allocation scaffolding after slot membership changed.
+/// Rebuilds the allocation scaffolding after slot membership changed; the
+/// flat entity list only for a flat policy (`level`), which alone reads it.
 void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
-                         const PricingModel& pricing) {
+                         const PricingModel& pricing,
+                         alloc::PolicyLevel level) {
   const std::size_t n = node.slots.size();
 
   node.initial.assign(n);
@@ -212,10 +216,13 @@ void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
     node.pool[k] = node.capacity_shares[k];
   }
 
-  node.flat_entities.assign(n, alloc::AllocationEntity());
-  for (std::size_t i = 0; i < n; ++i) {
-    node.flat_entities[i].initial_share = node.backed.entry(i);
-    node.flat_entities[i].weight = node.flat_entities[i].initial_share.sum();
+  if (level == alloc::PolicyLevel::kFlat) {
+    node.flat_entities.assign(n, alloc::AllocationEntity());
+    for (std::size_t i = 0; i < n; ++i) {
+      node.flat_entities[i].initial_share = node.backed.entry(i);
+      node.flat_entities[i].weight =
+          node.flat_entities[i].initial_share.sum();
+    }
   }
 
   // The tenant level's grouping: the slots ordered by tenant (ascending,
@@ -252,10 +259,6 @@ void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
     v->assign(n, 0.0);
   }
   node.wmm_order.assign(n, 0);
-  for (std::vector<ResourceVector>* v :
-       {&node.hv_shares, &node.hv_demand, &node.hv_realized}) {
-    v->assign(n, ResourceVector(kDefaultResourceCount));
-  }
 }
 
 /// Computes share entitlements for one node and one window into
@@ -462,12 +465,17 @@ void check_scenario(const Scenario& scenario) {
 }
 
 /// (Re)builds a node's allocation scaffolding, and with actuators on its
-/// hypervisor facade, from its current slot list: at set-up and after
-/// live migrations reshuffle the slots.  With actuators off nothing reads
-/// the facade, so none is built.
+/// hypervisor facade and the facade's per-VM buffers, from its current
+/// slot list: at set-up and after live migrations reshuffle the slots.
+/// With actuators off nothing reads the facade, so none is built.
 void rebuild_node(const RunContext& run, NodeState& node) {
-  refresh_alloc_cache(node, run.capacity(node.host), run.pricing);
+  refresh_alloc_cache(node, run.capacity(node.host), run.pricing,
+                      run.policy.level);
   if (!run.config.use_actuators) return;
+  for (std::vector<ResourceVector>* v :
+       {&node.hv_shares, &node.hv_demand, &node.hv_realized}) {
+    v->assign(node.slots.size(), ResourceVector(kDefaultResourceCount));
+  }
   hv::HypervisorNode::Config hv_config;
   hv_config.capacity = run.capacity(node.host);
   hv_config.pricing = run.pricing;
@@ -497,7 +505,16 @@ std::vector<NodeState> place_vms(const RunContext& run) {
   const std::set<std::pair<std::size_t, std::size_t>> unplaced(
       scenario.unplaced.begin(), scenario.unplaced.end());
   std::vector<NodeState> nodes(run.host_count());
-  for (std::size_t h = 0; h < nodes.size(); ++h) nodes[h].host = h;
+  std::vector<std::size_t> placed(nodes.size(), 0);
+  for (std::size_t t = 0; t < run.tenant_count(); ++t) {
+    for (std::size_t j = 0; j < scenario.host_of[t].size(); ++j) {
+      if (!unplaced.contains({t, j})) ++placed[scenario.host_of[t][j]];
+    }
+  }
+  for (std::size_t h = 0; h < nodes.size(); ++h) {
+    nodes[h].host = h;
+    nodes[h].slots.reserve(placed[h]);
+  }
   for (std::size_t t = 0; t < run.tenant_count(); ++t) {
     const auto& vms = scenario.cluster.tenants()[t].vms;
     for (std::size_t j = 0; j < vms.size(); ++j) {

@@ -55,6 +55,22 @@ TEST(Cluster, DefaultMaxMemoryIsHostCapacity) {
   Cluster cluster({paper_host()}, PricingModel::example_default());
   cluster.add_tenant(tenant_with("A", {ResourceVector{1.0, 1.0}}));
   EXPECT_DOUBLE_EQ(cluster.tenants()[0].vms[0].max_mem_gb, 23.0);
+
+  // Heterogeneous hosts whose largest memory is neither first nor last
+  // (and not on the host with the most CPU): a VM without a ceiling of its
+  // own gets the largest, in every tenant added; one that sets it keeps it.
+  Cluster mixed({HostSpec{"small", ResourceVector{10.0, 8.0}},
+                 HostSpec{"big", ResourceVector{10.0, 64.0}},
+                 HostSpec{"fast", ResourceVector{40.0, 32.0}}},
+                PricingModel::example_default());
+  TenantSpec own = tenant_with(
+      "B", {ResourceVector{1.0, 1.0}, ResourceVector{1.0, 2.0}});
+  own.vms[1].max_mem_gb = 12.5;
+  mixed.add_tenant(own);
+  mixed.add_tenant(tenant_with("C", {ResourceVector{1.0, 1.0}}));
+  EXPECT_DOUBLE_EQ(mixed.tenants()[0].vms[0].max_mem_gb, 64.0);
+  EXPECT_DOUBLE_EQ(mixed.tenants()[0].vms[1].max_mem_gb, 12.5);
+  EXPECT_DOUBLE_EQ(mixed.tenants()[1].vms[0].max_mem_gb, 64.0);
 }
 
 TEST(Cluster, ValidatesInput) {
