@@ -84,17 +84,22 @@ std::string csv_escape(const std::string& cell) {
 }
 }  // namespace
 
+void write_csv(std::ostream& out,
+               const std::vector<std::vector<std::string>>& rows) {
+  for (const auto& row : rows) {
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (i != 0) out << ',';
+      out << csv_escape(row[i]);
+    }
+    out << '\n';
+  }
+}
+
 void write_csv(const std::string& path,
                const std::vector<std::vector<std::string>>& rows) {
   std::ofstream f(path);
   if (!f) throw DomainError("cannot open CSV file for writing: " + path);
-  for (const auto& row : rows) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i != 0) f << ',';
-      f << csv_escape(row[i]);
-    }
-    f << '\n';
-  }
+  write_csv(f, rows);
   if (!f.flush()) throw DomainError("write failure on CSV file: " + path);
 }
 

@@ -42,5 +42,8 @@ class TextTable {
 /// failure.  Cells containing commas/quotes are quoted.
 void write_csv(const std::string& path,
                const std::vector<std::vector<std::string>>& rows);
+/// The same rows to a stream the caller opened and checks.
+void write_csv(std::ostream& out,
+               const std::vector<std::vector<std::string>>& rows);
 
 }  // namespace rrf

@@ -3,7 +3,8 @@
 // Every tool that takes a policy name checks it with policy_or_exit(),
 // reads every numeric flag value with parse_number() and opens every
 // output file with open_output(), so bad input and an unwritable path
-// both exit 2.
+// both exit 2; files written after the run (PendingOutput,
+// ObservabilityOutputs) are opened before it, so that exit comes first.
 #pragma once
 
 #include <charconv>
@@ -14,6 +15,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 
 #include "alloc/policy.hpp"
 #include "common/error.hpp"
@@ -68,68 +70,106 @@ inline std::ofstream open_output(const std::string& path) {
   return out;
 }
 
-/// Opens `path`, lets `write` fill it and flushes it; throws DomainError
-/// when the file cannot be opened or the disk refuses the write.
-template <typename Write>
-void write_output(const std::string& path, Write&& write) {
-  std::ofstream out = open_output(path);
-  write(out);
-  if (!out.flush()) throw DomainError("write failed: " + path);
-}
+/// An output file that is opened before the run and written after it, so
+/// an unwritable path exits 2 before any window runs.  An empty path asks
+/// for no output.
+class PendingOutput {
+ public:
+  explicit PendingOutput(std::string path) : path_(std::move(path)) {
+    if (!path_.empty()) out_ = open_output(path_);
+  }
 
-/// Writes the --trace, --profile and --metrics files a tool was asked for
-/// (an empty path skips that output).  The extension picks the format:
-/// a trace is Chrome JSON or, for .jsonl, JSONL; a profile is Chrome JSON
-/// for .json, else collapsed stacks; metrics are JSON, or CSV / .prom.
-inline void write_observability_outputs(const std::string& trace_path,
-                                        const std::string& profile_path,
-                                        const std::string& metrics_path) {
-  if (!trace_path.empty()) {
-    write_output(trace_path, [&](std::ostream& out) {
-      if (trace_path.ends_with(".jsonl")) {
-        obs::tracer().write_jsonl(out);
-      } else {
-        obs::tracer().write_chrome_trace(out);
+  explicit operator bool() const { return !path_.empty(); }
+  const std::string& path() const { return path_; }
+
+  /// Lets `fill` write the file and flushes it; throws DomainError when
+  /// the disk refuses the write.
+  template <typename Fill>
+  void write(Fill&& fill) {
+    fill(out_);
+    if (!out_.flush()) throw DomainError("write failed: " + path_);
+  }
+
+ private:
+  std::string path_;
+  std::ofstream out_;
+};
+
+/// The --trace, --profile and --metrics files a tool was asked for (an
+/// empty path skips that output), opened when constructed; write() fills
+/// them after the run.  The extension picks the format: a trace is Chrome
+/// JSON or, for .jsonl, JSONL; a profile is Chrome JSON for .json, else
+/// collapsed stacks; metrics are JSON, or CSV / .prom.
+class ObservabilityOutputs {
+ public:
+  ObservabilityOutputs(std::string trace_path, std::string profile_path,
+                       std::string metrics_path)
+      : trace_(std::move(trace_path)),
+        profile_(std::move(profile_path)),
+        metrics_(std::move(metrics_path)) {}
+
+  void write() {
+    if (trace_) {
+      trace_.write([&](std::ostream& out) {
+        if (trace_.path().ends_with(".jsonl")) {
+          obs::tracer().write_jsonl(out);
+        } else {
+          obs::tracer().write_chrome_trace(out);
+        }
+      });
+      std::cout << "wrote " << trace_.path() << " ("
+                << obs::tracer().events().size() << " events";
+      if (obs::tracer().dropped() > 0) {
+        std::cout << ", " << obs::tracer().dropped()
+                  << " dropped to ring wraparound";
       }
-    });
-    std::cout << "wrote " << trace_path << " ("
-              << obs::tracer().events().size() << " events";
-    if (obs::tracer().dropped() > 0) {
-      std::cout << ", " << obs::tracer().dropped()
-                << " dropped to ring wraparound";
+      std::cout << ")\n";
     }
-    std::cout << ")\n";
-  }
-  if (!profile_path.empty()) {
-    const obs::ProfileSnapshot snapshot = obs::profile_snapshot();
-    if (obs::metrics_enabled()) {
-      // Land profile.* gauges in the same snapshot/exposition as the
-      // tool's own counters.
-      obs::publish_profile_metrics(obs::metrics(), snapshot);
+    if (profile_) {
+      const obs::ProfileSnapshot snapshot = obs::profile_snapshot();
+      if (obs::metrics_enabled()) {
+        // Land profile.* gauges in the same snapshot/exposition as the
+        // tool's own counters.
+        obs::publish_profile_metrics(obs::metrics(), snapshot);
+      }
+      profile_.write([&](std::ostream& out) {
+        if (profile_.path().ends_with(".json")) {
+          obs::write_chrome_profile(out, snapshot);
+        } else {
+          obs::write_collapsed(out, snapshot);
+        }
+      });
+      std::cout << "wrote " << profile_.path() << " ("
+                << snapshot.merged.size() << " call-tree sites over "
+                << snapshot.threads.size() << " thread(s))\n";
     }
-    write_output(profile_path, [&](std::ostream& out) {
-      if (profile_path.ends_with(".json")) {
-        obs::write_chrome_profile(out, snapshot);
-      } else {
-        obs::write_collapsed(out, snapshot);
-      }
-    });
-    std::cout << "wrote " << profile_path << " (" << snapshot.merged.size()
-              << " call-tree sites over " << snapshot.threads.size()
-              << " thread(s))\n";
+    if (metrics_) {
+      metrics_.write([&](std::ostream& out) {
+        if (metrics_.path().ends_with(".csv")) {
+          obs::metrics().write_csv(out);
+        } else if (metrics_.path().ends_with(".prom")) {
+          obs::write_prometheus(out, obs::metrics());
+        } else {
+          obs::metrics().write_json(out);
+        }
+      });
+      std::cout << "wrote " << metrics_.path() << "\n";
+    }
   }
-  if (!metrics_path.empty()) {
-    write_output(metrics_path, [&](std::ostream& out) {
-      if (metrics_path.ends_with(".csv")) {
-        obs::metrics().write_csv(out);
-      } else if (metrics_path.ends_with(".prom")) {
-        obs::write_prometheus(out, obs::metrics());
-      } else {
-        obs::metrics().write_json(out);
-      }
-    });
-    std::cout << "wrote " << metrics_path << "\n";
-  }
+
+ private:
+  PendingOutput trace_;
+  PendingOutput profile_;
+  PendingOutput metrics_;
+};
+
+/// Switches on the sinks whose outputs a tool was asked for, and names
+/// the calling thread "main" for the trace's and the profile's tracks.
+inline void enable_observability(bool trace, bool metrics, bool profile) {
+  obs::set_tracing_enabled(trace);
+  obs::set_metrics_enabled(metrics);
+  obs::set_profiling_enabled(profile);
+  if (trace || profile) obs::set_thread_name("main");
 }
 
 }  // namespace rrf::tools

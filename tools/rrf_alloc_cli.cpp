@@ -116,12 +116,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  obs::set_tracing_enabled(!trace_path.empty());
-  obs::set_metrics_enabled(!metrics_path.empty());
-  obs::set_profiling_enabled(!profile_path.empty());
-  if (obs::profiling_enabled()) obs::set_thread_name("main");
-
   try {
+    // Opened before the round: an unwritable path exits 2 at once.
+    tools::ObservabilityOutputs outputs(trace_path, profile_path,
+                                        metrics_path);
+    tools::enable_observability(!trace_path.empty(), !metrics_path.empty(),
+                                !profile_path.empty());
     const alloc::AllocationResult result =
         policy.allocator->allocate(capacity, entities);
     std::cout << "policy: " << policy_name << ", capacity "
@@ -138,8 +138,7 @@ int main(int argc, char** argv) {
       std::cout << "wrote " << record_path << " ("
                 << recorder.bytes_written() << " bytes)\n";
     }
-    tools::write_observability_outputs(trace_path, profile_path,
-                                       metrics_path);
+    outputs.write();
   } catch (const std::exception& e) {
     // A failed write (full disk, unwritable path) exits 2, like any tool.
     std::cerr << "error: " << e.what() << "\n";

@@ -373,10 +373,13 @@ void print_alert_summary(const sim::SimResult& result) {
 int run(int argc, char** argv) {
   const CliOptions options = parse(argc, argv);
   const bool serve_ops = options.serve_ops_port >= 0;
-  obs::set_tracing_enabled(!options.trace_path.empty());
-  obs::set_metrics_enabled(!options.metrics_path.empty() || serve_ops);
-  obs::set_profiling_enabled(!options.profile_path.empty());
-  if (obs::profiling_enabled()) obs::set_thread_name("main");
+  // Opened before anything runs: an unwritable path exits 2 at once.
+  tools::ObservabilityOutputs outputs(options.trace_path, options.profile_path,
+                                      options.metrics_path);
+  tools::PendingOutput csv_out(options.csv);
+  tools::enable_observability(!options.trace_path.empty(),
+                              !options.metrics_path.empty() || serve_ops,
+                              !options.profile_path.empty());
 
   std::unique_ptr<obs::OpsHub> hub;
   if (serve_ops) hub = std::make_unique<obs::OpsHub>();
@@ -528,12 +531,11 @@ int run(int argc, char** argv) {
     std::cout << ")\n";
   }
   if (incidents) print_incident_summary(*incidents);
-  if (!options.csv.empty()) {
-    write_csv(options.csv, csv);
+  if (csv_out) {
+    csv_out.write([&](std::ostream& out) { write_csv(out, csv); });
     std::cout << "wrote " << options.csv << "\n";
   }
-  tools::write_observability_outputs(options.trace_path, options.profile_path,
-                                     options.metrics_path);
+  outputs.write();
   if (server) {
     if (options.serve_hold > 0.0) {
       // Flushed: a scraper commonly stops the process during the hold,
