@@ -214,11 +214,14 @@ HarnessConfig scale_config() {
   HarnessConfig config;
   config.policies = {sim::PolicyKind::kRrf};
   // 1024 nodes x 100 VMs = 102,400 VM slots; every window allocates all
-  // of them, so a handful of windows is already minutes of node-seconds.
+  // of them, tens of milliseconds on one core.  A cell's rate is its
+  // rounds over the timed trial's wall time, engine set-up included; over
+  // 6 windows it wandered by 30% from one run to the next, too much to
+  // resolve a 10% change.  24 windows still keep a --scale run to seconds.
   config.sweep = {{1024, 100, 32}};
   config.warmup = 1;
   config.trials = 1;
-  config.windows = 6;
+  config.windows = 24;
   config.parallel_nodes = true;
   // Serial baseline first, then two shard widths: one near a small
   // host's core count and one oversubscribed for steal-based balance.

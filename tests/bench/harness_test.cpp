@@ -78,8 +78,10 @@ TEST(BenchHarness, ScaleConfigMeetsTheTierContract) {
   EXPECT_GE(config.sweep[0].nodes, 1024u);
   EXPECT_GE(config.sweep[0].nodes * config.sweep[0].vms_per_node, 100'000u);
   EXPECT_TRUE(config.parallel_nodes);
-  // One untimed warm-up trial, so the timed trial starts warm.
+  // One untimed warm-up trial, so the timed trial starts warm, and enough
+  // timed windows per cell for its median to resolve a 10% change.
   EXPECT_EQ(config.warmup, 1u);
+  EXPECT_GE(config.trials * config.windows, 24u);
   // A serial baseline plus at least one sharded measurement, so the
   // serial-vs-sharded ratio reads off one report.
   ASSERT_GE(config.shard_counts.size(), 2u);
