@@ -5,8 +5,9 @@
 // positions, tenant-level edge cases (share fallback, oversold pools,
 // Lambda = 0 beneficiaries, tied and -0.0 keys, banked credit, one tenant,
 // 1e-12 / 1e12 magnitudes), weighted max-min water-fills past
-// std::sort's insertion-sort cutoff and the random draws behind the
-// workloads' per-VM demands — against a checked-in golden file.  The
+// std::sort's insertion-sort cutoff, the random draws behind the
+// workloads' per-VM demands, DRF and sequential DRF edge cases and seeded
+// inputs, and flat IRT in the engine — against a checked-in golden file.  The
 // golden was generated from the pre-optimization allocation path; the
 // cached tenant-grouping, scratch-buffer reuse and thread-pool chunking
 // optimizations must keep every number identical, which is exactly what
@@ -21,10 +22,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc/drf.hpp"
 #include "alloc/irt.hpp"
 #include "alloc/iwa.hpp"
 #include "alloc/rrf.hpp"
@@ -217,44 +220,54 @@ void capture_engine_paths(std::vector<std::string>* lines) {
               lines);
 }
 
-/// Engine-level capture: per-window tenant positions for every policy,
-/// with and without hypervisor actuation (serial node order), then the
-/// migration and periodicity runs.
-void capture_engine(std::vector<std::string>* lines) {
+/// The engine capture's 3-node, 5-VM, 4-tenant synthetic scenario.
+sim::Scenario engine_scenario() {
   sim::SyntheticConfig syn;
   syn.nodes = 3;
   syn.vms_per_node = 5;
   syn.tenants = 4;
   syn.seed = 77;
-  const sim::Scenario scenario = sim::make_synthetic_scenario(syn);
+  return sim::make_synthetic_scenario(syn);
+}
 
+/// One policy's per-window tenant positions over six windows, with or
+/// without hypervisor actuation (serial node order), then its utilization.
+void capture_policy(const sim::Scenario& scenario, sim::PolicyKind policy,
+                    bool actuators, std::vector<std::string>* lines) {
+  sim::EngineConfig config;
+  config.policy = policy;
+  config.window = 5.0;
+  config.duration = 30.0;
+  config.use_actuators = actuators;
+  config.parallel_nodes = false;  // deterministic aggregation order
+  const std::string tag = sim::to_string(policy) +
+                          (actuators ? "+hv" : "+raw");
+  config.observer = [&](const sim::WindowSnapshot& snapshot) {
+    for (std::size_t t = 0; t < snapshot.tenant_position.size(); ++t) {
+      lines->push_back(
+          "engine " + tag + " w" + std::to_string(snapshot.window) + " t" +
+          std::to_string(t) + " pos " + hex(snapshot.tenant_position[t]) +
+          " dem " + hex(snapshot.tenant_demand[t]) + " score " +
+          hex(snapshot.tenant_score[t]));
+    }
+  };
+  const sim::SimResult result = sim::run_simulation(scenario, config);
+  lines->push_back("engine " + tag + " util " +
+                   hex_vector(result.mean_utilization));
+}
+
+/// Engine-level capture: per-window tenant positions for every policy but
+/// flat IRT, with and without hypervisor actuation, then the migration and
+/// periodicity runs.
+void capture_engine(std::vector<std::string>* lines) {
+  const sim::Scenario scenario = engine_scenario();
   for (const bool actuators : {false, true}) {
     for (const sim::PolicyKind policy :
          {sim::PolicyKind::kTshirt, sim::PolicyKind::kWmmf,
           sim::PolicyKind::kDrf, sim::PolicyKind::kDrfSeq,
           sim::PolicyKind::kIwaOnly, sim::PolicyKind::kRrf,
           sim::PolicyKind::kRrfSp, sim::PolicyKind::kRrfLt}) {
-      sim::EngineConfig config;
-      config.policy = policy;
-      config.window = 5.0;
-      config.duration = 30.0;
-      config.use_actuators = actuators;
-      config.parallel_nodes = false;  // deterministic aggregation order
-      const std::string tag = sim::to_string(policy) +
-                              (actuators ? "+hv" : "+raw");
-      config.observer = [&](const sim::WindowSnapshot& snapshot) {
-        for (std::size_t t = 0; t < snapshot.tenant_position.size(); ++t) {
-          lines->push_back(
-              "engine " + tag + " w" + std::to_string(snapshot.window) +
-              " t" + std::to_string(t) + " pos " +
-              hex(snapshot.tenant_position[t]) + " dem " +
-              hex(snapshot.tenant_demand[t]) + " score " +
-              hex(snapshot.tenant_score[t]));
-        }
-      };
-      const sim::SimResult result = sim::run_simulation(scenario, config);
-      lines->push_back("engine " + tag + " util " +
-                       hex_vector(result.mean_utilization));
+      capture_policy(scenario, policy, actuators, lines);
     }
   }
   capture_engine_paths(lines);
@@ -529,6 +542,117 @@ void capture_workload_draws(std::vector<std::string>* lines) {
   }
 }
 
+/// One DRF input: a capacity and the users, with an explicit weight or
+/// (0) their shares' sum.
+struct DrfCase {
+  std::string name;
+  ResourceVector capacity;
+  std::vector<alloc::AllocationEntity> users;
+};
+
+alloc::AllocationEntity drf_user(ResourceVector share, ResourceVector demand,
+                                 double weight = 0.0) {
+  alloc::AllocationEntity e = edge_vm(share, demand);
+  e.weight = weight;
+  return e;
+}
+
+/// Seeded users over p types: shares in [100, 1000], demands at 0.2..2.2
+/// times the share with one user in eight demanding nothing and one
+/// demand in eight zero, every third user with an explicit weight in
+/// [0.5, 4], and a capacity of 0.6 times the summed demand per type.
+DrfCase drf_random(std::size_t m, std::size_t p, std::uint64_t seed) {
+  Rng rng(seed);
+  DrfCase c{"m" + std::to_string(m) + " p" + std::to_string(p),
+            ResourceVector(p),
+            {}};
+  for (std::size_t i = 0; i < m; ++i) {
+    alloc::AllocationEntity e = drf_user(ResourceVector(p), ResourceVector(p));
+    const bool idle = rng.uniform(0.0, 1.0) < 0.125;
+    for (std::size_t k = 0; k < p; ++k) {
+      e.initial_share[k] = rng.uniform(100.0, 1000.0);
+      const double scale = rng.uniform(0.2, 2.2);
+      const bool zero = idle || rng.uniform(0.0, 1.0) < 0.125;
+      e.demand[k] = zero ? 0.0 : e.initial_share[k] * scale;
+      c.capacity[k] += 0.6 * e.demand[k];
+    }
+    if (i % 3 == 2) e.weight = rng.uniform(0.5, 4.0);
+    c.users.push_back(e);
+  }
+  for (std::size_t k = 0; k < p; ++k) {
+    if (c.capacity[k] == 0.0) c.capacity[k] = 1.0;
+  }
+  return c;
+}
+
+std::vector<DrfCase> drf_cases() {
+  std::vector<DrfCase> cases;
+  cases.push_back({"one-user", {400.0, 400.0},
+                   {drf_user({500.0, 200.0}, {700.0, 100.0})}});
+  cases.push_back({"zero-demand",
+                   {600.0, 500.0},
+                   {drf_user({300.0, 300.0}, {0.0, 0.0}),
+                    drf_user({300.0, 200.0}, {500.0, 0.0}),
+                    drf_user({200.0, 300.0}, {0.0, 0.0}),
+                    drf_user({400.0, 100.0}, {300.0, 450.0}),
+                    drf_user({100.0, 400.0}, {0.0, 800.0})}});
+  cases.push_back({"zero-capacity-type",
+                   {1000.0, 0.0, 500.0},
+                   {drf_user({300.0, 0.0, 200.0}, {600.0, 0.0, 100.0}),
+                    drf_user({200.0, 0.0, 300.0}, {300.0, 0.0, 400.0}),
+                    drf_user({500.0, 0.0, 100.0}, {900.0, 0.0, 300.0})}});
+  cases.push_back({"exhaust-first",
+                   {100.0, 1000.0},
+                   {drf_user({300.0, 300.0}, {900.0, 50.0}),
+                    drf_user({300.0, 300.0}, {800.0, 900.0}),
+                    drf_user({300.0, 300.0}, {700.0, 2000.0})}});
+  std::vector<alloc::AllocationEntity> tied;
+  for (int i = 0; i < 5; ++i) {
+    tied.push_back(drf_user({200.0, 200.0}, {300.0, 150.0}));
+  }
+  tied.push_back(drf_user({200.0, 200.0}, {150.0, 300.0}));
+  cases.push_back({"equal-shares", {1000.0, 1000.0}, tied});
+  cases.push_back({"mixed-weights",
+                   {900.0, 700.0},
+                   {drf_user({100.0, 100.0}, {400.0, 300.0}, 1.0),
+                    drf_user({100.0, 100.0}, {400.0, 300.0}, 2.0),
+                    drf_user({100.0, 100.0}, {300.0, 400.0}, 3.0),
+                    drf_user({100.0, 100.0}, {100.0, 50.0}, 0.5),
+                    drf_user({100.0, 100.0}, {500.0, 500.0}, 4.0)}});
+  for (const std::size_t m : {1u, 2u, 8u, 17u, 100u, 257u}) {
+    for (const std::size_t p : {1u, 2u, 3u, 4u}) {
+      cases.push_back(drf_random(m, p, 6000 + m * 10 + p));
+    }
+  }
+  return cases;
+}
+
+/// Kernel-level DRF and sequential DRF over the cases above: eight users'
+/// allocations per line, then the idle shares.
+void capture_drf(std::vector<std::string>* lines) {
+  const alloc::DrfAllocator drf;
+  const alloc::SequentialDrfAllocator drf_seq;
+  for (const DrfCase& c : drf_cases()) {
+    for (const auto& [name, allocator] :
+         {std::pair<const char*, const alloc::Allocator*>{"drf", &drf},
+          std::pair<const char*, const alloc::Allocator*>{"drf-seq",
+                                                          &drf_seq}}) {
+      const alloc::AllocationResult r = allocator->allocate(c.capacity, c.users);
+      const std::string tag = std::string(name) + " " + c.name;
+      for (std::size_t i = 0; i < r.allocations.size(); i += 8) {
+        const std::size_t last = std::min(r.allocations.size(), i + 8) - 1;
+        std::string line = tag + " e" + std::to_string(i) + "-" +
+                           std::to_string(last);
+        for (std::size_t j = i; j <= last; ++j) {
+          line += " " + hex_vector(r.allocations[j]);
+        }
+        lines->push_back(line);
+      }
+      lines->push_back(tag + " unallocated " + hex_vector(r.unallocated));
+    }
+  }
+}
+
 std::vector<std::string> capture_all() {
   std::vector<std::string> lines;
   capture_allocators(&lines);
@@ -536,6 +660,11 @@ std::vector<std::string> capture_all() {
   capture_edge_cases(&lines);
   capture_water_fills(&lines);
   capture_workload_draws(&lines);
+  capture_drf(&lines);
+  const sim::Scenario scenario = engine_scenario();
+  for (const bool actuators : {false, true}) {
+    capture_policy(scenario, sim::PolicyKind::kIrt, actuators, &lines);
+  }
   return lines;
 }
 
