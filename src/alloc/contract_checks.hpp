@@ -1,6 +1,6 @@
 // Shared post-allocation contract checks (see docs/STATIC_ANALYSIS.md).
 //
-// Every policy's allocate_into() must produce a result that is
+// Every policy's allocate_flat() must produce a result that is
 //  * non-negative,
 //  * within capacity per resource type,
 //  * consistent with its own unallocated report
@@ -23,17 +23,10 @@ struct AllocationContractOptions {
   bool demand_capped = false;
 };
 
-/// Post-conditions common to every Allocator::allocate_into() result.
-/// `policy` names the policy in violation messages; the contract sites
-/// are the stable "alloc.*" identifiers.
-void check_allocation_contracts(const char* policy,
-                                const ResourceVector& capacity,
-                                std::span<const AllocationEntity> entities,
-                                const AllocationResult& result,
-                                const AllocationContractOptions& options = {});
-
-/// The same post-conditions over type-major columns: entity i's type-k
-/// allocation at allocation[k * m + i] and demand at demand[k * m + i].
+/// Post-conditions common to every policy's result, over type-major
+/// columns: entity i's type-k allocation at allocation[k * m + i] and
+/// demand at demand[k * m + i].  `policy` names the policy in violation
+/// messages; the contract sites are the stable "alloc.*" identifiers.
 void check_column_contracts(const char* policy,
                             const ResourceVector& capacity, std::size_t m,
                             std::span<const double> demand,

@@ -7,7 +7,9 @@
 //    progressive filling: all unsatisfied users rise together at equal
 //    weighted dominant share; a user freezes when fully satisfied or when a
 //    resource type it demands is exhausted.  This is the textbook policy
-//    (it can strand capacity of non-saturated resources).
+//    (it can strand capacity of non-saturated resources).  Each event
+//    walks only the users still filling, kept as an ascending list that
+//    shrinks as they freeze.
 //
 //  * SequentialDrfAllocator — the arithmetic the paper uses in Table I:
 //    users are fully satisfied in ascending order of weighted dominant
@@ -22,16 +24,18 @@ namespace rrf::alloc {
 
 class DrfAllocator final : public Allocator {
  public:
-  void allocate_into(const ResourceVector& capacity,
-                     std::span<const AllocationEntity> entities,
-                     Workspace& ws, AllocationResult& out) const override;
+  void allocate_flat(const ResourceVector& capacity, const FlatColumns& in,
+                     Workspace& ws, std::span<double> grant,
+                     ResourceVector& unallocated,
+                     std::vector<double>* lambda) const override;
 };
 
 class SequentialDrfAllocator final : public Allocator {
  public:
-  void allocate_into(const ResourceVector& capacity,
-                     std::span<const AllocationEntity> entities,
-                     Workspace& ws, AllocationResult& out) const override;
+  void allocate_flat(const ResourceVector& capacity, const FlatColumns& in,
+                     Workspace& ws, std::span<double> grant,
+                     ResourceVector& unallocated,
+                     std::vector<double>* lambda) const override;
 };
 
 }  // namespace rrf::alloc

@@ -66,13 +66,6 @@ struct AllocationResult {
 void validate_entities(const ResourceVector& capacity,
                        std::span<const AllocationEntity> entities);
 
-/// validate_entities' checks on type-major columns (`entities` per type,
-/// one type per capacity component): at least one entity, a finite
-/// non-negative capacity, and finite non-negative shares and demands.
-void validate_columns(const ResourceVector& capacity, std::size_t entities,
-                      std::span<const double> share,
-                      std::span<const double> demand);
-
 /// Aggregate demand over all entities.
 ResourceVector total_demand(std::span<const AllocationEntity> entities);
 

@@ -15,9 +15,10 @@
 //    branch-free merge sort on a packed key); the boundary index v is
 //    located by binary search (the satisfiability predicate is monotone —
 //    proven in irt.cpp) or by linear scan for the ablation bench.
-//  * It runs over type-major columns (IrtColumns): the tenant level hands
-//    it the tenants' summed columns, the entity entry points lay their
-//    entities out into workspace columns first.
+//  * It runs over type-major columns (FlatColumns): the tenant level hands
+//    it the tenants' summed columns, the engine's flat level its node
+//    arrays, and the entity entry points lay their entities out into
+//    workspace columns first.
 //  * Line 20 of the paper's pseudo-code distributes Psi * Lambda(v+1)/Sum;
 //    the worked example (Table II) shows each tenant i receives
 //    Psi * Lambda(i)/Sum — we implement the latter.
@@ -67,26 +68,16 @@ struct IrtTypeTrace {
   double redistributed{0.0};         ///< Psi_k handed to the suffix
 };
 
-/// IRT's input over m entities (tenants, or flat entities each its own
-/// tenant), type-major like TenantColumns: entity i's type-k share S(i)
-/// and demand D(i) at [k * m + i].
-struct IrtColumns {
-  std::size_t entities{0};
-  std::span<const double> share;
-  std::span<const double> demand;
-  /// Per entity, rrf-lt's banked credit; empty when nothing is banked.
-  std::span<const double> banked;
-};
-
 class IrtAllocator final : public Allocator {
  public:
   explicit IrtAllocator(IrtOptions options = {}) : options_(options) {}
 
-  /// Lays the entities out into workspace columns and runs
-  /// allocate_columns.
-  void allocate_into(const ResourceVector& capacity,
-                     std::span<const AllocationEntity> entities,
-                     Workspace& ws, AllocationResult& out) const override;
+  /// allocate_columns with Lambda(i) in `*lambda`, or in ws.lambda when
+  /// `lambda` is null.
+  void allocate_flat(const ResourceVector& capacity, const FlatColumns& in,
+                     Workspace& ws, std::span<double> grant,
+                     ResourceVector& unallocated,
+                     std::vector<double>* lambda) const override;
 
   /// Like allocate() but also fills per-type traces (one per resource).
   AllocationResult allocate_traced(const ResourceVector& capacity,
@@ -94,11 +85,11 @@ class IrtAllocator final : public Allocator {
                                    std::vector<IrtTypeTrace>* traces) const;
 
   /// The one implementation: writes each entity's grant S'(i) into
-  /// `grant` (laid out like `in`), the idle shares per type into
+  /// `grant` (laid out like in.share), the idle shares per type into
   /// `unallocated` and Lambda(i) into `lambda`, taking its scratch from
-  /// `ws` (whose tenant columns it neither reads nor writes).  `traces`
-  /// may be null.
-  void allocate_columns(const ResourceVector& capacity, const IrtColumns& in,
+  /// `ws` (whose tenant and entity columns it neither reads nor writes).
+  /// It reads no weights.  `traces` may be null.
+  void allocate_columns(const ResourceVector& capacity, const FlatColumns& in,
                         Workspace& ws, std::span<double> grant,
                         ResourceVector& unallocated, std::span<double> lambda,
                         std::vector<IrtTypeTrace>* traces) const;
@@ -109,12 +100,6 @@ class IrtAllocator final : public Allocator {
       std::span<const AllocationEntity> entities);
 
  private:
-  /// allocate_into and allocate_traced: `traces` may be null.
-  void allocate_impl(const ResourceVector& capacity,
-                     std::span<const AllocationEntity> entities,
-                     Workspace& ws, AllocationResult& result,
-                     std::vector<IrtTypeTrace>* traces) const;
-
   IrtOptions options_;
 };
 

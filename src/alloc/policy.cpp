@@ -20,31 +20,32 @@ namespace {
 /// oversell the pool), and IWA on one VM caps that share at its demand.
 class IwaOnlyAllocator final : public Allocator {
  public:
-  void allocate_into(const ResourceVector& capacity,
-                     std::span<const AllocationEntity> entities,
-                     Workspace& /*ws*/,
-                     AllocationResult& result) const override {
-    validate_entities(capacity, entities);
-    const ResourceVector sold = total_share(entities);
-    result.allocations.resize(entities.size());
-    result.contribution_lambda.clear();
-    ResourceVector used(capacity.size());
-    for (std::size_t i = 0; i < entities.size(); ++i) {
-      const AllocationEntity& e = entities[i];
-      ResourceVector own = e.initial_share;
-      for (std::size_t k = 0; k < capacity.size(); ++k) {
-        if (sold[k] > capacity[k]) own[k] *= capacity[k] / sold[k];
+  void allocate_flat(const ResourceVector& capacity, const FlatColumns& in,
+                     Workspace& /*ws*/, std::span<double> grant,
+                     ResourceVector& unallocated,
+                     std::vector<double>* /*lambda*/) const override {
+    validate_columns(capacity, in);
+    const std::size_t p = capacity.size();
+    const std::size_t m = in.entities;
+    RRF_REQUIRE(grant.size() == p * m, "iwa column length mismatch");
+    unallocated = ResourceVector(p);
+    for (std::size_t k = 0; k < p; ++k) {
+      const double* share = in.share.data() + k * m;
+      const double* demand = in.demand.data() + k * m;
+      double sold = 0.0;
+      for (std::size_t i = 0; i < m; ++i) sold += share[i];
+      double used = 0.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        double own = share[i];
+        if (sold > capacity[k]) own *= capacity[k] / sold;
+        grant[k * m + i] = std::min(own, demand[i]);
+        used += grant[k * m + i];
       }
-      result.allocations[i] = ResourceVector::elementwise_min(own, e.demand);
-      used += result.allocations[i];
-    }
-    result.unallocated = ResourceVector(capacity.size());
-    for (std::size_t k = 0; k < capacity.size(); ++k) {
-      result.unallocated[k] = std::max(0.0, capacity[k] - used[k]);
+      unallocated[k] = std::max(0.0, capacity[k] - used);
     }
     if (contract::armed()) {
-      check_allocation_contracts("iwa", capacity, entities, result,
-                                 {.demand_capped = true});
+      check_column_contracts("iwa", capacity, m, in.demand, grant,
+                             unallocated, {.demand_capped = true});
     }
   }
 };

@@ -108,9 +108,10 @@ void RrfAllocator::allocate_tenants(const ResourceVector& capacity,
   // Level 1: IRT over the tenants' summed columns.
   sum_tenants(in, ws);
   ws.tenant_grant.resize(in.types * m);
-  irt_.allocate_columns(
-      capacity, IrtColumns{m, ws.tenant_share, ws.tenant_demand, in.banked},
-      ws, ws.tenant_grant, ws.unallocated, lambda, nullptr);
+  irt_.allocate_columns(capacity,
+                        FlatColumns{in.types, m, ws.tenant_share,
+                                    ws.tenant_demand, {}, in.banked},
+                        ws, ws.tenant_grant, ws.unallocated, lambda, nullptr);
 
   // Level 2: IWA inside each tenant, seeded with its IRT entitlement.
   iwa_columns(in, ws.tenant_share, ws.tenant_grant, ws, entitlement);
@@ -141,11 +142,13 @@ void RrfAllocator::allocate_tenants(const ResourceVector& capacity,
   }
 }
 
-void RrfAllocator::allocate_into(const ResourceVector& capacity,
-                                 std::span<const AllocationEntity> entities,
-                                 Workspace& ws, AllocationResult& out) const {
+void RrfAllocator::allocate_flat(const ResourceVector& capacity,
+                                 const FlatColumns& in, Workspace& ws,
+                                 std::span<double> grant,
+                                 ResourceVector& unallocated,
+                                 std::vector<double>* lambda) const {
   // Single-VM tenants: IWA is the identity, so flat RRF == IRT.
-  irt_.allocate_into(capacity, entities, ws, out);
+  irt_.allocate_flat(capacity, in, ws, grant, unallocated, lambda);
 }
 
 }  // namespace rrf::alloc

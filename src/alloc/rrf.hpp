@@ -72,9 +72,10 @@ class RrfAllocator final : public Allocator {
                                   HierarchicalResult& out) const;
 
   /// Flat adapter: every entity is treated as a single-VM tenant.
-  void allocate_into(const ResourceVector& capacity,
-                     std::span<const AllocationEntity> entities,
-                     Workspace& ws, AllocationResult& out) const override;
+  void allocate_flat(const ResourceVector& capacity, const FlatColumns& in,
+                     Workspace& ws, std::span<double> grant,
+                     ResourceVector& unallocated,
+                     std::vector<double>* lambda) const override;
 
   const IrtAllocator& irt() const { return irt_; }
 

@@ -12,9 +12,10 @@ namespace rrf::alloc {
 
 class TShirtAllocator final : public Allocator {
  public:
-  void allocate_into(const ResourceVector& capacity,
-                     std::span<const AllocationEntity> entities,
-                     Workspace& ws, AllocationResult& out) const override;
+  void allocate_flat(const ResourceVector& capacity, const FlatColumns& in,
+                     Workspace& ws, std::span<double> grant,
+                     ResourceVector& unallocated,
+                     std::vector<double>* lambda) const override;
 };
 
 }  // namespace rrf::alloc

@@ -278,50 +278,37 @@ void weighted_max_min_into(double capacity, std::span<const double> demands,
 }
 // rrf-hot-path: end(wmmf.fill)
 
-void WmmfAllocator::allocate_into(const ResourceVector& capacity,
-                                  std::span<const AllocationEntity> entities,
-                                  Workspace& ws,
-                                  AllocationResult& result) const {
-  validate_entities(capacity, entities);
+void WmmfAllocator::allocate_flat(const ResourceVector& capacity,
+                                  const FlatColumns& in, Workspace& ws,
+                                  std::span<double> grant,
+                                  ResourceVector& unallocated,
+                                  std::vector<double>* /*lambda*/) const {
+  validate_columns(capacity, in);
   const std::size_t p = capacity.size();
-  const std::size_t m = entities.size();
-
-  result.allocations.assign(m, ResourceVector(p));
-  result.unallocated = ResourceVector(p);
-  result.contribution_lambda.clear();
-
-  std::vector<double>& demands = ws.demand;
-  std::vector<double>& weights = ws.weight;
-  std::vector<double>& alloc = ws.grant;
-  demands.resize(m);
-  weights.resize(m);
-  alloc.resize(m);
+  const std::size_t m = in.entities;
+  RRF_REQUIRE(in.weight.size() == m && grant.size() == p * m,
+              "WMMF column length mismatch");
+  unallocated = ResourceVector(p);
   ws.fill_order.resize(m);
   for (std::size_t k = 0; k < p; ++k) {
+    const std::span<const double> demands = in.demand.subspan(k * m, m);
+    std::span<const double> weights = in.share.subspan(k * m, m);
+    const std::span<double> alloc = grant.subspan(k * m, m);
     bool any_weight = false;
-    for (std::size_t i = 0; i < m; ++i) {
-      demands[i] = entities[i].demand[k];
-      weights[i] = entities[i].initial_share[k];
-      any_weight = any_weight || weights[i] > 0.0;
-    }
+    for (const double w : weights) any_weight = any_weight || w > 0.0;
     if (!any_weight) {
       // Nobody owns shares of this type: fall back to scalar weights so the
       // capacity is still distributed fairly.
-      for (std::size_t i = 0; i < m; ++i) {
-        weights[i] = entities[i].effective_weight();
-      }
+      weights = in.weight;
     }
     weighted_max_min_into(capacity[k], demands, weights, alloc,
                           ws.fill_order);
     double used = 0.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      result.allocations[i][k] = alloc[i];
-      used += alloc[i];
-    }
-    result.unallocated[k] = std::max(0.0, capacity[k] - used);
+    for (std::size_t i = 0; i < m; ++i) used += alloc[i];
+    unallocated[k] = std::max(0.0, capacity[k] - used);
 
     if (contract::armed() &&
-        result.unallocated[k] > 1e-7 * std::max(1.0, capacity[k])) {
+        unallocated[k] > 1e-7 * std::max(1.0, capacity[k])) {
       // Work conservation: capacity is only left idle when every weighted
       // user is already demand-satisfied.  Zero-weight users receive
       // nothing under contention and are exempt.
@@ -333,14 +320,14 @@ void WmmfAllocator::allocate_into(const ResourceVector& capacity,
                        std::to_string(i) + " unsatisfied (" +
                        std::to_string(alloc[i]) + " of " +
                        std::to_string(demands[i]) + ") while " +
-                       std::to_string(result.unallocated[k]) + " idles");
+                       std::to_string(unallocated[k]) + " idles");
       }
     }
   }
 
   if (contract::armed()) {
-    check_allocation_contracts("wmmf", capacity, entities, result,
-                               {.demand_capped = true});
+    check_column_contracts("wmmf", capacity, m, in.demand, grant, unallocated,
+                           {.demand_capped = true});
   }
 }
 

@@ -51,9 +51,10 @@ class WmmfAllocator final : public Allocator {
   /// Runs weighted_max_min per resource type with per-type weights equal to
   /// the entities' per-type initial shares (allocation proportional to
   /// payment, as the paper prescribes).
-  void allocate_into(const ResourceVector& capacity,
-                     std::span<const AllocationEntity> entities,
-                     Workspace& ws, AllocationResult& out) const override;
+  void allocate_flat(const ResourceVector& capacity, const FlatColumns& in,
+                     Workspace& ws, std::span<double> grant,
+                     ResourceVector& unallocated,
+                     std::vector<double>* lambda) const override;
 };
 
 }  // namespace rrf::alloc

@@ -107,11 +107,11 @@ struct TypeArrays {
 ///
 /// Besides the slot list and the hypervisor facade this carries the
 /// node's *allocation scaffolding cache*: the tenant membership lists,
-/// flat entity list, pool and capacity share vectors are functions of the
+/// flat weights, pool and capacity share vectors are functions of the
 /// slot membership only, so they are rebuilt exactly when membership
 /// changes (initial placement, live migration) instead of every round.
-/// The tenant level reads the per-type arrays in place (TenantColumns);
-/// flat policies refresh the demands of their entity list.
+/// Both policy levels read the per-type arrays in place (TenantColumns,
+/// FlatColumns) and write node.entitlement.
 /// Per-round scratch buffers, the policy's workspace and its result
 /// buffers live here too, so once they have grown to the node's size the
 /// round performs no heap allocation; NodeState is touched by one thread
@@ -147,10 +147,9 @@ struct NodeState {
   /// type sold beyond capacity the initial share times capacity / sold,
   /// else the initial share itself.  Every policy level allocates over it.
   TypeArrays backed;
-  /// Flat policies view every VM as one entity (demand refreshed per
-  /// round; initial share and weight are membership-static).  Built only
-  /// for a flat policy.
-  std::vector<alloc::AllocationEntity> flat_entities;
+  /// Flat policies view every VM as one entity weighted by its backed
+  /// share summed over types.  Built only for a flat policy.
+  std::vector<double> flat_weight;
   /// Tenants present on this node, ascending (the order std::map-based
   /// grouping used to produce, so allocations stay bit-identical).
   std::vector<std::size_t> tenant_ids;
@@ -181,14 +180,12 @@ struct NodeState {
   std::vector<ResourceVector> hv_shares;
   std::vector<ResourceVector> hv_demand;
   std::vector<ResourceVector> hv_realized;
-  /// The policy's scratch, and the flat policies' result (the tenant
-  /// level writes entitlement and tenant_lambda in place).
+  /// The policy's scratch (and the idle shares it reports).
   alloc::Workspace workspace;
-  alloc::AllocationResult flat_result;
 };
 
 /// Rebuilds the allocation scaffolding after slot membership changed; the
-/// flat entity list only for a flat policy (`level`), which alone reads it.
+/// flat weights only for a flat policy (`level`), which alone reads them.
 void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
                          const PricingModel& pricing,
                          alloc::PolicyLevel level) {
@@ -217,12 +214,8 @@ void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
   }
 
   if (level == alloc::PolicyLevel::kFlat) {
-    node.flat_entities.assign(n, alloc::AllocationEntity());
-    for (std::size_t i = 0; i < n; ++i) {
-      node.flat_entities[i].initial_share = node.backed.entry(i);
-      node.flat_entities[i].weight =
-          node.flat_entities[i].initial_share.sum();
-    }
+    node.flat_weight.resize(n);
+    for (std::size_t i = 0; i < n; ++i) node.flat_weight[i] = node.backed.sum(i);
   }
 
   // The tenant level's grouping: the slots ordered by tenant (ascending,
@@ -262,35 +255,34 @@ void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
 }
 
 /// Computes share entitlements for one node and one window into
-/// node.entitlement, using the cached scaffolding: flat policies refresh
-/// their entities' demands from node.demand_shares, the tenant level
-/// reads it in place.
+/// node.entitlement, using the cached scaffolding: both policy levels read
+/// the backed shares and node.demand_shares in place.
 /// `tenant_banked` (indexed by tenant id) carries the rrf-lt contribution
 /// bank; empty for every other policy.
 void allocate_entitlements(const alloc::Policy& policy, NodeState& node,
                            std::span<const double> tenant_banked) {
   const std::size_t n = node.slots.size();
-  // rrf-hot-path: begin(engine.allocate)
-
+  // rrf-hot-path: begin(engine.static)
   if (policy.level == alloc::PolicyLevel::kStatic) {
     node.entitlement.values = node.backed.values;
     return;
   }
+  // rrf-hot-path: end(engine.static)
 
+  // rrf-hot-path: begin(engine.flat)
   if (policy.level == alloc::PolicyLevel::kFlat) {
-    // Refresh per-round demands in the cached flat entity list.
-    for (std::size_t i = 0; i < n; ++i) {
-      node.demand_shares.copy_entry(i, node.flat_entities[i].demand);
-    }
-    policy.allocator->allocate_into(node.pool, node.flat_entities,
-                                    node.workspace, node.flat_result);
-    for (std::size_t i = 0; i < n; ++i) {
-      node.entitlement.set_entry(i, node.flat_result.allocations[i]);
-    }
+    policy.allocator->allocate_flat(
+        node.pool,
+        alloc::FlatColumns{kDefaultResourceCount, n, node.backed.values,
+                           node.demand_shares.values, node.flat_weight, {}},
+        node.workspace, node.entitlement.values, node.workspace.unallocated,
+        nullptr);
     return;
   }
+  // rrf-hot-path: end(engine.flat)
 
   // Tenant level, straight over the node's arrays.
+  // rrf-hot-path: begin(engine.tenant)
   const bool banked = !tenant_banked.empty();
   if (banked) {
     for (std::size_t g = 0; g < node.tenant_ids.size(); ++g) {
@@ -316,7 +308,7 @@ void allocate_entitlements(const alloc::Policy& policy, NodeState& node,
     policy.rrf->allocate_tenants(node.pool, columns, node.workspace,
                                  node.entitlement.values, node.tenant_lambda);
   }
-  // rrf-hot-path: end(engine.allocate)
+  // rrf-hot-path: end(engine.tenant)
 }
 
 /// What every phase reads: the run's inputs, plus the per-window inputs

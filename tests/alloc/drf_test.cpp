@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -164,6 +170,233 @@ TEST(Drf, OverflowingFillRateThrowsInsteadOfHanging) {
       DrfAllocator{}.allocate(ResourceVector{1.7e12, 2.0}, users);
   EXPECT_DOUBLE_EQ(r.allocations[0][1], 2.0);
   EXPECT_DOUBLE_EQ(r.allocations[0][0], 1e12);
+}
+
+// --- the event loop that rescanned every user and type, kept as the
+// reference the active-list loop must match bit for bit ---
+
+constexpr double kRefEps = 1e-9;
+
+AllocationResult reference_drf(const ResourceVector& capacity,
+                               std::span<const AllocationEntity> entities) {
+  validate_entities(capacity, entities);
+  const std::size_t p = capacity.size();
+  const std::size_t m = entities.size();
+
+  AllocationResult result;
+  result.allocations.assign(m, ResourceVector(p));
+  ResourceVector remaining = capacity;
+
+  std::vector<double> ds(m, 0.0);
+  std::vector<double> rate(m, 0.0);
+  std::vector<double> x(m, 0.0);
+  std::vector<char> active(m, 0);
+
+  for (std::size_t i = 0; i < m; ++i) {
+    double d = 0.0;
+    for (std::size_t k = 0; k < p; ++k) {
+      if (entities[i].demand[k] > 0.0) {
+        RRF_REQUIRE(capacity[k] > 0.0,
+                    "demand on a resource with zero capacity");
+        d = std::max(d, entities[i].demand[k] / capacity[k]);
+      }
+    }
+    ds[i] = d;
+    if (d > 0.0) {
+      const double w = entities[i].effective_weight();
+      RRF_REQUIRE(w > 0.0, "DRF requires positive weights for demanders");
+      rate[i] = w / d;
+      active[i] = 1;
+    } else {
+      x[i] = 1.0;  // nothing demanded: trivially satisfied
+    }
+  }
+
+  double g = 0.0;
+  unsigned exhausted = 0;  // bit k: type k ran out (p <= 4)
+  for (;;) {
+    // Next user-saturation event.
+    double dg_user = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < m; ++i) {
+      if (!active[i]) continue;
+      // x_i reaches 1 when g grows by (1 - x_i) / rate_i.
+      dg_user = std::min(dg_user, (1.0 - x[i]) / rate[i]);
+    }
+    if (!std::isfinite(dg_user)) break;  // no active users left
+
+    // Next resource-exhaustion event.
+    double dg_res = std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0; k < p; ++k) {
+      double consumption_rate = 0.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        if (active[i]) consumption_rate += rate[i] * entities[i].demand[k];
+      }
+      if (consumption_rate > kRefEps) {
+        dg_res = std::min(dg_res, remaining[k] / consumption_rate);
+      }
+    }
+
+    const double dg = std::min(dg_user, dg_res);
+
+    // Advance every active user by dg.
+    for (std::size_t i = 0; i < m; ++i) {
+      if (!active[i]) continue;
+      const double dx = dg * rate[i];
+      x[i] = std::min(1.0, x[i] + dx);
+      for (std::size_t k = 0; k < p; ++k) {
+        remaining[k] -= dx * entities[i].demand[k];
+      }
+    }
+    g += dg;
+
+    // Freeze satisfied users.  Each step must freeze a user or exhaust a
+    // type, so the loop ends after at most m + p steps.
+    bool progressed = false;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (active[i] && x[i] >= 1.0 - kRefEps) {
+        x[i] = 1.0;
+        active[i] = 0;
+        progressed = true;
+      }
+    }
+    // Freeze users touching an exhausted resource.
+    for (std::size_t k = 0; k < p; ++k) {
+      if (remaining[k] <= kRefEps * std::max(1.0, capacity[k])) {
+        progressed |= (exhausted & (1u << k)) == 0;
+        exhausted |= 1u << k;
+        remaining[k] = std::max(0.0, remaining[k]);
+        for (std::size_t i = 0; i < m; ++i) {
+          if (active[i] && entities[i].demand[k] > 0.0) {
+            active[i] = 0;
+            progressed = true;
+          }
+        }
+      }
+    }
+    if (!progressed) {
+      throw DomainError("drf: progressive filling stalled");
+    }
+  }
+
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t k = 0; k < p; ++k) {
+      result.allocations[i][k] = x[i] * entities[i].demand[k];
+    }
+  }
+  result.unallocated = ResourceVector(p);
+  for (std::size_t k = 0; k < p; ++k) {
+    result.unallocated[k] = std::max(0.0, remaining[k]);
+  }
+  return result;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// One seeded DRF input: m in 1..257 (log-uniform, so most are small),
+/// p in 1..4, demands at one magnitude (1, 1e-12 or 1e12) with zero
+/// demands, idle users, repeated users and demands drawn from three
+/// values (ties), explicit or default weights, and a capacity per type
+/// between 0.1 and 1.5 times the summed demand (0 when nobody demands
+/// the type, in one trial of four).
+struct DrfInput {
+  ResourceVector capacity;
+  std::vector<AllocationEntity> users;
+};
+
+DrfInput random_drf_input(Rng& rng) {
+  const auto p = static_cast<std::size_t>(rng.uniform_int(1, 4));
+  const auto m = static_cast<std::size_t>(
+      std::min(257.0, std::floor(std::pow(258.0, rng.uniform(0.0, 1.0)))));
+  const double scales[] = {1.0, 1e-12, 1e12};
+  const double scale = scales[rng.uniform_int(0, 2)];
+  const bool tied = rng.uniform(0.0, 1.0) < 0.3;
+  DrfInput in{ResourceVector(p), {}};
+  for (std::size_t i = 0; i < m; ++i) {
+    if (i > 0 && rng.uniform(0.0, 1.0) < 0.1) {
+      in.users.push_back(in.users[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+      continue;
+    }
+    const bool idle = rng.uniform(0.0, 1.0) < 0.1;
+    AllocationEntity e = entity(ResourceVector(p), ResourceVector(p));
+    for (std::size_t k = 0; k < p; ++k) {
+      e.initial_share[k] = scale * rng.uniform(0.5, 2.0);
+      const double d = tied ? static_cast<double>(rng.uniform_int(1, 3))
+                            : rng.uniform(0.1, 4.0);
+      e.demand[k] = idle || rng.uniform(0.0, 1.0) < 0.2 ? 0.0 : scale * d;
+    }
+    const double pick = rng.uniform(0.0, 1.0);
+    e.weight = pick < 0.4   ? 0.0
+               : pick < 0.7 ? static_cast<double>(rng.uniform_int(1, 2))
+                            : rng.uniform(0.5, 4.0);
+    in.users.push_back(e);
+  }
+  const bool zero_idle_types = rng.uniform(0.0, 1.0) < 0.25;
+  for (std::size_t k = 0; k < p; ++k) {
+    double total = 0.0;
+    for (const AllocationEntity& e : in.users) total += e.demand[k];
+    if (total == 0.0) {
+      in.capacity[k] = zero_idle_types ? 0.0 : scale;
+    } else {
+      in.capacity[k] = total * rng.uniform(0.1, 1.5);
+    }
+  }
+  return in;
+}
+
+// The active-list loop keeps every expression and every summation order
+// of the event loop that rescanned all users and types, so over 10,000
+// seeded inputs it gives the same bits through the entity API and
+// through FlatColumns (one workspace reused across inputs of every size).
+TEST(DrfReference, ActiveListLoopMatchesTheFullRescanBitForBit) {
+  Rng rng(2025);
+  const DrfAllocator drf;
+  Workspace ws;
+  std::vector<double> share, demand, weight, grant;
+  ResourceVector unallocated;
+  std::size_t compared = 0;
+  for (int trial = 0; trial < 10000; ++trial) {
+    const DrfInput in = random_drf_input(rng);
+    const std::size_t p = in.capacity.size();
+    const std::size_t m = in.users.size();
+    const AllocationResult want = reference_drf(in.capacity, in.users);
+    const AllocationResult entity_api = drf.allocate(in.capacity, in.users);
+
+    share.resize(p * m);
+    demand.resize(p * m);
+    weight.resize(m);
+    grant.assign(p * m, -1.0);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t k = 0; k < p; ++k) {
+        share[k * m + i] = in.users[i].initial_share[k];
+        demand[k * m + i] = in.users[i].demand[k];
+      }
+      weight[i] = in.users[i].effective_weight();
+    }
+    drf.allocate_flat(in.capacity, FlatColumns{p, m, share, demand, weight, {}},
+                      ws, grant, unallocated, nullptr);
+
+    const std::string where = "trial " + std::to_string(trial) + " m" +
+                              std::to_string(m) + " p" + std::to_string(p);
+    ASSERT_EQ(entity_api.allocations.size(), m) << where;
+    for (std::size_t k = 0; k < p; ++k) {
+      ASSERT_TRUE(same_bits(entity_api.unallocated[k], want.unallocated[k]))
+          << where << " type " << k;
+      ASSERT_TRUE(same_bits(unallocated[k], want.unallocated[k]))
+          << where << " type " << k;
+      for (std::size_t i = 0; i < m; ++i) {
+        const double a = want.allocations[i][k];
+        ASSERT_TRUE(same_bits(entity_api.allocations[i][k], a))
+            << where << " user " << i << " type " << k;
+        ASSERT_TRUE(same_bits(grant[k * m + i], a))
+            << where << " user " << i << " type " << k;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 100000u);
 }
 
 // --- the paper's sequential variant ---
