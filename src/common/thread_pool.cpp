@@ -20,6 +20,9 @@ namespace {
 /// the outer parallel_for already owns the pool's parallelism.
 thread_local const ThreadPool* t_active_pool = nullptr;
 
+/// Set once on each worker thread, before its first task.
+thread_local std::optional<std::size_t> t_worker_index;
+
 /// RAII marker so exceptions from task bodies restore the previous pool.
 struct ActivePoolScope {
   const ThreadPool* previous;
@@ -51,6 +54,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
+  t_worker_index = worker_index;
   bool announced = false;
   for (;;) {
     // Read before the wait only to stamp idle time.  The observer that
@@ -211,6 +215,8 @@ void ThreadPool::parallel_for(std::size_t n,
 
   if (ctx->first_error) std::rethrow_exception(ctx->first_error);
 }
+
+std::optional<std::size_t> pool_worker_index() { return t_worker_index; }
 
 ThreadPool& global_pool() {
   static ThreadPool pool;

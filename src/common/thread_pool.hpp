@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -101,5 +102,9 @@ class ThreadPool {
 
 /// Process-wide pool for library internals (lazily constructed).
 ThreadPool& global_pool();
+
+/// The calling thread's worker index in the pool that started it, or
+/// nullopt on a thread no pool started.
+std::optional<std::size_t> pool_worker_index();
 
 }  // namespace rrf

@@ -202,7 +202,7 @@ void record_mutex_contention(const char* site, std::uint64_t blocked_ns) {
 class PoolProfiler final : public ThreadPoolObserver {
  public:
   void on_worker_start(std::size_t worker_index) override {
-    set_thread_name("pool/worker-" + std::to_string(worker_index));
+    name_pool_worker(worker_index);
   }
 
   void on_task_start(std::chrono::nanoseconds queue_wait,
@@ -392,6 +392,10 @@ void set_thread_name(std::string name) {
   // struct cannot name the registry in a GUARDED_BY attribute).
   MutexLock lock(registry().mu);
   arena->name = std::move(name);
+}
+
+void name_pool_worker(std::size_t index) {
+  set_thread_name("pool/worker-" + std::to_string(index));
 }
 
 void set_profiling_enabled(bool on) {

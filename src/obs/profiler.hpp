@@ -11,9 +11,10 @@
 // relaxed atomic counters; profile_snapshot() merges every registered
 // arena on flush, synchronizing only on the published node count.
 //
-// The thread registry names threads (set_thread_name; the thread pool
-// names its workers "pool/worker-N" through ThreadPoolObserver) and keeps
-// arenas of exited threads alive so a final flush still sees their work.
+// The thread registry names threads (set_thread_name; a pool worker is
+// named "pool/worker-N" through ThreadPoolObserver while profiling, and on
+// its first trace event while tracing) and keeps arenas of exited threads
+// alive so a final flush still sees their work.
 // Mutex contention (common/instrumented_mutex.hpp) and thread-pool queue
 // telemetry land in the same snapshot.
 //
@@ -45,6 +46,9 @@ std::int32_t os_thread_id();
 /// Names the calling thread in the profiler's registry ("main",
 /// "pool/worker-3", ...); registers the thread's arena if needed.
 void set_thread_name(std::string name);
+
+/// Names the calling thread "pool/worker-<index>".
+void name_pool_worker(std::size_t index);
 
 namespace detail {
 inline std::atomic<bool> g_profiling_enabled{false};

@@ -6,9 +6,25 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "obs/profiler.hpp"  // os_thread_id, profiled_thread_names
+#include "common/thread_pool.hpp"
+#include "obs/profiler.hpp"  // os_thread_id, thread names
 
 namespace rrf::obs {
+
+namespace {
+
+/// Names the calling pool worker's track ("pool/worker-N") on its first
+/// event, so a trace labels every worker with or without the profiler.
+void name_calling_worker() {
+  thread_local bool named = false;
+  if (named) return;
+  named = true;
+  if (const std::optional<std::size_t> worker = pool_worker_index()) {
+    name_pool_worker(*worker);
+  }
+}
+
+}  // namespace
 
 const char* to_string(EventKind kind) {
   switch (kind) {
@@ -53,6 +69,7 @@ double EventTracer::to_us(std::chrono::steady_clock::time_point tp) const {
 void EventTracer::record(TraceEvent e) {
   if (e.ts_us < 0.0) e.ts_us = now_us();
   if (e.tid < 0) e.tid = os_thread_id();
+  name_calling_worker();
   MutexLock lock(mu_);
   if (ring_.size() < capacity_) {
     ring_.push_back(e);
