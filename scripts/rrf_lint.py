@@ -59,7 +59,7 @@ Hot-path hygiene:
                marked `// rrf-hot-path: begin(<name>)` ... `end(<name>)`
                (src/sim/engine.cpp, src/sim/predictor.cpp,
                src/alloc/rrf.cpp, src/alloc/irt.cpp, src/alloc/iwa.cpp,
-               src/alloc/wmmf.cpp).
+               src/alloc/wmmf.cpp, src/alloc/drf.cpp).
                Flagged: `new`, make_unique/make_shared, constructing a
                std:: container/string by value, std::to_string, and
                push_back/emplace_back (reserve + assign scratch instead).
