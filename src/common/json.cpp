@@ -19,26 +19,6 @@ void indent_to(std::string& out, int indent, int depth) {
              ' ');
 }
 
-void append_number(std::string& out, double d) {
-  if (!std::isfinite(d)) {
-    out += "null";
-    return;
-  }
-  char buf[32];
-  std::to_chars_result printed{};
-  // Integral values within the exactly-representable range print as plain
-  // integers: the shortest form of 1e15 is "1e+15", which does not read
-  // (or diff) like the integer counters and window counts these usually
-  // are.  (-0.0 takes the shortest path so the sign survives.)
-  if (d == std::floor(d) && std::fabs(d) <= 9007199254740992.0 &&
-      !(d == 0.0 && std::signbit(d))) {  // determinism-lint: allow(float-eq)
-    printed = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d));
-  } else {
-    printed = std::to_chars(buf, buf + sizeof(buf), d);  // shortest round-trip
-  }
-  out.append(buf, printed.ptr);
-}
-
 void dump_value(const Value& v, std::string& out, int indent, int depth);
 
 void dump_array(const Array& a, std::string& out, int indent, int depth) {
@@ -306,6 +286,26 @@ class Parser {
 };
 
 }  // namespace
+
+void append_number(std::string& out, double d) {
+  if (!std::isfinite(d)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  std::to_chars_result printed{};
+  // Integral values within the exactly-representable range print as plain
+  // integers: the shortest form of 1e15 is "1e+15", which does not read
+  // (or diff) like the integer counters and window counts these usually
+  // are.  (-0.0 takes the shortest path so the sign survives.)
+  if (d == std::floor(d) && std::fabs(d) <= 9007199254740992.0 &&
+      !(d == 0.0 && std::signbit(d))) {  // determinism-lint: allow(float-eq)
+    printed = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d));
+  } else {
+    printed = std::to_chars(buf, buf + sizeof(buf), d);  // shortest round-trip
+  }
+  out.append(buf, printed.ptr);
+}
 
 bool Value::as_bool() const {
   if (!is_bool()) throw DomainError("json value is not a bool");

@@ -76,6 +76,10 @@ class Value {
 /// Convenience: quote + escape a string literal as JSON.
 std::string escape(std::string_view s);
 
+/// Appends `d` as dump() prints a number: shortest round-trip digits, an
+/// integral value up to 2^53 as a plain integer, a non-finite one as null.
+void append_number(std::string& out, double d);
+
 /// Typed member readers shared by the JSON loaders.  `fail` is the
 /// loader's own error function: it throws with the loader's prefix
 /// ("flightrec: ", "journal: ", ...) and must not return.

@@ -310,7 +310,7 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot) {
     maybe_type_line(os, last_base, pn.base, "gauge");
     os << pn.base;
     write_labels(os, pn.labels);
-    os << ' ' << value << '\n';
+    os << ' ' << format_sample(value) << '\n';
   }
   last_base.clear();
   for (const auto& [name, h] : snapshot.histograms) {
@@ -326,7 +326,7 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot) {
     }
     os << pn.base << "_sum";
     write_labels(os, pn.labels);
-    os << ' ' << h.sum << '\n';
+    os << ' ' << format_sample(h.sum) << '\n';
     os << pn.base << "_count";
     write_labels(os, pn.labels);
     os << ' ' << h.count << '\n';
@@ -341,11 +341,11 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot) {
     for (const double q : {0.5, 0.95, 0.99}) {
       os << base;
       write_labels(os, pn.labels, "quantile", format_le(q));
-      os << ' ' << h.quantile(q) << '\n';
+      os << ' ' << format_sample(h.quantile(q)) << '\n';
     }
     os << base << "_sum";
     write_labels(os, pn.labels);
-    os << ' ' << h.sum << '\n';
+    os << ' ' << format_sample(h.sum) << '\n';
     os << base << "_count";
     write_labels(os, pn.labels);
     os << ' ' << h.count << '\n';

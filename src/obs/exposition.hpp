@@ -84,7 +84,8 @@ struct PrometheusName {
 };
 PrometheusName prometheus_name(const std::string& registry_name);
 
-/// Renders `snapshot` / `registry` in Prometheus text format.
+/// Renders `snapshot` / `registry` in Prometheus text format; every
+/// sample value prints through format_sample (obs/metrics.hpp).
 void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot);
 void write_prometheus(std::ostream& os, const MetricsRegistry& registry);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <mutex>
 #include <ostream>
 
@@ -256,23 +257,35 @@ void MetricsRegistry::write_csv(std::ostream& os) const {
     os << "counter," << name << ",value," << c->value() << "\n";
   }
   for (const auto& [name, g] : gauges_) {
-    os << "gauge," << name << ",value," << g->value() << "\n";
+    os << "gauge," << name << ",value," << format_sample(g->value()) << "\n";
   }
   for (const auto& [name, h] : histograms_) {
     os << "histogram," << name << ",count," << h->count() << "\n";
-    os << "histogram," << name << ",sum," << h->sum() << "\n";
-    os << "histogram," << name << ",mean," << h->mean() << "\n";
-    os << "histogram," << name << ",min," << h->min() << "\n";
-    os << "histogram," << name << ",max," << h->max() << "\n";
-    os << "histogram," << name << ",p50," << h->quantile(0.5) << "\n";
-    os << "histogram," << name << ",p95," << h->quantile(0.95) << "\n";
-    os << "histogram," << name << ",p99," << h->quantile(0.99) << "\n";
+    const auto row = [&](const char* field, double value) {
+      os << "histogram," << name << ',' << field << ','
+         << format_sample(value) << "\n";
+    };
+    row("sum", h->sum());
+    row("mean", h->mean());
+    row("min", h->min());
+    row("max", h->max());
+    row("p50", h->quantile(0.5));
+    row("p95", h->quantile(0.95));
+    row("p99", h->quantile(0.99));
   }
 }
 
 MetricsRegistry& metrics() {
   static MetricsRegistry registry;
   return registry;
+}
+
+std::string format_sample(double value) {
+  if (std::isnan(value)) return "NaN";
+  if (std::isinf(value)) return value > 0.0 ? "+Inf" : "-Inf";
+  std::string out;
+  json::append_number(out, value);
+  return out;
 }
 
 std::span<const double> default_seconds_bounds() {

@@ -137,7 +137,8 @@ class MetricsRegistry {
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
   void write_json(std::ostream& os) const;
-  /// One `kind,name,field,value` row per datum.
+  /// One `kind,name,field,value` row per datum, values printed by
+  /// format_sample.
   void write_csv(std::ostream& os) const;
 
  private:
@@ -152,6 +153,11 @@ class MetricsRegistry {
 
 /// The process-global registry instrumentation sites write to.
 MetricsRegistry& metrics();
+
+/// A sample value as the text exports print it: common/json's shortest
+/// round-trip number, with the non-finite values spelled as Prometheus
+/// does (+Inf, -Inf, NaN).
+std::string format_sample(double value);
 
 namespace detail {
 inline std::atomic<bool> g_metrics_enabled{false};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -165,6 +166,24 @@ TEST(ObsMetrics, CsvExportHasHeaderAndRows) {
   EXPECT_NE(csv.find("counter,c.two,value,5"), std::string::npos);
   EXPECT_NE(csv.find("histogram,h.two,count,1"), std::string::npos);
   EXPECT_NE(csv.find("histogram,h.two,p95,"), std::string::npos);
+}
+
+TEST(ObsMetrics, CsvExportKeepsEveryDigit) {
+  MetricsRegistry registry;
+  registry.gauge("g.big").set(12345678.9);
+  registry.gauge("g.up").set(std::numeric_limits<double>::infinity());
+  registry.histogram("h.big", default_magnitude_bounds()).observe(1e7 / 3.0);
+  std::ostringstream os;
+  registry.write_csv(os);
+  const std::string csv = os.str();
+  EXPECT_NE(csv.find("gauge,g.big,value,12345678.9\n"), std::string::npos)
+      << csv;
+  EXPECT_NE(csv.find("gauge,g.up,value,+Inf\n"), std::string::npos);
+  EXPECT_NE(csv.find("histogram,h.big,sum,3333333.3333333335\n"),
+            std::string::npos);
+  EXPECT_EQ(format_sample(-std::numeric_limits<double>::infinity()), "-Inf");
+  EXPECT_EQ(format_sample(std::numeric_limits<double>::quiet_NaN()), "NaN");
+  EXPECT_EQ(format_sample(0.1), "0.1");
 }
 
 TEST(ObsMetrics, RuntimeSwitchDefaultsOffAndRoundTrips) {
