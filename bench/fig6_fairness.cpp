@@ -71,7 +71,7 @@ int main() {
   }
   {
     // Jain's index over the per-tenant betas — the same statistic the
-    // live fairness auditor exports as rrf_fairness_jain_index.
+    // detector bank exports live as rrf_fairness_jain_index.
     std::vector<std::string> row{"Jain index (all tenants)"};
     for (std::size_t p = 0; p < policies.size(); ++p) {
       const auto& betas = comparison.beta[p];

@@ -52,8 +52,8 @@ struct AllocationResult {
   ResourceVector unallocated;
   /// Per-entity declared contribution Lambda(i) (IRT's gain-as-you-
   /// contribute accounting, banked credit included).  Empty for policies
-  /// without trading; the fairness auditor consumes it to check the
-  /// reciprocity balance.
+  /// without trading; the detector bank publishes its per-tenant sum as
+  /// the fairness.contribution_lambda gauge.
   std::vector<double> contribution_lambda;
 
   /// Sum of all entitlements per resource type.

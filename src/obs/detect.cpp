@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/stats.hpp"
 #include "obs/exposition.hpp"
 #include "obs/trace.hpp"
 
@@ -26,6 +28,20 @@ double entitlement_gap(const TenantRoundStat& t) {
   return std::max(0.0, std::min(t.demand, 1.0) - t.granted);
 }
 
+/// Jain's index over `xs`; 1.0 when no entry is positive (all-zero
+/// allocations: nobody is treated unequally).
+double jain_or_one(std::span<const double> xs) {
+  for (const double x : xs) {
+    if (x > 0.0) return jain_index(xs);
+  }
+  return 1.0;
+}
+
+/// |β − 1| edges: a drift of 2.0 means a tenant holds 3x (or −1x) what
+/// it paid for; anything beyond that is pathological.
+constexpr std::array<double, 8> kDriftBounds = {0.01, 0.02, 0.05, 0.1,
+                                                0.2,  0.5,  1.0,  2.0};
+
 }  // namespace
 
 const char* to_string(DetectorKind kind) {
@@ -44,8 +60,10 @@ void apply_detector_flag(DetectConfig& config, const std::string& flag) {
   config.enabled.fill(false);
   std::istringstream in(flag);
   std::string name;
+  bool named = false;
   while (std::getline(in, name, ',')) {
     if (name.empty()) continue;
+    named = true;
     bool known = false;
     for (std::size_t k = 0; k < kDetectorKindCount; ++k) {
       if (name == kKindNames[k]) {
@@ -61,6 +79,10 @@ void apply_detector_flag(DetectConfig& config, const std::string& flag) {
                         "complaint, beta_drift, reciprocity)");
     }
   }
+  if (!named) {
+    throw DomainError("detect: detector list '" + flag +
+                      "' names no detector (use none to disable them all)");
+  }
 }
 
 DetectorBank::DetectorBank(DetectConfig config, std::vector<std::string> names,
@@ -69,7 +91,9 @@ DetectorBank::DetectorBank(DetectConfig config, std::vector<std::string> names,
       names_(std::move(names)),
       paid_(std::move(paid)),
       tenants_(names_.size()),
-      book_(kDetectorKindCount * (names_.size() + 1)) {
+      ratios_(names_.size()),
+      book_(kDetectorKindCount * (names_.size() + 1)),
+      registry_(registry) {
   RRF_REQUIRE(config_.fast_window > 0 &&
                   config_.slow_window >= config_.fast_window,
               "detect: windows need 0 < fast_window <= slow_window");
@@ -78,22 +102,65 @@ DetectorBank::DetectorBank(DetectConfig config, std::vector<std::string> names,
               "detect: EWMA weights must be in (0, 1]");
   RRF_REQUIRE(config_.cusum_threshold > 0.0 && config_.throughput_factor > 1.0,
               "detect: thresholds must be positive");
+  RRF_REQUIRE(!names_.empty(), "detect: needs at least one tenant");
   RRF_REQUIRE(names_.size() == paid_.size(),
               "detect: tenant name/share count mismatch");
   for (const double s : paid_) {
     RRF_REQUIRE(s > 0.0, "detect: bought shares must be positive");
   }
-  if (registry != nullptr) {
-    // Pre-registered so a scrape sees every family at zero before the
-    // first raise.
-    alerts_counter_ = &registry->counter("fairness.alerts");
-    for (std::size_t k = 0; k < kDetectorKindCount; ++k) {
-      kind_counters_[k] = &registry->counter(
-          labeled("fairness.alerts", {{"kind", kKindNames[k]}}));
-    }
-    active_gauge_ = &registry->gauge("fairness.alerts_active");
-    active_gauge_->set(0.0);
+  summary_.tenants.resize(names_.size());
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    summary_.tenants[i].name = names_[i];
   }
+  if (registry_ == nullptr) return;
+  // Pre-registered so a scrape sees every family at zero before the
+  // first raise.
+  alerts_counter_ = &registry_->counter("fairness.alerts");
+  for (std::size_t k = 0; k < kDetectorKindCount; ++k) {
+    kind_counters_[k] = &registry_->counter(
+        labeled("fairness.alerts", {{"kind", kKindNames[k]}}));
+  }
+  active_gauge_ = &registry_->gauge("fairness.alerts_active");
+  active_gauge_->set(0.0);
+  jain_gauge_ = &registry_->gauge("fairness.jain_index");
+  spread_gauge_ = &registry_->gauge("fairness.dominant_share_spread");
+  windows_gauge_ = &registry_->gauge("fairness.audit_windows");
+  drift_hist_ = &registry_->histogram("fairness.beta_drift_dist", kDriftBounds);
+  tenant_gauges_.reserve(names_.size());
+  for (const std::string& name : names_) {
+    const auto gauge = [&](const char* family) {
+      return &registry_->gauge(labeled(family, {{"tenant", name}}));
+    };
+    tenant_gauges_.push_back({gauge("fairness.tenant_beta"),
+                              gauge("fairness.beta_drift"),
+                              gauge("fairness.reciprocity_balance"),
+                              gauge("fairness.contribution_lambda")});
+  }
+}
+
+void DetectorBank::summarize(const RoundDigest& digest) {
+  const std::size_t n = names_.size();
+  for (const std::vector<double>* v :
+       {&digest.tenant_position, &digest.tenant_demand,
+        &digest.tenant_granted, &digest.tenant_contributed,
+        &digest.tenant_gained, &digest.tenant_lambda}) {
+    RRF_REQUIRE(v->size() == n,
+                "detect: digest tenant count differs from the bank's");
+  }
+  summary_.window = digest.window;
+  summary_.time = digest.time;
+  summary_.slots = digest.slots;
+  summary_.phase_seconds = digest.phase_seconds;
+  for (std::size_t t = 0; t < n; ++t) {
+    TenantRoundStat& stat = summary_.tenants[t];
+    stat.share = digest.tenant_position[t] / paid_[t];
+    stat.demand = digest.tenant_demand[t] / paid_[t];
+    stat.granted = digest.tenant_granted[t] / paid_[t];
+    stat.contributed = digest.tenant_contributed[t];
+    stat.gained = digest.tenant_gained[t];
+    ratios_[t] = stat.share;
+  }
+  summary_.jain = jain_or_one(ratios_);
 }
 
 void DetectorBank::push_bad(BurnSeries& series, bool bad) const {
@@ -128,9 +195,9 @@ bool DetectorBank::burning(const BurnSeries& series) const {
 }
 
 const std::vector<Detection>& DetectorBank::observe_round(
-    const RoundSummary& summary) {
-  RRF_REQUIRE(summary.tenants.size() == tenants_.size(),
-              "detect: summary tenant count differs from the bank's");
+    const RoundDigest& digest) {
+  summarize(digest);
+  const RoundSummary& summary = summary_;
   ++rounds_;
   const bool armed = rounds_ > config_.warmup_rounds;
 
@@ -226,7 +293,8 @@ const std::vector<Detection>& DetectorBank::observe_round(
     // Cumulative β: the mean of the tenant's per-round share ratios.
     state.share_total += t.share;
     const double rounds = static_cast<double>(rounds_);
-    const double beta_drift = std::abs(state.share_total / rounds - 1.0);
+    state.beta = state.share_total / rounds;
+    const double beta_drift = std::abs(state.beta - 1.0);
     if (armed && enabled(DetectorKind::kBetaDrift) &&
         beta_drift > config_.beta_drift_max) {
       detect(DetectorKind::kBetaDrift, tenant, beta_drift,
@@ -246,7 +314,49 @@ const std::vector<Detection>& DetectorBank::observe_round(
     }
   }
   update_book(summary.window);
+  summary_.active_alerts = active_;
+  summary_.alerts_total = raised_.size();
+  if (registry_ != nullptr) publish_gauges(digest);
   return detections_;
+}
+
+void DetectorBank::publish_gauges(const RoundDigest& digest) {
+  const double rounds = static_cast<double>(rounds_);
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (std::size_t i = 0; i < tenants_.size(); ++i) {
+    const TenantState& state = tenants_[i];
+    const TenantGauges& gauges = tenant_gauges_[i];
+    const double drift = std::abs(state.beta - 1.0);
+    gauges.beta->set(state.beta);
+    gauges.drift->set(drift);
+    drift_hist_->observe(drift);
+    gauges.reciprocity->set((state.gained_total - state.contributed_total) /
+                            (rounds * paid_[i]));
+    gauges.lambda->set(digest.tenant_lambda[i]);
+    lo = std::min(lo, summary_.tenants[i].share);
+    hi = std::max(hi, summary_.tenants[i].share);
+    ratios_[i] = state.beta;
+  }
+  jain_gauge_->set(jain_or_one(ratios_));
+  spread_gauge_->set(hi - lo);
+  windows_gauge_->set(rounds);
+
+  const std::vector<double>& pressure = digest.node_pressure;
+  if (pressure.empty()) return;
+  while (node_pressure_gauges_.size() < pressure.size()) {
+    node_pressure_gauges_.push_back(&registry_->gauge(labeled(
+        "fairness.node_pressure",
+        {{"node", std::to_string(node_pressure_gauges_.size())}})));
+  }
+  if (node_spread_gauge_ == nullptr) {
+    node_spread_gauge_ = &registry_->gauge("fairness.node_pressure_spread");
+  }
+  for (std::size_t i = 0; i < pressure.size(); ++i) {
+    node_pressure_gauges_[i]->set(pressure[i]);
+  }
+  const auto [nlo, nhi] = std::minmax_element(pressure.begin(), pressure.end());
+  node_spread_gauge_->set(*nhi - *nlo);
 }
 
 void DetectorBank::update_book(std::size_t window) {

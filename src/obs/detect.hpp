@@ -1,9 +1,13 @@
-// Online fairness detection and the run's alert book.
+// Online fairness detection, the run's alert book and its fairness
+// gauges.
 //
-// The DetectorBank is the run's only rule engine.  The engine builds one
-// per run whenever metrics are on or an ops sink is attached and feeds
-// it each window's RoundSummary; `/alerts`, the journal's alert records,
-// the fairness.alerts counters, the trace, SimResult::alerts and the
+// The DetectorBank is the run's only per-window consumer of fairness
+// state.  The engine builds one per run whenever metrics are on or an ops
+// sink is attached and feeds it each window's RoundDigest
+// (obs/round.hpp).  The bank derives the window's RoundSummary from it,
+// keeps each tenant's cumulative ledger (β and the tenant-funded flows)
+// and runs its detectors; `/alerts`, `/rounds`, the journal, the
+// fairness.* gauges and counters, the trace, SimResult::alerts and the
 // IncidentManager all read it.  Its detectors follow per-period credit
 // fairness (Zahedi & Freeman) and no-justified-complaints fairness
 // (Dolev et al.):
@@ -29,7 +33,7 @@
 // alert book turns them into edges: an alert, one (detector, tenant)
 // pair, raises on the first round its detection holds and resolves once
 // the detection has been absent for a whole slow_window.  The bank only
-// ever reads RoundSummary values, so it cannot alter allocations.
+// ever reads the digest, so it cannot alter allocations.
 #pragma once
 
 #include <array>
@@ -42,6 +46,7 @@
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/ops.hpp"
+#include "obs/round.hpp"
 
 namespace rrf::obs {
 
@@ -108,7 +113,8 @@ struct DetectConfig {
 
 /// Applies an `--detectors` flag value to `config.enabled`: "all",
 /// "none", or a comma-separated list of detector names enabling exactly
-/// those listed.  Throws DomainError on an unknown name.
+/// those listed.  Throws DomainError on an unknown name and on a list
+/// that names no detector (",,").
 void apply_detector_flag(DetectConfig& config, const std::string& flag);
 
 /// One detector's level-triggered verdict for the round it was observed.
@@ -134,20 +140,26 @@ struct AlertTransition {
 class DetectorBank {
  public:
   /// `names` and `paid` (each tenant's bought share total S(i) > 0) are
-  /// indexed by tenant; every summary must carry the same tenants.  The
-  /// fairness.alerts counters (pre-registered at zero for every kind) and
-  /// the fairness.alerts_active gauge go to `registry`; nullptr publishes
-  /// none.
+  /// indexed by tenant (at least one); every digest must carry the same
+  /// tenants.  With a `registry` the bank publishes the fairness.alerts
+  /// counters (pre-registered at zero for every kind) and, every round,
+  /// the fairness.* gauges of its ledger (docs/OBSERVABILITY.md lists
+  /// them); nullptr publishes none.
   DetectorBank(DetectConfig config, std::vector<std::string> names,
                std::vector<double> paid, MetricsRegistry* registry = nullptr);
 
-  /// Evaluates every enabled detector against one round summary, then
-  /// advances the alert book.  Returns the detections that hold this
-  /// round (level-triggered; empty most rounds), valid until the next
-  /// call.
-  const std::vector<Detection>& observe_round(const RoundSummary& summary);
+  /// Derives the window's summary from `digest`, evaluates every enabled
+  /// detector against it, advances the alert book and publishes the
+  /// gauges.  Returns the detections that hold this round
+  /// (level-triggered; empty most rounds), valid until the next call.
+  const std::vector<Detection>& observe_round(const RoundDigest& digest);
   /// The last observed round's detections.
   const std::vector<Detection>& detections() const { return detections_; }
+  /// The last observed round's summary: each tenant's position, demand
+  /// and granted shares as ratios of S(i), its raw flows, Jain's index
+  /// over the share ratios (1.0 when none is positive) and the book's
+  /// alert counts after the round.
+  const RoundSummary& summary() const { return summary_; }
 
   /// Every alert raise, in order, as the detection that raised it.
   const std::vector<Detection>& raised() const { return raised_; }
@@ -185,7 +197,8 @@ class DetectorBank {
     double complaint{0.0};  ///< EWMA entitlement deficit
     double contributed_total{0.0};
     double gained_total{0.0};
-    double share_total{0.0};  ///< sum of share ratios; β = mean
+    double share_total{0.0};  ///< sum of share ratios
+    double beta{1.0};         ///< share_total / rounds
   };
   /// One (detector, tenant) alert of the book.
   struct AlertState {
@@ -197,7 +210,12 @@ class DetectorBank {
     double value{0.0};
     double threshold{0.0};
   };
+  /// One tenant's labelled gauges.
+  struct TenantGauges {
+    Gauge *beta, *drift, *reciprocity, *lambda;
+  };
 
+  void summarize(const RoundDigest& digest);
   void push_bad(BurnSeries& series, bool bad) const;
   bool burning(const BurnSeries& series) const;
   double fast_fraction(const BurnSeries& series) const;
@@ -210,6 +228,7 @@ class DetectorBank {
                  static_cast<std::size_t>(tenant + 1)];
   }
   void update_book(std::size_t window);
+  void publish_gauges(const RoundDigest& digest);
 
   DetectConfig config_;
   std::vector<std::string> names_;
@@ -220,6 +239,8 @@ class DetectorBank {
   BurnSeries throughput_;
   double wall_baseline_{0.0};
   bool wall_baseline_init_{false};
+  RoundSummary summary_;
+  std::vector<double> ratios_;  ///< per-tenant scratch for Jain's index
   std::vector<Detection> detections_;
 
   /// kDetectorKindCount × (tenants + 1) alerts, kind-major; slot 0 of
@@ -228,9 +249,19 @@ class DetectorBank {
   std::size_t active_{0};
   std::vector<Detection> raised_;
   std::vector<AlertTransition> transitions_;
-  Counter* alerts_counter_{nullptr};  ///< null when metrics are off
+
+  // Instruments; null (and tenant_gauges_ empty) without a registry.
+  MetricsRegistry* registry_{nullptr};
+  Counter* alerts_counter_{nullptr};
   std::array<Counter*, kDetectorKindCount> kind_counters_{};
   Gauge* active_gauge_{nullptr};
+  Gauge* jain_gauge_{nullptr};
+  Gauge* spread_gauge_{nullptr};
+  Gauge* windows_gauge_{nullptr};
+  Histogram* drift_hist_{nullptr};
+  std::vector<TenantGauges> tenant_gauges_;
+  std::vector<Gauge*> node_pressure_gauges_;
+  Gauge* node_spread_gauge_{nullptr};
 };
 
 }  // namespace rrf::obs

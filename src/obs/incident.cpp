@@ -55,8 +55,6 @@ const char* to_string(IncidentSeverity severity) {
 
 IncidentManager::IncidentManager(IncidentConfig config)
     : config_(std::move(config)) {
-  RRF_REQUIRE(config_.open_after_rounds > 0 && config_.resolve_after_quiet > 0,
-              "incident: hysteresis rounds must be positive");
   RRF_REQUIRE(config_.ring_capacity > 0,
               "incident: the round ring must hold at least one round");
 }
@@ -124,74 +122,49 @@ IncidentSeverity IncidentManager::severity_of(const Incident& incident) const {
   return IncidentSeverity::kMinor;
 }
 
-void IncidentManager::observe_round(const RoundSummary& summary,
-                                    const DetectorBank& bank) {
+void IncidentManager::push_event(const Incident& incident, bool opened) {
+  events_.push_back(IncidentEvent{
+      incident.id, opened,
+      opened ? incident.opened_window : incident.resolved_window,
+      incident.severity, incident.kinds, incident.dir});
+}
+
+void IncidentManager::observe_round(const DetectorBank& bank) {
   MutexLock lock(mu_);
+  const RoundSummary& summary = bank.summary();
   round_ring_.push_back(summary);
   while (round_ring_.size() > config_.ring_capacity) round_ring_.pop_front();
   const std::vector<Detection>& detections = bank.detections();
+  const bool alerting = bank.active_alerts() > 0;
 
-  Incident* open = (!incidents_.empty() && incidents_.back().open)
-                       ? &incidents_.back()
-                       : nullptr;
-  if (open != nullptr) {
-    if (detections.empty()) {
-      if (++quiet_rounds_ >= config_.resolve_after_quiet) {
-        open->open = false;
-        open->resolved_window = summary.window;
-        rewrite_manifest(*open);
-        IncidentEvent event;
-        event.id = open->id;
-        event.opened = false;
-        event.window = summary.window;
-        event.severity = open->severity;
-        event.kinds = open->kinds;
-        event.dir = open->dir;
-        events_.push_back(std::move(event));
-      }
+  if (!incidents_.empty() && incidents_.back().open) {
+    Incident& open = incidents_.back();
+    if (!alerting) {  // the book's last alert resolved: so does the incident
+      open.open = false;
+      open.resolved_window = summary.window;
+      rewrite_manifest(open);
+      push_event(open, /*opened=*/false);
       return;
     }
-    quiet_rounds_ = 0;
-    ++open->firing_rounds;
-    const IncidentSeverity before = open->severity;
-    ingest_detections(*open, detections);
-    open->severity = severity_of(*open);
-    if (open->severity != before) rewrite_manifest(*open);
+    if (detections.empty()) return;
+    ++open.firing_rounds;
+    const IncidentSeverity before = open.severity;
+    ingest_detections(open, detections);
+    open.severity = severity_of(open);
+    if (open.severity != before) rewrite_manifest(open);
     return;
   }
-
-  if (detections.empty()) {
-    pending_streak_ = 0;
-    pending_detections_.clear();
-    return;
-  }
-  if (pending_streak_ == 0) pending_first_window_ = summary.window;
-  ++pending_streak_;
-  pending_detections_.insert(pending_detections_.end(), detections.begin(),
-                             detections.end());
-  if (pending_streak_ < config_.open_after_rounds ||
-      incidents_.size() >= config_.max_incidents) {
-    return;
-  }
+  // The runaway guard: past max_incidents an alert episode opens nothing.
+  if (!alerting || incidents_.size() >= config_.max_incidents) return;
 
   Incident incident;
   incident.id = incident_id(incidents_.size() + 1);
-  incident.opened_window = pending_first_window_;
-  incident.firing_rounds = pending_streak_;
-  ingest_detections(incident, pending_detections_);
+  incident.opened_window = summary.window;
+  incident.firing_rounds = 1;
+  ingest_detections(incident, detections);
   incident.severity = severity_of(incident);
-  pending_streak_ = 0;
-  pending_detections_.clear();
-  quiet_rounds_ = 0;
   if (!config_.dir.empty()) write_bundle(incident, bank);
-  IncidentEvent event;
-  event.id = incident.id;
-  event.opened = true;
-  event.window = summary.window;
-  event.severity = incident.severity;
-  event.kinds = incident.kinds;
-  event.dir = incident.dir;
-  events_.push_back(std::move(event));
+  push_event(incident, /*opened=*/true);
   log_warn("incident ", incident.id, " opened at window ", summary.window,
            " (", to_string(incident.severity), ")",
            incident.dir.empty() ? "" : " bundle=" + incident.dir);

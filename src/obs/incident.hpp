@@ -1,22 +1,22 @@
-// Incident engine: hysteresis, root-cause correlation and forensic
-// bundles on top of the engine's detector bank (obs/detect.hpp).
+// Incident engine: correlation and forensic bundles on top of the
+// engine's detector bank (obs/detect.hpp).
 //
 // The DetectorBank answers "which fairness conditions hold this round"
 // and keeps the run's alert book (one alert per detector and tenant);
-// the IncidentManager turns the same level-triggered signal into
-// operator workflow:
+// the IncidentManager follows that book and turns it into operator
+// workflow:
 //
-//  * hysteresis — a condition must fire for open_after_rounds
-//    consecutive rounds before an incident opens (single-round blips
-//    never page), and an open incident auto-resolves only after
-//    resolve_after_quiet detection-free rounds;
-//  * correlation — while an incident is open, detections of every kind
-//    join it as additional signals instead of opening parallel
-//    incidents: concurrent anomalies almost always share one underlying
-//    cause (an oversold cluster trips starvation, drift and changepoint
-//    together), so the operator gets ONE incident naming every signal
-//    and every implicated tenant, with severity escalating as more
-//    detector kinds corroborate or the incident ages;
+//  * lifecycle — an incident opens on the round the book goes from no
+//    active alert to at least one, and resolves on the round its last
+//    active alert resolves, so `/incidents` and `/alerts` never
+//    disagree about whether something is wrong;
+//  * correlation — while an incident is open, each round's detections
+//    of every kind join it as additional signals instead of opening
+//    parallel incidents: concurrent anomalies almost always share one
+//    underlying cause (an oversold cluster trips starvation, drift and
+//    changepoint together), so the operator gets ONE incident naming
+//    every signal and every implicated tenant, with severity escalating
+//    as more detector kinds corroborate or the incident ages;
 //  * forensics — at open the manager snapshots a self-contained bundle
 //    directory: the recent round ring (rounds.jsonl), the detector
 //    estimator state and the ring's per-tenant series (evidence.json),
@@ -29,8 +29,7 @@
 // Threading: observe_round(), providers and finalize() belong to the
 // engine thread; incidents_json()/incident_json() are safe to call from
 // HTTP handler threads concurrently (the /incidents routes).
-// Allocation-neutral: the manager only reads RoundSummary values and
-// the bank's detections.
+// Allocation-neutral: the manager only reads the bank.
 #pragma once
 
 #include <cstdint>
@@ -56,10 +55,6 @@ struct IncidentConfig {
   /// Bundle root; one subdirectory per incident.  Empty = incidents are
   /// tracked in memory (endpoints, journal) but nothing hits disk.
   std::string dir;
-  /// Consecutive firing rounds before an incident opens.
-  std::size_t open_after_rounds = 3;
-  /// Detection-free rounds before an open incident auto-resolves.
-  std::size_t resolve_after_quiet = 25;
   /// Recent rounds retained for the bundle's rounds.jsonl and the
   /// per-tenant series in evidence.json.
   std::size_t ring_capacity = 64;
@@ -127,8 +122,9 @@ class IncidentManager {
   IncidentManager& operator=(const IncidentManager&) = delete;
 
   /// Advances incident state (open/escalate/resolve, bundle snapshots)
-  /// on the detections `bank` just made for `summary`.  Engine thread.
-  void observe_round(const RoundSummary& summary, const DetectorBank& bank);
+  /// on the round `bank` just observed: its summary, detections and
+  /// alert book.  Engine thread.
+  void observe_round(const DetectorBank& bank);
 
   /// Rewrites the open incident's manifest (if any) so its final state
   /// survives the run ending mid-incident.  Engine thread, at run end.
@@ -164,6 +160,7 @@ class IncidentManager {
   void ingest_detections(Incident& incident,
                          const std::vector<Detection>& detections);
   IncidentSeverity severity_of(const Incident& incident) const;
+  void push_event(const Incident& incident, bool opened) REQUIRES(mu_);
   json::Value incident_to_json(const Incident& incident) const
       REQUIRES(mu_);
   json::Value evidence_json(const DetectorBank& bank) const REQUIRES(mu_);
@@ -179,10 +176,6 @@ class IncidentManager {
   std::deque<RoundSummary> round_ring_ GUARDED_BY(mu_);
   std::vector<Incident> incidents_ GUARDED_BY(mu_);
   std::vector<IncidentEvent> events_ GUARDED_BY(mu_);
-  std::size_t pending_streak_ GUARDED_BY(mu_){0};
-  std::size_t pending_first_window_ GUARDED_BY(mu_){0};
-  std::vector<Detection> pending_detections_ GUARDED_BY(mu_);
-  std::size_t quiet_rounds_ GUARDED_BY(mu_){0};
   std::vector<std::pair<std::string, std::string>> metadata_ GUARDED_BY(mu_);
   std::vector<std::pair<std::string, std::function<std::string()>>> extras_
       GUARDED_BY(mu_);

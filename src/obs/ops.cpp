@@ -1,11 +1,9 @@
 #include "obs/ops.hpp"
 
-#include <cmath>
 #include <limits>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/stats.hpp"
 
 namespace rrf::obs {
 
@@ -16,40 +14,6 @@ namespace {
 }
 
 }  // namespace
-
-RoundSummary summarize_round(const RoundDigest& digest,
-                             std::span<const std::string> names,
-                             std::span<const double> paid) {
-  const std::size_t n = digest.tenant_position.size();
-  RRF_REQUIRE(names.size() == n && paid.size() == n &&
-                  digest.tenant_demand.size() == n &&
-                  digest.tenant_granted.size() == n &&
-                  digest.tenant_contributed.size() == n &&
-                  digest.tenant_gained.size() == n,
-              "summarize_round: tenant count mismatch");
-  RoundSummary summary;
-  summary.window = digest.window;
-  summary.time = digest.time;
-  summary.slots = digest.slots;
-  summary.phase_seconds = digest.phase_seconds;
-  std::vector<double> share_ratio(n, 0.0);
-  bool any_share = false;
-  summary.tenants.reserve(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    TenantRoundStat stat;
-    stat.name = names[t];
-    stat.share = digest.tenant_position[t] / paid[t];
-    stat.demand = digest.tenant_demand[t] / paid[t];
-    stat.granted = digest.tenant_granted[t] / paid[t];
-    stat.contributed = digest.tenant_contributed[t];
-    stat.gained = digest.tenant_gained[t];
-    share_ratio[t] = stat.share;
-    any_share = any_share || stat.share > 0.0;
-    summary.tenants.push_back(std::move(stat));
-  }
-  summary.jain = any_share ? jain_index(share_ratio) : 1.0;
-  return summary;
-}
 
 json::Value round_summary_to_json(const RoundSummary& summary) {
   json::Object out;

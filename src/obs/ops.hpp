@@ -6,8 +6,8 @@
 // (obs/round.hpp): per-tenant share / demand / granted ratios, the
 // tenant-funded contribution and gain flows, the window's Jain index over
 // share ratios, per-phase wall timings and the alert book's counts.
-// The engine builds one per window with summarize_round (only when an
-// OpsHub, TelemetryJournal or IncidentManager is attached, so the
+// The engine's DetectorBank (obs/detect.hpp) derives one per window (the
+// bank exists only when metrics are on or a sink is attached, so the
 // disabled path stays allocation-free) and the same JSON object flows to
 // three consumers:
 //  * the `/rounds` streaming endpoint (newline-delimited JSON over
@@ -29,13 +29,11 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "common/instrumented_mutex.hpp"
 #include "common/json.hpp"
-#include "obs/round.hpp"
 #include "obs/trace.hpp"  // Phase, kPhaseCount
 
 namespace rrf::obs {
@@ -72,15 +70,6 @@ struct RoundSummary {
   std::size_t alerts_total{0};
   std::vector<TenantRoundStat> tenants;
 };
-
-/// The summary of one digest: each tenant's position, demand and granted
-/// shares as ratios of the shares it paid for, S(i) = `paid`, its raw
-/// flows, and Jain's index over the share ratios (1.0 when all are zero).
-/// The only place these ratios are derived; the caller fills in the alert
-/// counts.  `names` and `paid` are indexed by tenant.
-RoundSummary summarize_round(const RoundDigest& digest,
-                             std::span<const std::string> names,
-                             std::span<const double> paid);
 
 /// {"t":"round",...}; the same object shape is used by the `/rounds`
 /// feed and the telemetry journal.

@@ -5,10 +5,10 @@
 // demanded shares and the application's performance.  The engine folds
 // every node's results into one RoundDigest per window, in canonical node
 // order, and hands the same object to every consumer: SimResult's
-// per-tenant metrics, the fairness auditor, the ops-plane summary
-// (summarize_round in obs/ops.hpp) and EngineConfig::observer.  The engine
-// owns one digest per run and refills it each window, so the vectors keep
-// their capacity and a window adds no heap allocation.
+// per-tenant metrics, the DetectorBank (obs/detect.hpp: the fairness
+// gauges and the ops-plane RoundSummary) and EngineConfig::observer.  The
+// engine owns one digest per run and refills it each window, so the
+// vectors keep their capacity and a window adds no heap allocation.
 #pragma once
 
 #include <array>

@@ -16,7 +16,6 @@
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "hypervisor/node.hpp"
-#include "obs/audit.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/incident.hpp"
 #include "obs/journal.hpp"
@@ -752,24 +751,23 @@ void settle(const RunContext& run, NodeState& node) {
   // rrf-hot-path: end(engine.settle)
 }
 
-/// The run's sinks, wired once from EngineConfig: the fairness auditor,
-/// the detector bank with its journal and incident cursors, and the
-/// flight recorder's per-node capture buffers.  The window loop calls it
-/// at three fixed points: capture_nodes() after a shard's settle phase
-/// (on the thread that ran the shard), end_window() and end_run().
+/// The run's sinks, wired once from EngineConfig: the detector bank (the
+/// fairness gauges, the round summary and the alert book) with its
+/// journal and incident cursors, and the flight recorder's per-node
+/// capture buffers.  The window loop calls it at three fixed points:
+/// capture_nodes() after a shard's settle phase (on the thread that ran
+/// the shard), end_window() and end_run().
 struct RunSinks {
   RunSinks(const RunContext& run, const ShardExecutor* executor)
-      : config(run.config), names(run.tenant_count()) {
-    for (std::size_t t = 0; t < names.size(); ++t) {
-      names[t] = run.scenario.cluster.tenants()[t].name;
-    }
-    if (obs::metrics_enabled()) {
-      auditor = std::make_unique<obs::FairnessAuditor>(names, run.paid);
-    }
+      : config(run.config) {
     if (obs::metrics_enabled() || config.ops != nullptr ||
         config.journal != nullptr || config.incidents != nullptr) {
+      std::vector<std::string> names(run.tenant_count());
+      for (std::size_t t = 0; t < names.size(); ++t) {
+        names[t] = run.scenario.cluster.tenants()[t].name;
+      }
       bank = std::make_unique<obs::DetectorBank>(
-          config.detect, names, run.paid,
+          config.detect, std::move(names), run.paid,
           obs::metrics_enabled() ? &obs::metrics() : nullptr);
     }
     if (config.incidents != nullptr) {
@@ -820,8 +818,7 @@ struct RunSinks {
   void end_window(const RunContext& run, const std::vector<NodeState>& nodes,
                   const obs::RoundDigest& digest) {
     if (config.flight != nullptr) record_flight_round(run, nodes);
-    if (auditor) auditor->observe_round(digest);
-    if (bank) observe_alerts(run, digest);
+    if (bank) observe_alerts(digest);
     if (config.observer) config.observer(digest);
   }
 
@@ -888,20 +885,17 @@ struct RunSinks {
     config.flight->record_round(round);
   }
 
-  void observe_alerts(const RunContext& run, const obs::RoundDigest& digest) {
-    obs::RoundSummary summary = obs::summarize_round(digest, names, run.paid);
-    bank->observe_round(summary);
-    summary.active_alerts = bank->active_alerts();
-    summary.alerts_total = bank->raised().size();
-    if (config.incidents != nullptr) {
-      config.incidents->observe_round(summary, *bank);
-    }
+  void observe_alerts(const obs::RoundDigest& digest) {
+    bank->observe_round(digest);
+    const obs::RoundSummary& summary = bank->summary();
+    if (config.incidents != nullptr) config.incidents->observe_round(*bank);
     if (config.journal != nullptr) {
       for (const obs::AlertTransition& tr :
            bank->transitions_since(alert_cursor)) {
         config.journal->record_alert(
-            tr, tr.tenant >= 0 ? names[static_cast<std::size_t>(tr.tenant)]
-                               : std::string());
+            tr, tr.tenant >= 0
+                    ? summary.tenants[static_cast<std::size_t>(tr.tenant)].name
+                    : std::string());
       }
       relay_incidents();
       config.journal->record_round(summary);
@@ -923,8 +917,6 @@ struct RunSinks {
   }
 
   const EngineConfig& config;
-  std::vector<std::string> names;
-  std::unique_ptr<obs::FairnessAuditor> auditor;
   std::unique_ptr<obs::DetectorBank> bank;
   std::size_t alert_cursor{0};     ///< transitions already in the journal
   std::size_t incident_cursor{0};  ///< incident edges already relayed

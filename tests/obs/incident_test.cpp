@@ -1,6 +1,7 @@
-// IncidentManager lifecycle (hysteresis, correlation, severity,
-// auto-resolve), the /incidents documents, the journal event feed and
-// the forensic bundle round-trip through IncidentBundle::load_dir.
+// IncidentManager lifecycle (it follows the alert book: opens with the
+// first active alert, resolves with the last), correlation and severity,
+// the /incidents documents, the journal event feed and the forensic
+// bundle round-trip through IncidentBundle::load_dir.
 #include "obs/incident.hpp"
 
 #include <gtest/gtest.h>
@@ -24,40 +25,31 @@ std::string fresh_dir(const std::string& name) {
   return path;
 }
 
-RoundSummary make_round(std::size_t window, double granted, double demand) {
-  RoundSummary summary;
-  summary.window = window;
-  summary.time = static_cast<double>(window) * 5.0;
-  summary.jain = 1.0;
-  summary.slots = 8;
-  summary.phase_seconds = {1e-4, 1e-4, 1e-4, 1e-4};
-  TenantRoundStat victim;
-  victim.name = "victim";
-  victim.share = 1.0;
-  victim.granted = granted;
-  victim.demand = demand;
-  victim.contributed = 5.0;
-  TenantRoundStat peer;
-  peer.name = "peer";
-  peer.share = 1.0;
-  peer.granted = 1.0;
-  peer.demand = 1.0;
-  summary.tenants = {victim, peer};
-  return summary;
+/// "victim" (a net contributor) is granted `granted` of what it bought
+/// and demands `demand`; "peer" is healthy.  Both bought one share.
+RoundDigest make_round(std::size_t window, double granted, double demand) {
+  RoundDigest digest;
+  digest.reset(2, 0);
+  digest.window = window;
+  digest.time = static_cast<double>(window) * 5.0;
+  digest.slots = 8;
+  digest.phase_seconds = {1e-4, 1e-4, 1e-4, 1e-4};
+  digest.tenant_position = {1.0, 1.0};
+  digest.tenant_demand = {demand, 1.0};
+  digest.tenant_granted = {granted, 1.0};
+  digest.tenant_contributed = {5.0, 0.0};
+  return digest;
 }
 
-/// Fast-reacting config: detectors arm after 2 rounds and fire after 3
-/// consecutive bad rounds; incidents open after 2 firing rounds and
-/// resolve after 4 quiet ones.
 IncidentConfig quick_config(std::string dir = {}) {
   IncidentConfig config;
   config.dir = std::move(dir);
-  config.open_after_rounds = 2;
-  config.resolve_after_quiet = 4;
   config.ring_capacity = 8;
   return config;
 }
 
+/// Fast-reacting detectors: armed after 2 rounds, fire after 3
+/// consecutive bad rounds, and an alert resolves after 10 quiet ones.
 DetectConfig quick_detect() {
   DetectConfig config;
   config.warmup_rounds = 2;
@@ -75,10 +67,15 @@ struct Pipeline {
   /// Feeds `count` rounds, advancing the window.
   void feed(std::size_t count, double granted, double demand) {
     for (std::size_t i = 0; i < count; ++i) {
-      const RoundSummary summary = make_round(window++, granted, demand);
-      bank.observe_round(summary);
-      manager.observe_round(summary, bank);
+      bank.observe_round(make_round(window++, granted, demand));
+      manager.observe_round(bank);
     }
+  }
+  /// Feeds healthy rounds until the alert book is empty.
+  void heal() {
+    do {
+      feed(1, 1.0, 1.0);
+    } while (bank.active_alerts() > 0 && window < 1000);
   }
 
   DetectorBank bank{quick_detect(), {"victim", "peer"}, {1.0, 1.0}};
@@ -94,28 +91,40 @@ TEST(IncidentManager, HealthyRunsOpenNothing) {
   EXPECT_EQ(manager.open_count(), 0u);
 }
 
-TEST(IncidentManager, OpensAfterTheFiringStreakAndResolvesAfterQuiet) {
+TEST(IncidentManager, OpensWithTheFirstAlertAndResolvesWithTheLast) {
   Pipeline p;
   IncidentManager& manager = p.manager;
   p.feed(10, 1.0, 1.0);
-  // Starvation fires once 3 consecutive bad rounds fill the fast
-  // window; the incident needs 2 such firing rounds (hysteresis).
-  p.feed(3, 0.4, 1.0);
-  EXPECT_EQ(manager.opened_total(), 0u) << "first firing round must not open";
+  // Starvation fires once 3 consecutive bad rounds fill the fast window;
+  // the incident opens on that round, with the book's first alert.
+  p.feed(2, 0.4, 1.0);
+  EXPECT_EQ(p.bank.active_alerts(), 0u);
+  EXPECT_EQ(manager.opened_total(), 0u);
   p.feed(1, 0.4, 1.0);
+  ASSERT_GT(p.bank.active_alerts(), 0u);
   ASSERT_EQ(manager.opened_total(), 1u);
-  EXPECT_EQ(manager.open_count(), 1u);
-  // Healthy again: the incident stays open through the quiet window,
-  // then auto-resolves.
-  p.feed(3, 1.0, 1.0);
-  EXPECT_EQ(manager.open_count(), 1u);
-  p.feed(2, 1.0, 1.0);
+  EXPECT_EQ(manager.incidents()[0].opened_window, 12u);
+  EXPECT_EQ(p.bank.raised().front().window, 12u);
+
+  // Healthy again: the incident stays open exactly as long as the book
+  // holds an active alert, then resolves on the round its last resolves.
+  while (p.bank.active_alerts() > 0) {
+    ASSERT_LT(p.window, 100u);
+    EXPECT_EQ(manager.open_count(), 1u) << "window " << p.window;
+    p.feed(1, 1.0, 1.0);
+  }
   EXPECT_EQ(manager.open_count(), 0u);
   const std::vector<Incident> incidents = manager.incidents();
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_EQ(incidents[0].id, "inc-0001");
   EXPECT_FALSE(incidents[0].open);
-  EXPECT_GT(incidents[0].resolved_window, incidents[0].opened_window);
+  EXPECT_EQ(incidents[0].resolved_window, p.bank.transitions().back().window);
+  EXPECT_FALSE(p.bank.transitions().back().raised);
+
+  // A fresh alert episode opens a fresh incident.
+  p.feed(3, 0.4, 1.0);
+  EXPECT_EQ(manager.opened_total(), 2u);
+  EXPECT_EQ(manager.open_count(), 1u);
 }
 
 TEST(IncidentManager, ConcurrentDetectionsCorrelateIntoOneIncident) {
@@ -149,11 +158,12 @@ TEST(IncidentManager, EventsFeedDrainsWithACursor) {
   EXPECT_TRUE(opened[0].opened);
   EXPECT_EQ(opened[0].id, "inc-0001");
   EXPECT_TRUE(manager.events_since(&cursor).empty()) << "cursor advanced";
-  p.feed(5, 1.0, 1.0);
+  p.heal();
   const std::vector<IncidentEvent> resolved = manager.events_since(&cursor);
   ASSERT_EQ(resolved.size(), 1u);
   EXPECT_FALSE(resolved[0].opened);
   EXPECT_EQ(resolved[0].id, "inc-0001");
+  EXPECT_EQ(resolved[0].window, p.window - 1);
 }
 
 TEST(IncidentManager, IncidentsJsonListsAndFetchesById) {
@@ -249,15 +259,23 @@ TEST(IncidentBundle, TamperedBundleReportsProblemsWithoutThrowing) {
 TEST(IncidentManager, RunawayGuardStopsOpeningNewIncidents) {
   IncidentConfig config = quick_config();
   config.max_incidents = 1;
-  config.resolve_after_quiet = 2;
   Pipeline p(config);
   IncidentManager& manager = p.manager;
   p.feed(10, 1.0, 1.0);
   p.feed(4, 0.4, 1.0);  // opens inc-0001
-  p.feed(3, 1.0, 1.0);  // resolves it
+  p.heal();             // resolves it with the book's last alert
   EXPECT_EQ(manager.open_count(), 0u);
-  p.feed(10, 0.4, 1.0);  // would open inc-0002
-  EXPECT_EQ(manager.opened_total(), 1u);
+  // Past max_incidents a fresh alert episode opens nothing, however long
+  // it fires, and neither does the next one.
+  for (int episode = 0; episode < 2; ++episode) {
+    p.feed(30, 0.4, 1.0);
+    EXPECT_GT(p.bank.active_alerts(), 0u);
+    EXPECT_EQ(manager.opened_total(), 1u);
+    EXPECT_EQ(manager.open_count(), 0u);
+    p.heal();
+  }
+  std::size_t cursor = 0;
+  EXPECT_EQ(manager.events_since(&cursor).size(), 2u);  // one open, one resolve
 }
 
 }  // namespace

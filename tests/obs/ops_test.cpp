@@ -144,10 +144,10 @@ TEST(OpsAlerts, DocumentTracksRaiseAndResolve) {
   config.slow_window = 4;
   DetectorBank bank(config, {"tpcc-1", "hadoop-2"}, {100.0, 100.0});
 
-  // Window 0: a Jain index below the SLO.
-  RoundSummary round = sample_summary();
-  round.window = 0;
-  round.jain = 0.5;
+  // Window 0: a Jain index below the SLO (share ratios 1 and 0: 0.5).
+  RoundDigest round;
+  round.reset(2, 0);
+  round.tenant_position = {100.0, 0.0};
   bank.observe_round(round);
 
   json::Value doc = bank.alerts_document();
@@ -163,7 +163,7 @@ TEST(OpsAlerts, DocumentTracksRaiseAndResolve) {
   EXPECT_DOUBLE_EQ(doc.find("total")->as_number(), 1.0);
 
   // Fair rounds until the alert has been quiet for the slow window.
-  round.jain = 1.0;
+  round.tenant_position = {100.0, 100.0};
   for (std::size_t w = 1; w < 200 && bank.active_alerts() > 0; ++w) {
     round.window = w;
     bank.observe_round(round);

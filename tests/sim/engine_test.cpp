@@ -230,7 +230,7 @@ TEST(Engine, ObserverSeesEveryWindow) {
 
 // Every consumer reads the same per-window digest, so their numbers agree
 // with it bit for bit: the journal's ratios, SimResult's series, the
-// auditor's beta gauges and the flight recording's IRT Lambda.
+// detector bank's beta gauges and the flight recording's IRT Lambda.
 TEST(Engine, DigestAgreesWithEveryConsumer) {
   SyntheticConfig cell;
   cell.nodes = 4;
@@ -315,11 +315,20 @@ TEST(Engine, DigestAgreesWithEveryConsumer) {
     busy_nodes.insert(hosts.begin(), hosts.end());
   }
   EXPECT_EQ(result.alloc_invocations, digests.size() * busy_nodes.size());
-  for (const TenantMetrics& tenant : result.tenants) {
-    const obs::Gauge* beta = obs::metrics().find_gauge(
-        obs::labeled("fairness.tenant_beta", {{"tenant", tenant.name()}}));
+  // The beta gauge is the bank's ledger: the mean of the journal's
+  // share ratios, summed in window order; SimResult's beta sums the
+  // positions before dividing, so it agrees to rounding.
+  for (std::size_t t = 0; t < tenants; ++t) {
+    const obs::Gauge* beta = obs::metrics().find_gauge(obs::labeled(
+        "fairness.tenant_beta", {{"tenant", result.tenants[t].name()}}));
     ASSERT_NE(beta, nullptr);
-    EXPECT_EQ(beta->value(), tenant.beta());
+    double share_total = 0.0;
+    for (const obs::RoundSummary& round : rounds.rounds) {
+      share_total += round.tenants[t].share;
+    }
+    EXPECT_EQ(beta->value(),
+              share_total / static_cast<double>(rounds.rounds.size()));
+    EXPECT_NEAR(beta->value(), result.tenants[t].beta(), 1e-12);
   }
 }
 

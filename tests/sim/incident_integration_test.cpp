@@ -1,8 +1,9 @@
 // Incident detection end to end through the engine: a seeded oversold
 // synthetic scenario must open exactly ONE incident whose forensic
 // bundle round-trips the offline loader and implicates the starved
-// tenants, while clean runs (synthetic and paper) open ZERO incidents —
-// the false-positive guard that makes the detectors pageable.
+// tenants, clean runs (synthetic and paper) open ZERO incidents — the
+// false-positive guard that makes the detectors pageable — and in every
+// window an incident is open exactly when the alert book holds an alert.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -118,6 +119,73 @@ TEST(IncidentIntegration, IncidentTransitionsLandInTheJournal) {
   EXPECT_FALSE(data.incidents[0].kinds.empty());
   ASSERT_TRUE(data.end.has_value());
   EXPECT_EQ(data.end->incidents, data.incidents.size());
+}
+
+TEST(IncidentIntegration, IncidentsFollowTheAlertBook) {
+  // Four paper hosts filled with the four workloads, under the flat
+  // policies whose free riders and drifting tenants raise ledger alerts
+  // that resolve mid-run, and the oversold cell, whose alerts stay on.
+  // Each cell's inc-0001 opens with its first alert and resolves with
+  // its last (0 = still open at the end).
+  struct Cell {
+    PolicyKind policy;
+    bool oversold;
+    std::size_t opened;
+    std::size_t resolved;
+  };
+  const std::vector<Cell> cells = {{PolicyKind::kWmmf, false, 12, 103},
+                                   {PolicyKind::kDrf, false, 12, 104},
+                                   {PolicyKind::kDrfSeq, false, 12, 95},
+                                   {PolicyKind::kIrt, false, 14, 77},
+                                   {PolicyKind::kRrf, true, 12, 0}};
+  const Scenario fill = fill_scenario(4, wl::paper_workloads(), 1.0, 42);
+  const Scenario oversold = make_synthetic_scenario(synthetic_config(2.5));
+  const std::string path =
+      ::testing::TempDir() + "/incident_integration_book.jsonl";
+  for (const Cell& cell : cells) {
+    const std::string name = to_string(cell.policy);
+    std::remove(path.c_str());
+    obs::IncidentManager incidents(obs::IncidentConfig{});
+    obs::TelemetryJournal::Options options;
+    options.path = path;
+    options.policy = name;
+    obs::TelemetryJournal journal(options);
+    EngineConfig config = engine_config();
+    config.policy = cell.policy;
+    if (!cell.oversold) config.duration = 1200.0;
+    config.incidents = &incidents;
+    config.journal = &journal;
+    // The observer runs after the manager has seen the window.
+    std::vector<std::size_t> open;
+    config.observer = [&](const WindowSnapshot&) {
+      open.push_back(incidents.open_count());
+    };
+    run_simulation(cell.oversold ? oversold : fill, config);
+    journal.finish();
+
+    const obs::JournalData data = obs::JournalData::load_file(path);
+    ASSERT_EQ(data.rounds.size(), open.size()) << name;
+    for (std::size_t w = 0; w < open.size(); ++w) {
+      EXPECT_EQ(open[w] == 1, data.rounds[w].active_alerts > 0)
+          << name << " window " << w << ": " << open[w]
+          << " open incident(s), " << data.rounds[w].active_alerts
+          << " active alert(s)";
+    }
+    const std::vector<obs::Incident> all = incidents.incidents();
+    ASSERT_EQ(all.size(), 1u) << name;
+    ASSERT_FALSE(data.alerts.empty()) << name;
+    EXPECT_EQ(all[0].opened_window, data.alerts.front().window) << name;
+    EXPECT_EQ(all[0].opened_window, cell.opened) << name;
+    if (cell.resolved == 0) {
+      EXPECT_TRUE(all[0].open) << name;
+      continue;
+    }
+    ASSERT_FALSE(all[0].open) << name;
+    EXPECT_FALSE(data.alerts.back().raised) << name;
+    EXPECT_EQ(all[0].resolved_window, data.alerts.back().window) << name;
+    EXPECT_EQ(all[0].resolved_window, cell.resolved) << name;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ TEST(ObsEngineAudit, WellBehavedRrfRunRaisesNoAlerts) {
       << result.alerts.size() << " alerts, first kind="
       << obs::to_string(result.alerts.front().kind);
 
-  // The auditor ran and published its cluster gauges.
+  // The detector bank published its cluster gauges.
   const obs::Gauge* jain = obs::metrics().find_gauge("fairness.jain_index");
   ASSERT_NE(jain, nullptr);
   EXPECT_GT(jain->value(), 0.9);
@@ -161,7 +161,7 @@ TEST(ObsEngineAudit, AlertsAgreeAcrossConsumers) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ObsEngineAudit, FreeRidersAndBetaDriftRaiseTheAuditorsAlerts) {
+TEST(ObsEngineAudit, FreeRidersAndBetaDriftRaiseLedgerAlerts) {
   MetricsOn guard;
   // Four paper hosts filled with the four workloads under DRF: three
   // tenants take tenant-funded surplus without contributing, one drifts
@@ -194,7 +194,7 @@ TEST(ObsEngineAudit, AuditRespectsTheMetricsSwitch) {
   EngineConfig config;
   config.duration = 120.0;
   const SimResult result = run_simulation(build_scenario(scenario), config);
-  EXPECT_TRUE(result.alerts.empty());  // auditor never constructed
+  EXPECT_TRUE(result.alerts.empty());  // no sink, so no detector bank
   obs::set_metrics_enabled(was);
 }
 

@@ -75,7 +75,7 @@ std::string record_rounds(const Scenario& scenario, EngineConfig config) {
 }
 
 /// Runs with an OpsHub attached and returns every published round
-/// summary (the tenant ledger flows the auditor consumes).
+/// summary (the tenant ledger flows the detector bank consumes).
 std::vector<obs::RoundSummary> collect_rounds(const Scenario& scenario,
                                               EngineConfig config) {
   obs::OpsHub hub;
