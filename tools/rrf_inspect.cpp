@@ -54,8 +54,9 @@ using namespace rrf;
       "      IWA flows, final entitlement and actuator targets\n\n"
       "  rrf_inspect journal <telemetry.jsonl> [--tail <n>]\n"
       "      validate and summarize a telemetry journal (rounds, alert\n"
-      "      transitions, fairness ranges, clean-shutdown state); --tail\n"
-      "      prints the last <n> round records\n\n"
+      "      transitions, fairness ranges, each incident's open and resolve\n"
+      "      windows and kinds, clean-shutdown state); --tail prints the\n"
+      "      last <n> round records\n\n"
       "  rrf_inspect incident validate <bundle-dir>\n"
       "      check an incident bundle end to end: manifest schema, every\n"
       "      listed file present and parseable; exit 1 when a bundle that\n"
@@ -195,7 +196,8 @@ int cmd_journal(const std::vector<std::string>& args) {
             << ", policy " << journal.header.policy << ", "
             << journal.header.tenants.size() << " tenant(s)\n";
   std::cout << "  rounds: " << journal.rounds.size()
-            << ", alert transitions: " << journal.alerts.size() << "\n";
+            << ", alert transitions: " << journal.alerts.size()
+            << ", incident transitions: " << journal.incidents.size() << "\n";
   if (!journal.rounds.empty()) {
     double jain_lo = journal.rounds.front().jain;
     double jain_hi = jain_lo;
@@ -215,9 +217,34 @@ int cmd_journal(const std::vector<std::string>& args) {
     std::cout << "  alerts: " << raised << " raised, "
               << journal.alerts.size() - raised << " resolved\n";
   }
+  // One line per incident: its open record, and its resolve record when
+  // the run saw it resolve (the later record carries the final kinds).
+  for (const obs::JournalIncident& opened : journal.incidents) {
+    if (!opened.opened) continue;
+    const auto resolved = std::find_if(
+        journal.incidents.begin(), journal.incidents.end(),
+        [&](const obs::JournalIncident& r) {
+          return !r.opened && r.id == opened.id;
+        });
+    const bool done = resolved != journal.incidents.end();
+    const obs::JournalIncident& last = done ? *resolved : opened;
+    std::cout << "  incident " << opened.id << " [" << last.severity
+              << "]: opened w" << opened.window;
+    if (done) {
+      std::cout << ", resolved w" << resolved->window;
+    } else {
+      std::cout << ", still open";
+    }
+    std::cout << ", kinds ";
+    for (std::size_t k = 0; k < last.kinds.size(); ++k) {
+      std::cout << (k > 0 ? "+" : "") << last.kinds[k];
+    }
+    std::cout << "\n";
+  }
   if (journal.end.has_value()) {
     std::cout << "  clean shutdown (end record: " << journal.end->rounds
-              << " rounds, " << journal.end->alerts << " alerts)\n";
+              << " rounds, " << journal.end->alerts << " alert transitions, "
+              << journal.end->incidents << " incident transitions)\n";
   } else {
     std::cout << "  no end record — the run was killed or is still "
                  "writing";
