@@ -6,8 +6,9 @@
 // Lambda = 0 beneficiaries, tied and -0.0 keys, banked credit, one tenant,
 // 1e-12 / 1e12 magnitudes), weighted max-min water-fills past
 // std::sort's insertion-sort cutoff, the random draws behind the
-// workloads' per-VM demands, DRF and sequential DRF edge cases and seeded
-// inputs, and flat IRT in the engine — against a checked-in golden file.  The
+// workloads' per-VM demands, the synthetic demand stream over a day, DRF
+// and sequential DRF edge cases and seeded inputs, and flat IRT in the
+// engine — against a checked-in golden file.  The
 // golden was generated from the pre-optimization allocation path; the
 // cached tenant-grouping, scratch-buffer reuse and thread-pool chunking
 // optimizations must keep every number identical, which is exactly what
@@ -542,6 +543,48 @@ void capture_workload_draws(std::vector<std::string>* lines) {
   }
 }
 
+/// The synthetic builder's demand stream, `vm_demands_at` at six times from
+/// t = 0 to a day, for two seeds, on the default 4x8x4 cell and on a
+/// 4x100x4 cell (100 VMs per tenant): eight VMs per line.
+void capture_synthetic_stream(std::vector<std::string>* lines) {
+  struct Cell {
+    std::size_t nodes;
+    std::size_t vms_per_node;
+    std::size_t tenants;
+  };
+  for (const Cell cell : {Cell{4, 8, 4}, Cell{4, 100, 4}}) {
+    for (const std::uint64_t seed : {1u, 7u}) {
+      sim::SyntheticConfig syn;
+      syn.nodes = cell.nodes;
+      syn.vms_per_node = cell.vms_per_node;
+      syn.tenants = cell.tenants;
+      syn.seed = seed;
+      const sim::Scenario scenario = sim::make_synthetic_scenario(syn);
+      const std::string cell_tag =
+          "stream synthetic " + std::to_string(cell.nodes) + "x" +
+          std::to_string(cell.vms_per_node) + "x" +
+          std::to_string(cell.tenants) + " s" + std::to_string(seed);
+      for (const Seconds t : {0.0, 5.0, 95.0, 600.0, 1995.0, 86400.0}) {
+        for (std::size_t w = 0; w < scenario.workloads.size(); ++w) {
+          const std::vector<ResourceVector> vms =
+              scenario.workloads[w]->vm_demands_at(t);
+          for (std::size_t i = 0; i < vms.size(); i += 8) {
+            const std::size_t last = std::min(vms.size(), i + 8) - 1;
+            std::string line = cell_tag + " t=" +
+                               std::to_string(static_cast<long>(t)) + " " +
+                               scenario.workloads[w]->name() + " vm" +
+                               std::to_string(i) + "-" + std::to_string(last);
+            for (std::size_t j = i; j <= last; ++j) {
+              line += " " + hex_vector(vms[j]);
+            }
+            lines->push_back(line);
+          }
+        }
+      }
+    }
+  }
+}
+
 /// One DRF input: a capacity and the users, with an explicit weight or
 /// (0) their shares' sum.
 struct DrfCase {
@@ -660,6 +703,7 @@ std::vector<std::string> capture_all() {
   capture_edge_cases(&lines);
   capture_water_fills(&lines);
   capture_workload_draws(&lines);
+  capture_synthetic_stream(&lines);
   capture_drf(&lines);
   const sim::Scenario scenario = engine_scenario();
   for (const bool actuators : {false, true}) {
