@@ -6,6 +6,7 @@
 #include <string>
 
 #include "alloc/contract_checks.hpp"
+#include "common/branchless.hpp"
 #include "common/contract.hpp"
 #include "common/error.hpp"
 #include "common/float_eq.hpp"
@@ -155,9 +156,13 @@ bool fill_one_weight(double capacity, std::span<const double> demands,
       continue;
     }
     if (exactly_equal(d, prev)) return false;  // the stop splits a run
+    // Demands below the stop keep what they asked for and the rest get the
+    // level times w, capped at demand: a select, as the test is random.
     const double level = remaining / active_weight;
+    const double cap = level * w;
     for (std::size_t i = 0; i < demands.size(); ++i) {
-      out[i] = demands[i] < d ? demands[i] : std::min(demands[i], level * w);
+      const double di = demands[i];
+      out[i] = branchless(di < d, di, std::min(di, cap));
     }
     return true;
   }

@@ -65,6 +65,7 @@ void TraceWorkload::vm_demands_into(Seconds t,
   // forks are made together, on the stack.
   const auto epoch = static_cast<std::uint64_t>(std::max(0.0, t) / 60.0);
   double wsum = 0.0;
+  // rrf-hot-path: begin(workload.trace)
   Rng(seed_).for_each_fork(epoch * 1000, n, [&](std::size_t j, Rng& r) {
     const double factor = r.normal_in(1.0, jitter_, 0.25, 1.75);
     const double weight = split_[j] * factor;
@@ -75,6 +76,7 @@ void TraceWorkload::vm_demands_into(Seconds t,
   for (std::size_t j = 0; j < n; ++j) {
     out[j] = total * (out[j][0] / wsum);
   }
+  // rrf-hot-path: end(workload.trace)
 }
 
 namespace {
