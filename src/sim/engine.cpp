@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -510,9 +511,18 @@ std::vector<NodeState> place_vms(const RunContext& run) {
     const auto& vms = scenario.cluster.tenants()[t].vms;
     for (std::size_t j = 0; j < vms.size(); ++j) {
       if (unplaced.contains({t, j})) continue;
+      // Every level reads the bought shares; the static one checks nothing.
+      const ResourceVector shares = scenario.cluster.vm_shares(t, j);
+      for (const double share : shares.values()) {
+        if (!(share >= 0.0 && std::isfinite(share))) {
+          throw PreconditionError(
+              "tenant " + scenario.cluster.tenants()[t].name + " VM " +
+              std::to_string(j) + " buys " + shares.to_exact_string() +
+              " shares; bought shares must be finite and non-negative");
+        }
+      }
       nodes[scenario.host_of[t][j]].slots.push_back(
-          VmSlot{t, j, scenario.cluster.vm_shares(t, j),
-                 ResourceVector(kDefaultResourceCount), 0});
+          VmSlot{t, j, shares, ResourceVector(kDefaultResourceCount), 0});
     }
   }
   for (NodeState& node : nodes) {

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -569,6 +570,31 @@ TEST(Engine, RejectsMalformedScenario) {
   Scenario short_demands = two_tenant_cell();
   short_demands.workloads[1] = std::make_unique<ShortWorkload>();
   expect_rejected(std::move(short_demands), "syn1", "short demand vector");
+
+  // A VM provisioned at inf, or at a capacity whose price overflows, buys
+  // inf shares, which every policy level reads, the static one unchecked.
+  for (const double cpu : {std::numeric_limits<double>::infinity(), 1e307}) {
+    Scenario bad_shares = two_tenant_cell();
+    cluster::Cluster cluster(bad_shares.cluster.hosts(),
+                             bad_shares.cluster.pricing());
+    for (cluster::TenantSpec tenant : bad_shares.cluster.tenants()) {
+      if (tenant.name == "syn1") tenant.vms[1].provisioned[0] = cpu;
+      cluster.add_tenant(std::move(tenant));
+    }
+    bad_shares.cluster = std::move(cluster);
+    for (const PolicyKind policy : {PolicyKind::kTshirt, PolicyKind::kRrf}) {
+      EngineConfig config = fast_engine(policy);
+      config.duration = 10.0;
+      try {
+        run_simulation(bad_shares, config);
+        ADD_FAILURE() << "VM provisioned " << cpu << " GHz: accepted";
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find("tenant syn1 VM 1 buys <"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 /// The profiler frames of one window, from demand sampling to its tail:
