@@ -21,13 +21,16 @@
 // --profile attaches the hierarchical profiler (obs/profiler) to the
 // measured trials: the report gains schema-v2 "profile" blocks and a
 // collapsed-stack flamegraph is written next to --out (.folded suffix).
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "cli_util.hpp"
 #include "common/error.hpp"
 #include "harness.hpp"
 
@@ -47,12 +50,23 @@ using namespace rrf;
   std::exit(2);
 }
 
-std::size_t parse_size(const std::string& flag, const std::string& value) {
+/// Reads a count flag with tools::parse_number's rules: the whole token
+/// is an unsigned number in range ("-1", "3abc" and "1e3" are refused).
+/// A bad value exits 2 naming the flag.
+template <typename T = std::size_t>
+T parse_count(const std::string& flag, const std::string& value) {
   try {
-    return static_cast<std::size_t>(std::stoull(value));
-  } catch (const std::exception&) {
-    usage_error("bad value for " + flag + ": " + value);
+    return tools::parse_number<T>(flag, value);
+  } catch (const DomainError& e) {
+    usage_error(e.what());
   }
+}
+
+/// A count that must be at least 1 (--trials, --windows).
+std::size_t parse_positive(const std::string& flag, const std::string& value) {
+  const std::size_t n = parse_count(flag, value);
+  if (n == 0) usage_error(flag + ": must be at least 1: '" + value + "'");
+  return n;
 }
 
 std::vector<sim::PolicyKind> parse_policies(const std::string& csv) {
@@ -83,7 +97,7 @@ std::vector<std::size_t> parse_shards(const std::string& csv) {
     const std::size_t comma = csv.find(',', start);
     const std::string cell =
         csv.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!cell.empty()) shards.push_back(parse_size("--shards", cell));
+    if (!cell.empty()) shards.push_back(parse_count("--shards", cell));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -99,9 +113,20 @@ bench::SweepPoint parse_sweep(const std::string& spec) {
   if (x1 == std::string::npos || x2 == std::string::npos) {
     usage_error("bad --sweep spec (want NxVxT): " + spec);
   }
-  point.nodes = parse_size("--sweep", spec.substr(0, x1));
-  point.vms_per_node = parse_size("--sweep", spec.substr(x1 + 1, x2 - x1 - 1));
-  point.tenants = parse_size("--sweep", spec.substr(x2 + 1));
+  point.nodes = parse_count("--sweep", spec.substr(0, x1));
+  point.vms_per_node = parse_count("--sweep", spec.substr(x1 + 1, x2 - x1 - 1));
+  point.tenants = parse_count("--sweep", spec.substr(x2 + 1));
+  // The synthetic builder's cell: every count >= 1, and no more tenants
+  // than the N*V VMs.
+  const bool vms_fit =
+      point.nodes > 0 && point.vms_per_node > 0 &&
+      point.vms_per_node <= std::numeric_limits<std::size_t>::max() /
+                                point.nodes;
+  if (!vms_fit || point.tenants == 0 ||
+      point.tenants > point.nodes * point.vms_per_node) {
+    usage_error("--sweep: a cell needs N, V >= 1 and 1 <= T <= N*V: '" +
+                spec + "'");
+  }
   return point;
 }
 
@@ -132,13 +157,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--sweep") {
       custom_sweep.push_back(parse_sweep(next()));
     } else if (arg == "--trials") {
-      config.trials = parse_size(arg, next());
+      config.trials = parse_positive(arg, next());
     } else if (arg == "--warmup") {
-      config.warmup = parse_size(arg, next());
+      config.warmup = parse_count(arg, next());
     } else if (arg == "--windows") {
-      config.windows = parse_size(arg, next());
+      config.windows = parse_positive(arg, next());
     } else if (arg == "--seed") {
-      config.seed = parse_size(arg, next());
+      config.seed = parse_count<std::uint64_t>(arg, next());
     } else if (arg == "--actuators") {
       config.use_actuators = true;
     } else if (arg == "--parallel") {
